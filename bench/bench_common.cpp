@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -12,7 +13,6 @@
 #include "common/string_util.h"
 #include "simd/kernels.h"
 #include "report/csv.h"
-#include "report/table.h"
 
 namespace tsnn::bench {
 
@@ -45,26 +45,55 @@ CliOverrides& cli() {
   std::exit(exit_code);
 }
 
-std::int64_t parse_int_arg(const char* prog, const char* flag, const char* value,
-                           bool allow_negative) {
+[[noreturn]] void bad_arg(const char* prog, UsageFn usage) {
+  if (usage == nullptr) {
+    bench::usage(prog, 2);
+  }
+  usage(prog);
+  std::exit(2);
+}
+
+/// Shared body of the numeric parsers: `parse(value, &end)` must consume
+/// the whole value without overflowing.
+template <typename T, typename Parse>
+T parse_arg(const char* prog, const char* flag, const char* value,
+            bool allow_negative, UsageFn usage, Parse parse) {
   if (value == nullptr) {
     std::fprintf(stderr, "%s: %s needs a value\n", prog, flag);
-    usage(prog, 2);
+    bad_arg(prog, usage);
   }
   char* end = nullptr;
-  const std::int64_t parsed = std::strtoll(value, &end, 0);
-  if (end == value || *end != '\0') {
+  errno = 0;
+  const T parsed = parse(value, &end);
+  if (end == value || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(static_cast<double>(parsed))) {
     std::fprintf(stderr, "%s: %s got non-numeric value '%s'\n", prog, flag, value);
-    usage(prog, 2);
+    bad_arg(prog, usage);
   }
   if (!allow_negative && parsed < 0) {
     std::fprintf(stderr, "%s: %s must be >= 0, got %s\n", prog, flag, value);
-    usage(prog, 2);
+    bad_arg(prog, usage);
   }
   return parsed;
 }
 
 }  // namespace
+
+std::int64_t parse_int_arg(const char* prog, const char* flag,
+                           const char* value, bool allow_negative,
+                           UsageFn usage) {
+  return parse_arg<std::int64_t>(
+      prog, flag, value, allow_negative, usage,
+      [](const char* s, char** end) { return std::strtoll(s, end, 0); });
+}
+
+double parse_double_arg(const char* prog, const char* flag, const char* value,
+                        UsageFn usage) {
+  return parse_arg<double>(prog, flag, value, /*allow_negative=*/false, usage,
+                           [](const char* s, char** end) {
+                             return std::strtod(s, end);
+                           });
+}
 
 void init(int argc, char** argv) {
   const char* prog = argc > 0 ? argv[0] : "bench";
@@ -106,16 +135,6 @@ void init(int argc, char** argv) {
     // write_csv reads the env var, so route the flag through it.
     setenv("TSNN_BENCH_OUT", cli().out->c_str(), /*overwrite=*/1);
   }
-}
-
-core::SweepInputs Workload::inputs() const {
-  core::SweepInputs in;
-  in.model = &conversion.model;
-  in.images = &test_images;
-  in.labels = &test_labels;
-  in.seed = bench_seed();
-  in.num_threads = bench_threads();
-  return in;
 }
 
 std::size_t bench_images() {
@@ -164,12 +183,6 @@ snn::EvalOptions eval_options() {
   return options;
 }
 
-core::SweepOptions sweep_options() {
-  core::SweepOptions options;
-  options.pool = eval_pool();
-  return options;
-}
-
 Workload prepare_workload(core::DatasetKind kind) {
   // One workload-prep recipe for benches and the scenario engine
   // (core::load_zoo_workload): same calibration slice, same test slice, so
@@ -190,39 +203,6 @@ Workload prepare_workload(core::DatasetKind kind) {
       zoo.from_artifact_cache ? "artifact cache" : "fresh convert",
       zoo.prep_seconds);
   return w;
-}
-
-void print_sweep(const std::string& title, const std::string& level_name,
-                 const std::vector<core::MethodSpec>& methods,
-                 const std::vector<double>& levels,
-                 const std::vector<core::SweepRow>& rows, bool show_spikes) {
-  std::printf("\n== %s ==\n", title.c_str());
-
-  std::vector<std::string> headers{"Method"};
-  for (const double level : levels) {
-    headers.push_back(level_name + "=" + str::format_fixed(level, 1));
-  }
-  report::Table acc_table(headers);
-  for (const core::MethodSpec& m : methods) {
-    std::vector<std::string> cells{m.label};
-    for (const core::SweepRow& r : core::rows_for(rows, m.label)) {
-      cells.push_back(pct(r.accuracy));
-    }
-    acc_table.add_row(std::move(cells));
-  }
-  std::printf("Accuracy (%%)\n%s", acc_table.to_string().c_str());
-
-  if (show_spikes) {
-    report::Table spike_table(headers);
-    for (const core::MethodSpec& m : methods) {
-      std::vector<std::string> cells{m.label};
-      for (const core::SweepRow& r : core::rows_for(rows, m.label)) {
-        cells.push_back(str::sci(r.mean_spikes));
-      }
-      spike_table.add_row(std::move(cells));
-    }
-    std::printf("The number of spikes\n%s", spike_table.to_string().c_str());
-  }
 }
 
 namespace {
@@ -463,21 +443,19 @@ SweepReport::SweepReport(std::string name, std::string level_name)
   }
 }
 
-core::SweepOptions SweepReport::options(std::string method_prefix) {
-  core::SweepOptions options = sweep_options();
-  options.on_row = [this, prefix = std::move(method_prefix)](
-                       const core::SweepRow& row) {
-    core::SweepRow prefixed = row;
-    prefixed.method = prefix + row.method;
+core::SweepOptions SweepReport::options() {
+  core::SweepOptions options;
+  options.pool = eval_pool();
+  options.on_row = [this](const core::SweepRow& row) {
     if (csv_) {
       try {
-        csv_->add_row(sweep_csv_cells(prefixed));
+        csv_->add_row(sweep_csv_cells(row));
       } catch (const IoError& e) {
         std::fprintf(stderr, "warning: %s\n", e.what());
         csv_.reset();
       }
     }
-    rows_.push_back(std::move(prefixed));
+    rows_.push_back(row);
   };
   return options;
 }

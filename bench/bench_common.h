@@ -1,9 +1,9 @@
-// Shared harness for the figure/table benches.
+// Shared harness for the bench CLIs.
 //
-// Every bench binary regenerates one figure or table of the paper
-// (DESIGN.md SS4): it loads (or trains on first use) the zoo model for the
-// dataset, converts it once, runs the method/noise sweep, prints a
-// paper-style table, and writes machine-readable CSV into
+// run_scenarios regenerates the paper's figures and tables (the "paper"
+// suite), and the remaining benches run analyses and ablations: each loads
+// (or trains on first use) the zoo model for its dataset, converts it once,
+// prints a paper-style table, and writes machine-readable CSV into
 // TSNN_BENCH_OUT (default ./bench_results).
 //
 // Knobs (flag overrides environment overrides default):
@@ -16,6 +16,7 @@
 //                  TSNN_ZOO_DIR        model cache (see core/zoo.h)
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,14 +38,26 @@ struct Workload {
   convert::Conversion conversion;
   std::vector<Tensor> test_images;
   std::vector<std::size_t> test_labels;
-
-  core::SweepInputs inputs() const;
 };
 
 /// Parses the shared bench flags (--images, --seed, --threads, --out; see
 /// file comment). Call first in every bench main. Unknown arguments abort
 /// with a usage message; `--help` prints it and exits 0.
 void init(int argc, char** argv);
+
+/// Prints a CLI's usage text for `prog`.
+using UsageFn = void (*)(const char* prog);
+
+/// The numeric flag parsers every bench CLI shares. `value` is the text
+/// after `flag` (null when the flag came last); integers accept any base
+/// prefix strtoll does (0x..). A missing, non-numeric, out-of-range or
+/// negative (for integers: unless `allow_negative`) value prints the
+/// problem, then `usage` (null = the shared bench flags above), and exits 2.
+std::int64_t parse_int_arg(const char* prog, const char* flag,
+                           const char* value, bool allow_negative,
+                           UsageFn usage = nullptr);
+double parse_double_arg(const char* prog, const char* flag, const char* value,
+                        UsageFn usage = nullptr);
 
 /// Number of evaluation images per configuration (--images).
 std::size_t bench_images();
@@ -66,21 +79,9 @@ ThreadPool* eval_pool();
 /// bench_seed(), num_threads from bench_threads(), pool from eval_pool().
 snn::EvalOptions eval_options();
 
-/// The grid-scheduler options the shared knobs imply: the persistent
-/// eval_pool() (no per-sweep pool churn). Prefer SweepReport::options()
-/// when the sweep's rows should also stream to disk.
-core::SweepOptions sweep_options();
-
 /// Loads/trains the zoo model for `kind`, converts it, and slices the test
 /// set down to bench_images() samples.
 Workload prepare_workload(core::DatasetKind kind);
-
-/// Prints a sweep as a paper-style table: one row per method, one column
-/// pair (accuracy, spikes) per level. `level_name` is "p" or "sigma".
-void print_sweep(const std::string& title, const std::string& level_name,
-                 const std::vector<core::MethodSpec>& methods,
-                 const std::vector<double>& levels,
-                 const std::vector<core::SweepRow>& rows, bool show_spikes);
 
 /// JSON results path (--json / TSNN_BENCH_JSON); empty when unset.
 std::string bench_json();
@@ -103,19 +104,16 @@ void record_early_exit(const std::string& label);
 /// to a warning and the bench runs CSV-less); options() yields
 /// core::SweepOptions wired to the persistent eval_pool() and an on_row
 /// sink that appends each completed cell's row to the CSV -- the file fills
-/// while the sweep runs, and its final content is byte-identical to the old
-/// end-of-run write_csv. finish() emits the JSON document (--json) from all
+/// while the sweep runs. finish() emits the JSON document (--json) from all
 /// streamed rows and prints the csv/json paths; call it once, last.
 class SweepReport {
  public:
   SweepReport(std::string name, std::string level_name);
 
-  /// Sweep options for one sweep of this report; `method_prefix` is
-  /// prepended to every streamed row's method label (e.g. "S-MNIST/" in the
-  /// cross-dataset tables).
-  core::SweepOptions options(std::string method_prefix = "");
+  /// Sweep options for one sweep of this report.
+  core::SweepOptions options();
 
-  /// Every row streamed so far (prefixed), in stream order.
+  /// Every row streamed so far, in stream order.
   const std::vector<core::SweepRow>& rows() const { return rows_; }
 
   void finish();
@@ -132,8 +130,8 @@ std::string pct(double accuracy);
 
 /// Column headers of the sweep CSV documents ("method", level_name,
 /// "accuracy", "mean_spikes", "mean_decision_timesteps") -- shared by
-/// SweepReport and run_scenarios so scenario CSVs are byte-identical to the
-/// bench CSVs.
+/// SweepReport, run_scenarios and merge_shards so every sweep CSV has one
+/// format.
 std::vector<std::string> sweep_csv_headers(const std::string& level_name);
 
 /// One SweepRow formatted exactly as the sweep CSVs have always been.
@@ -154,9 +152,9 @@ std::string csv_output_path(const std::string& name);
 /// trailing "metrics" object of the suite JSON -- the only part of the
 /// document allowed to differ between an uninterrupted run, a resumed run,
 /// and a shard merge (the CI identity checks strip it before byte-diffing).
-/// images_per_sec is sweep-only (images_executed / sweep_seconds), matching
-/// BENCH_table1's metric: zoo preparation is reported separately and
-/// resumed/injected cells do not count as executed work.
+/// images_per_sec is sweep-only (images_executed / sweep_seconds): zoo
+/// preparation is reported separately and resumed/injected cells do not
+/// count as executed work.
 struct ScenarioSuiteMetrics {
   double seconds = 0.0;             ///< total wall (zoo prep + sweep)
   double sweep_seconds = 0.0;       ///< grid evaluation only

@@ -1,6 +1,6 @@
 // Anytime-inference frontier: accuracy vs decision latency per coding.
 //
-// Sweeps the early-exit margin threshold (the stepped core's
+// Sweeps the early-exit margin threshold (the simulator's
 // snn::DecisionPolicy) over every coding on the S-MNIST zoo model and
 // reports, per (coding, margin) point, the accuracy and the mean readout
 // timesteps consumed before the decision -- the anytime latency/accuracy
@@ -8,10 +8,9 @@
 // across codings (rate potentials reach tens, TTFS stays below one), so the
 // level axis is the margin as a *fraction* of the coding's typical final
 // decision margin, probed from a few policy-off reference images. Fraction
-// 0 is the policy-off reference row (full window, bit-identical to the
-// sequential core); the temporal codings (TTFS/TTAS) concentrate their
-// evidence early, so their frontier reaches well under half the window
-// within ~1% of reference accuracy.
+// 0 is the policy-off reference row (full window); the temporal codings
+// (TTFS/TTAS) concentrate their evidence early, so their frontier reaches
+// well under half the window within ~1% of reference accuracy.
 //
 // Shares the bench flags/CSV/JSON harness: the level column is
 // "margin_frac", and the perf-smoke CI job uploads the JSON as

@@ -253,13 +253,14 @@ void BM_DeletionNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_DeletionNoise);
 
-/// Whole-image simulation through the layer-sequential reference (arg 0)
-/// vs the time-major stepped core at policy-off (arg 1) on a small
-/// conv/pool/dense model -- pins the stepped core's per-step dispatch
+/// Whole-image simulation with the policy off (arg 0, stage by stage) vs a
+/// never-firing margin policy (arg 1, the lockstep wavefront) on a small
+/// conv/pool/dense model -- measures the wavefront's per-step dispatch
 /// overhead (extra virtual hooks, wavefront bookkeeping, per-step readout
-/// margin peeks) against the reference it must stay bit-identical to.
+/// margin peeks), the cost simulate_into avoids by running stage by stage
+/// whenever no policy can exit early.
 void BM_SteppedOverhead(benchmark::State& state) {
-  const bool stepped = state.range(0) != 0;
+  const bool wavefront = state.range(0) != 0;
   snn::SnnModel model(Shape{1, 8, 8});
   Tensor conv_w{Shape{4, 1, 3, 3}};
   for (std::size_t i = 0; i < conv_w.numel(); ++i) {
@@ -282,20 +283,19 @@ void BM_SteppedOverhead(benchmark::State& state) {
   }
   snn::SimWorkspace ws;
   snn::SimResult result;
-  const snn::SimRequest req{&model, scheme.get(), nullptr, nullptr, &ws};
+  snn::SimRequest req{&model, scheme.get(), nullptr, nullptr, &ws};
+  if (wavefront) {
+    req.policy.mode = snn::DecisionPolicy::Mode::kMargin;
+    req.policy.margin = 1e9f;
+  }
   // Warm the workspace (and topology caches) so the loop times pure
   // simulation, not first-touch growth.
-  snn::simulate_stepped_into(req, img, result);
-  snn::simulate_sequential_into(req, img, result);
+  snn::simulate_into(req, img, result);
   for (auto _ : state) {
-    if (stepped) {
-      snn::simulate_stepped_into(req, img, result);
-    } else {
-      snn::simulate_sequential_into(req, img, result);
-    }
+    snn::simulate_into(req, img, result);
     benchmark::DoNotOptimize(result.logits.data());
   }
-  state.SetLabel(stepped ? "stepped" : "sequential");
+  state.SetLabel(wavefront ? "wavefront" : "stage-by-stage");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SteppedOverhead)->Arg(0)->Arg(1);

@@ -1,4 +1,5 @@
-// Scenario-driven bench: runs declarative scenario suites through the
+// Scenario-driven bench, and the one way to regenerate the paper's figures
+// and tables: runs declarative scenario suites through the
 // core::ScenarioEngine -- one grid-scheduled task stream over the shared
 // persistent pool for the whole suite, however many datasets, methods,
 // noise stacks, and levels it spans.
@@ -8,15 +9,16 @@
 //   $ ./run_scenarios --file my_scenarios.txt           # your own suite
 //
 // Built-in suites (see core/scenario.h for the spec grammar):
-//   paper    the fig2-8/table1-2 sweep cells; CSVs are byte-identical to
-//            the per-figure bench binaries' output
+//   paper    the fig2-8/table1-2 sweep cells, one scenario per figure or
+//            table (run one alone with --file and its [scenario] section)
 //   devices  every device_catalog() profile x all three zoo models
 //   stress   mixed deletion+jitter+input stacks the paper never ran
 //
-// Per scenario, rows stream to TSNN_BENCH_OUT/<scenario>.csv as cells
-// finish (same columns as the sweep benches); --json PATH emits one JSON
-// document with every scenario's rows plus suite-level throughput metrics
-// (the perf-smoke CI job uploads this as BENCH_scenarios.json).
+// Per scenario, the accuracy and spike-count tables print when the suite
+// finishes, and rows stream to TSNN_BENCH_OUT/<scenario>.csv as cells
+// finish; --json PATH emits one JSON document with every scenario's rows
+// plus suite-level throughput metrics (the perf-smoke CI job uploads the
+// paper suite's as BENCH_paper.json).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -58,7 +60,7 @@ using namespace tsnn;
                "                <out>/checkpoint.csv (same suite and flags);\n"
                "                finished files are byte-identical to an\n"
                "                uninterrupted run\n"
-               "  plus the shared bench flags (see any fig*/table* bench)\n",
+               "  plus the shared bench flags (see bench/bench_common.h)\n",
                prog, str::join(core::builtin_suite_names(), ", ").c_str());
   std::exit(exit_code);
 }
@@ -73,9 +75,9 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-/// Per-scenario streaming CSV sink (same columns and formatting as the
-/// sweep benches; method labels get a "<dataset>/" prefix exactly when the
-/// scenario spans several datasets, the cross-dataset table convention).
+/// Per-scenario streaming CSV sink (bench::sweep_csv_cells format; method
+/// labels get a "<dataset>/" prefix exactly when the scenario spans several
+/// datasets, the cross-dataset table convention).
 struct ScenarioCsv {
   std::unique_ptr<report::CsvStream> stream;  ///< null if open failed
   bool prefix_dataset = false;
@@ -83,17 +85,17 @@ struct ScenarioCsv {
 
 /// One level column's display header: the device name for device sweeps,
 /// "level=x.x" style otherwise.
-std::string level_header(const core::ScenarioResult& result,
-                         const core::ScenarioSpec& spec, double level) {
-  (void)spec;
+std::string level_header(const core::ScenarioResult& result, double level) {
   if (result.level_name == "device") {
     return noise::device_catalog().at(static_cast<std::size_t>(level)).name;
   }
   return result.level_name + "=" + str::format_fixed(level, 1);
 }
 
-void print_scenario(const core::ScenarioResult& result,
-                    const core::ScenarioSpec& spec) {
+/// The paper-style tables of one scenario: accuracy, then the number of
+/// spikes, each with one row per (dataset, method), one column per level,
+/// and the row average (the Tables I/II layout).
+void print_scenario(const core::ScenarioResult& result) {
   std::printf("\n== scenario %s ==\n", result.name.c_str());
   if (result.rows.empty()) {
     return;
@@ -108,20 +110,32 @@ void print_scenario(const core::ScenarioResult& result,
   }
   std::vector<std::string> headers{"Method"};
   for (std::size_t i = 0; i < block; ++i) {
-    headers.push_back(level_header(result, spec, result.rows[i].level));
+    headers.push_back(level_header(result, result.rows[i].level));
   }
-  report::Table table(headers);
-  for (std::size_t r = 0; r < result.rows.size(); r += block) {
-    std::vector<std::string> cells;
-    cells.push_back(result.num_datasets > 1
-                        ? result.rows[r].dataset + "/" + result.rows[r].method
-                        : result.rows[r].method);
-    for (std::size_t i = 0; i < block && r + i < result.rows.size(); ++i) {
-      cells.push_back(bench::pct(result.rows[r + i].accuracy));
+  headers.push_back("Avg.");
+  const auto print_table = [&](const char* title,
+                               double core::ScenarioRow::*field,
+                               std::string (*format)(double)) {
+    report::Table table(headers);
+    for (std::size_t r = 0; r < result.rows.size(); r += block) {
+      std::vector<std::string> cells;
+      cells.push_back(result.num_datasets > 1
+                          ? result.rows[r].dataset + "/" + result.rows[r].method
+                          : result.rows[r].method);
+      double sum = 0.0;
+      std::size_t n = 0;
+      for (; n < block && r + n < result.rows.size(); ++n) {
+        sum += result.rows[r + n].*field;
+        cells.push_back(format(result.rows[r + n].*field));
+      }
+      cells.push_back(format(sum / static_cast<double>(n)));
+      table.add_row(std::move(cells));
     }
-    table.add_row(std::move(cells));
-  }
-  std::printf("Accuracy (%%)\n%s", table.to_string().c_str());
+    std::printf("%s\n%s", title, table.to_string().c_str());
+  };
+  print_table("Accuracy (%)", &core::ScenarioRow::accuracy, bench::pct);
+  print_table("The number of spikes", &core::ScenarioRow::mean_spikes,
+              [](double v) { return str::sci(v); });
 }
 
 /// Parses "--shard i/N" syntax; exits with usage on malformed input.
@@ -385,8 +399,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Sweep-only wall time: any residual zoo preparation triggered inside
-  // run() (plan() normally pays it all) is excluded, matching
-  // BENCH_table1's sweep-only throughput metric.
+  // run() (plan() normally pays it all) is excluded.
   const double sweep_seconds = std::max(
       0.0, sweep_timer.elapsed() - (engine.zoo_prep().seconds - zoo_before_run));
 
@@ -404,7 +417,7 @@ int main(int argc, char** argv) {
                   results[s].name.c_str(), shard.index, shard.count,
                   results[s].rows.size(), scenario_cells);
     } else {
-      print_scenario(results[s], specs[s]);
+      print_scenario(results[s]);
     }
     total_images += results[s].images_simulated;
     if (csvs[s].stream) {

@@ -337,6 +337,10 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&] {
+      return static_cast<std::size_t>(tsnn::bench::parse_int_arg(
+          argv[0], arg.c_str(), value(), /*allow_negative=*/false, usage));
+    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -345,33 +349,36 @@ int main(int argc, char** argv) {
     } else if (arg == "--mode") {
       opt.mode = value();
     } else if (arg == "--rate") {
-      opt.rate = std::strtod(value(), nullptr);
+      opt.rate =
+          tsnn::bench::parse_double_arg(argv[0], arg.c_str(), value(), usage);
     } else if (arg == "--requests") {
-      opt.requests = std::strtoull(value(), nullptr, 10);
+      opt.requests = count();
     } else if (arg == "--warmup") {
-      opt.warmup = std::strtoull(value(), nullptr, 10);
+      opt.warmup = count();
     } else if (arg == "--concurrency") {
-      opt.concurrency = std::strtoull(value(), nullptr, 10);
+      opt.concurrency = count();
     } else if (arg == "--models") {
       opt.models = value();
     } else if (arg == "--codings") {
       opt.codings = value();
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 0);
+      // Any 64-bit pattern is a valid seed; negative values just wrap.
+      opt.seed = static_cast<std::uint64_t>(tsnn::bench::parse_int_arg(
+          argv[0], arg.c_str(), value(), /*allow_negative=*/true, usage));
     } else if (arg == "--json") {
       opt.json = value();
     } else if (arg == "--verify") {
       opt.verify = true;
     } else if (arg == "--threads") {
-      opt.threads = std::strtoull(value(), nullptr, 10);
+      opt.threads = count();
     } else if (arg == "--max-batch") {
-      opt.max_batch = std::strtoull(value(), nullptr, 10);
+      opt.max_batch = count();
     } else if (arg == "--deadline-us") {
-      opt.deadline_us = std::strtoll(value(), nullptr, 10);
+      opt.deadline_us = static_cast<long long>(count());
     } else if (arg == "--queue") {
-      opt.queue = std::strtoull(value(), nullptr, 10);
+      opt.queue = count();
     } else if (arg == "--images") {
-      opt.images = std::strtoull(value(), nullptr, 10);
+      opt.images = count();
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
       usage(argv[0]);
@@ -385,6 +392,11 @@ int main(int argc, char** argv) {
   }
   if (opt.mode != "open" && opt.mode != "burst" && opt.mode != "closed") {
     std::fprintf(stderr, "error: unknown --mode %s\n", opt.mode.c_str());
+    return 2;
+  }
+  if (opt.rate <= 0.0) {
+    std::fprintf(stderr, "error: --rate must be > 0\n");
+    usage(argv[0]);
     return 2;
   }
 

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "coding/registry.h"
 #include "common/request_queue.h"
 #include "core/scenario.h"
@@ -128,22 +129,25 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&] {
+      return static_cast<std::size_t>(tsnn::bench::parse_int_arg(
+          argv[0], arg.c_str(), value(), /*allow_negative=*/false, usage));
+    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--models") {
       models_flag = value();
     } else if (arg == "--images") {
-      images = std::strtoull(value(), nullptr, 10);
+      images = count();
     } else if (arg == "--threads") {
-      serve.num_threads = std::strtoull(value(), nullptr, 10);
+      serve.num_threads = count();
     } else if (arg == "--max-batch") {
-      serve.max_batch = std::strtoull(value(), nullptr, 10);
+      serve.max_batch = count();
     } else if (arg == "--deadline-us") {
-      serve.batch_deadline =
-          std::chrono::microseconds(std::strtoll(value(), nullptr, 10));
+      serve.batch_deadline = std::chrono::microseconds(count());
     } else if (arg == "--queue") {
-      serve.queue_capacity = std::strtoull(value(), nullptr, 10);
+      serve.queue_capacity = count();
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
       usage(argv[0]);
@@ -177,11 +181,13 @@ int main(int argc, char** argv) {
   });
 
   {
-    InferenceServer server(serve);
+    // Declared before the server: ~InferenceServer drains in-flight
+    // requests, which point at the sink and the schemes.
     LineSink sink(&out);
     // Coding schemes are created lazily per label, on the submission thread
     // only -- workers see them through const pointers.
     std::map<std::string, tsnn::snn::CodingSchemePtr> schemes;
+    InferenceServer server(serve);
 
     for (const auto& [name, w] : workloads) {
       char line[96];

@@ -41,7 +41,7 @@ class TtfsScheme : public snn::CodingScheme {
 
   /// Layered-window regime: the charge phase integrates the full input
   /// window before any firing decision (end_layer), so TTFS/TTAS hidden
-  /// layers are barrier stages in the stepped core.
+  /// layers are barrier stages in the simulator's wavefront.
   bool causal_step() const override { return false; }
   std::size_t layer_steps(std::size_t in_window) const override {
     return in_window;

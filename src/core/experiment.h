@@ -151,8 +151,8 @@ struct EvalCell {
   const std::vector<Tensor>* images = nullptr;
   const std::vector<std::size_t>* labels = nullptr;
   std::uint64_t seed = 0;  ///< image i draws from Rng::for_stream(seed, i)
-  /// Anytime-inference policy for every image of this cell (off = the
-  /// bit-identical full-window reference path).
+  /// Anytime-inference policy for every image of this cell (off = every
+  /// image consumes its full readout window).
   snn::DecisionPolicy policy;
 };
 

@@ -431,10 +431,9 @@ std::vector<ScenarioSpec> parse_scenarios(const std::string& text) {
 
 namespace {
 
-/// The paper's sweep cells (figs 2-8 + tables I-II) as scenario text. The
-/// names match the bench binaries so run_scenarios writes CSVs that are
-/// byte-identical to theirs (fig5 is a pure encoding analysis with no
-/// sweep; it stays a dedicated bench).
+/// The paper's sweep cells (figs 2-8 + tables I-II) as scenario text, one
+/// scenario (and CSV) per figure or table (fig5 is a pure encoding analysis
+/// with no sweep; it stays a dedicated bench).
 constexpr const char* kPaperSuite = R"(
 [scenario]
 name = fig2_deletion_codings

@@ -5,11 +5,10 @@
 // which level grid -- and the ScenarioEngine compiles a whole *suite* of
 // specs into a single run_grid() task stream (core/experiment.h): one
 // persistent pool, one scaled-model cache per dataset, rows streaming back
-// in deterministic grid order while later cells still run. This turns the
-// per-figure bench binaries into data: the built-in "paper" suite
-// reproduces the fig2-8/table1-2 sweep cells bit-identically, and new
-// suites (device catalogs, mixed noise stacks the paper never ran) are a
-// text file away.
+// in deterministic grid order while later cells still run. The paper's
+// experiments are data: the built-in "paper" suite holds the fig2-8/
+// table1-2 sweep cells, and new suites (device catalogs, mixed noise
+// stacks the paper never ran) are a text file away.
 //
 // Spec text format (INI-ish key=value, '#' comments, one [scenario] section
 // per spec; ScenarioSpec::parse / parse_scenarios, no dependencies):
@@ -88,7 +87,7 @@ struct ScenarioSpec {
   /// Anytime-inference policy applied to every cell of the scenario. Text
   /// key `early_exit = margin:0.2, min:4, deadline:32` (any subset; or
   /// `off`) -- DecisionPolicy::describe()'s format, so specs round-trip.
-  /// Off by default: results stay bit-identical to the reference core.
+  /// Off by default: every image consumes its full readout window.
   snn::DecisionPolicy early_exit;
 
   /// Parses exactly one scenario (with or without a leading [scenario]

@@ -1,7 +1,7 @@
 // Model zoo: train-once, cache, and reload -- source DNNs *and* converted
 // SNN artifacts.
 //
-// The benches for every figure/table need the same three trained VGG-mini
+// Every figure/table of the paper needs the same three trained VGG-mini
 // classifiers (S-MNIST, S-CIFAR10, S-CIFAR20). The zoo trains each on first
 // use, persists weights under TSNN_ZOO_DIR (default "./tsnn_zoo"), and
 // reloads afterwards so the full bench suite pays the training cost once.

@@ -93,9 +93,9 @@ class CodingScheme {
   /// Simulates one hidden spiking layer fed by `in` through `syn`:
   /// integrates PSCs (weighing arrivals per `role`), applies the scheme's
   /// firing rule, emits the output spike train into `out`. Non-virtual: a
-  /// loop over the stepped hooks below, leasing `ws.seq`, so the
-  /// layer-sequential reference and the time-major SteppedRunner share one
-  /// arithmetic definition per scheme (bit-identity by construction).
+  /// loop over the stepped hooks below, leasing `ws.seq`, so whole-window
+  /// and wavefront runs share one arithmetic definition per scheme
+  /// (bit-identity by construction).
   void run_layer_into(const EventBuffer& in, const SynapseTopology& syn,
                       LayerRole role, SimWorkspace& ws,
                       EventBuffer& out) const;
@@ -112,7 +112,7 @@ class CodingScheme {
   // step_layer calls at t = 0..steps-1, then end_layer (which must leave
   // `out` finalized); a readout run into begin_readout, in.window()
   // step_readout calls, then finish_readout. All state lives in the leased
-  // StageState, so snn::SteppedRunner can hold every stage of the network
+  // StageState, so snn::simulate_into can hold every stage of the network
   // in flight at once and interleave their timesteps in wavefront order.
 
   /// True when step_layer(t) reads only input steps <= t, so a time-major
@@ -179,7 +179,7 @@ using CodingSchemePtr = std::unique_ptr<CodingScheme>;
 /// `batch` is caller-owned scratch (reused across steps so the per-step
 /// assembly allocates only on growth); must not be shared across threads.
 /// Writes `u` in the topology's accumulator layout (propagate_accum) --
-/// consumers index it through SimWorkspace::accum_map().
+/// consumers index it through StageState::accum_map().
 inline void propagate_step(const EventBuffer& in, std::size_t t, float m,
                            const SynapseTopology& syn, SpikeBatch& batch,
                            float* u) {

@@ -82,7 +82,7 @@ class EventBuffer {
   void finalize(EventSortScratch& scratch);
   bool finalized() const { return finalized_; }
 
-  /// Incremental production for the time-major stepped core: declares step
+  /// Incremental production for the simulator's wavefront: declares step
   /// `steps_closed()` complete, making it readable via step()/step_begin/
   /// step_count before the train is finalized. Requires time-ordered pushes
   /// (every scheme's layer loop emits timestep-major, so this holds by
@@ -110,7 +110,7 @@ class EventBuffer {
   };
 
   /// Events of step `t`, in emission order. Readable once the buffer is
-  /// finalized, or -- for the stepped core's wavefront consumers -- as soon
+  /// finalized, or -- for the simulator's wavefront consumers -- as soon
   /// as the producing loop has close_step()ed past `t`. The span form does
   /// the readable check once per step -- the hot loops' shape;
   /// step_begin/step_count are the piecemeal equivalents.

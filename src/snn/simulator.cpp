@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/env.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
 // The request-scoped execution body applies the pre-encoding input
@@ -62,15 +61,8 @@ float logit_margin(const float* logits, std::size_t n) {
   return top1 - top2;
 }
 
-bool stepped_forced() {
-  static const bool forced = env::get_bool("TSNN_STEPPED", false);
-  return forced;
-}
-
-namespace {
-
-/// Shared entry validation of both execution cores.
-void check_request(const SimRequest& req, const Tensor& image) {
+void simulate_into(const SimRequest& req, const Tensor& image,
+                   SimResult& out) {
   TSNN_CHECK_MSG(req.model != nullptr && req.scheme != nullptr,
                  "SimRequest needs a model and a scheme");
   TSNN_CHECK_MSG(req.noise == nullptr || req.rng != nullptr,
@@ -79,76 +71,11 @@ void check_request(const SimRequest& req, const Tensor& image) {
   TSNN_CHECK_SHAPE(image.shape() == req.model->input_shape(),
                    "image " << shape_to_string(image.shape()) << " expected "
                             << shape_to_string(req.model->input_shape()));
-}
-
-}  // namespace
-
-void simulate_sequential_into(const SimRequest& req, const Tensor& image,
-                              SimResult& out) {
-  check_request(req, image);
   if (req.workspace == nullptr) {
     SimRequest with_ws = req;
     SimWorkspace ws;
     with_ws.workspace = &ws;
-    simulate_sequential_into(with_ws, image, out);
-    return;
-  }
-  const SnnModel& model = *req.model;
-  const CodingScheme& scheme = *req.scheme;
-  const NoiseModel* noise = req.noise;
-  Rng* rng = req.rng;
-  SimWorkspace& ws = *req.workspace;
-
-  out.layer_spikes.clear();
-  out.total_spikes = 0;
-
-  scheme.encode_into(image, ws, ws.cur);
-  if (noise != nullptr) {
-    noise->apply_inplace(ws.cur, ws.sort, *rng);
-  }
-  out.layer_spikes.push_back(ws.cur.size());
-
-  // Hidden stages fire per the coding scheme; the last stage is readout.
-  // ws.cur/ws.next ping-pong by swap (pointer exchange, no allocation).
-  LayerRole role = LayerRole::kFirstHidden;
-  for (std::size_t s = 0; s + 1 < model.num_stages(); ++s) {
-    scheme.run_layer_into(ws.cur, *model.stage(s).synapse, role, ws, ws.next);
-    std::swap(ws.cur, ws.next);
-    role = LayerRole::kHidden;
-    if (noise != nullptr) {
-      noise->apply_inplace(ws.cur, ws.sort, *rng);
-    }
-    out.layer_spikes.push_back(ws.cur.size());
-  }
-
-  const SynapseTopology& readout_syn =
-      *model.stage(model.num_stages() - 1).synapse;
-  const std::size_t num_classes = readout_syn.out_size();
-  if (out.logits.rank() != 1 || out.logits.dim(0) != num_classes) {
-    out.logits = Tensor{Shape{num_classes}};  // first use only
-  }
-  scheme.readout_into(ws.cur, readout_syn, role, ws, out.logits.data());
-
-  // The reference never exits early: the decision consumes the readout
-  // input's full window. Recorded anyway so results stay field-for-field
-  // comparable with the stepped core.
-  out.decision_timestep = ws.cur.window();
-  out.margin = logit_margin(out.logits.data(), num_classes);
-
-  for (const std::size_t n : out.layer_spikes) {
-    out.total_spikes += n;
-  }
-  out.predicted_class = ops::argmax(out.logits);
-}
-
-void SteppedRunner::run_into(const SimRequest& req, const Tensor& image,
-                             SimResult& out) {
-  check_request(req, image);
-  if (req.workspace == nullptr) {
-    SimRequest with_ws = req;
-    SimWorkspace ws;
-    with_ws.workspace = &ws;
-    run_into(with_ws, image, out);
+    simulate_into(with_ws, image, out);
     return;
   }
   const SnnModel& model = *req.model;
@@ -181,7 +108,8 @@ void SteppedRunner::run_into(const SimRequest& req, const Tensor& image,
   // step t may finish the decision: on a margin check (not before
   // min_timesteps) or a deadline hit the current potentials are copied out
   // and the margin measured -- finish_readout is a pure copy, so peeking
-  // is free of side effects on the accumulation.
+  // is free of side effects on the accumulation. With the policy off no
+  // check ever fires and the full window is consumed.
   const bool margin_mode = policy.mode == DecisionPolicy::Mode::kMargin;
   std::size_t consumed = 0;
   bool exited = false;
@@ -201,14 +129,18 @@ void SteppedRunner::run_into(const SimRequest& req, const Tensor& image,
     return exited;
   };
 
-  // Wavefront order needs every hidden stage to be per-step causal, and
-  // noise models corrupt *complete* trains in stage order from one Rng
-  // stream (the draw-order contract) -- with either obstacle the hidden
-  // stages run to completion stage by stage (arithmetic identical to the
-  // reference) and only the readout is stepped under the policy.
-  const bool wavefront = hidden > 0 && scheme.causal_step() && noise == nullptr;
+  // The wavefront only pays off when a policy can truncate the remaining
+  // timesteps; without one, stage by stage is the cheaper order (the
+  // per-step dispatch costs ~5%) and computes the same bits. Wavefront
+  // order also needs every hidden stage to be per-step causal, and noise
+  // models corrupt *complete* trains in stage order from one Rng stream
+  // (the draw-order contract) -- with any obstacle the hidden stages run to
+  // completion stage by stage and only the readout is stepped.
+  const bool wavefront = policy.enabled() && hidden > 0 &&
+                         scheme.causal_step() && noise == nullptr;
 
   if (!wavefront) {
+    // ws.cur/ws.next ping-pong by swap (pointer exchange, no allocation).
     LayerRole role = LayerRole::kFirstHidden;
     for (std::size_t s = 0; s + 1 < num_stages; ++s) {
       scheme.run_layer_into(ws.cur, *model.stage(s).synapse, role, ws, ws.next);
@@ -279,21 +211,6 @@ void SteppedRunner::run_into(const SimRequest& req, const Tensor& image,
     out.total_spikes += n;
   }
   out.predicted_class = ops::argmax(out.logits);
-}
-
-void simulate_stepped_into(const SimRequest& req, const Tensor& image,
-                           SimResult& out) {
-  SteppedRunner runner;
-  runner.run_into(req, image, out);
-}
-
-void simulate_into(const SimRequest& req, const Tensor& image,
-                   SimResult& out) {
-  if (req.policy.enabled() || stepped_forced()) {
-    simulate_stepped_into(req, image, out);
-  } else {
-    simulate_sequential_into(req, image, out);
-  }
 }
 
 SimResult simulate(const SimRequest& req, const Tensor& image) {

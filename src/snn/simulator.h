@@ -1,4 +1,4 @@
-// SNN simulator: layer-sequential reference + time-major stepped core.
+// SNN simulator: one execution core with an anytime decision policy.
 //
 // Runs one image through a converted SnnModel under a coding scheme, with an
 // optional noise model corrupting every spike train (input encoding and all
@@ -16,14 +16,10 @@
 // simulating an image performs zero heap allocations (see
 // docs/ARCHITECTURE.md, "Event buffers & the zero-allocation workspace").
 //
-// Two execution cores share the schemes' stepped hooks (coding_base.h):
-// simulate_sequential_into() runs stages to completion one after another
-// (the reference), SteppedRunner advances all stages in lockstep wavefront
-// order, watching the readout margin after every consumed timestep and
-// terminating early when the SimRequest's DecisionPolicy says the decision
-// is stable (anytime inference, ROADMAP item 2). With the policy off the
-// two are bit-identical; simulate_into() routes to the stepped core when a
-// policy is enabled or TSNN_STEPPED=1 forces it.
+// simulate_into() drives the schemes' stepped hooks (coding_base.h) and
+// watches the readout margin after every consumed timestep, terminating
+// early when the SimRequest's DecisionPolicy says the decision is stable
+// (anytime inference); see simulate_into() for its two regimes.
 #pragma once
 
 #include <cstddef>
@@ -47,15 +43,14 @@ class InputNoiseModel;
 namespace tsnn::snn {
 
 /// When may the simulator stop consuming readout timesteps early? Off by
-/// default: the full window runs and results match the reference bit for
-/// bit. kMargin terminates once the top-1/top-2 logit gap reaches `margin`
-/// (checked after every consumed readout timestep, but not before
+/// default: the full window runs. kMargin terminates once the top-1/top-2
+/// logit gap reaches `margin` (checked after every consumed readout timestep, but not before
 /// `min_timesteps` of them); an optional hard `deadline` caps the consumed
 /// timesteps regardless of mode. Early exit is an opt-in semantic change:
 /// golden pins only hold with the policy off.
 struct DecisionPolicy {
   enum class Mode {
-    kOff,     ///< never exit early (bit-identical to the reference)
+    kOff,     ///< never exit early
     kMargin,  ///< exit when top1 - top2 logit gap >= margin
   };
   Mode mode = Mode::kOff;
@@ -82,7 +77,7 @@ struct SimResult {
   std::vector<std::size_t> layer_spikes;    ///< per spike-train (encoder + hidden)
   /// Readout timesteps consumed before the decision. With the policy off
   /// (or never firing) this is the readout input's full window -- the
-  /// no-anytime latency; both cores fill it identically.
+  /// no-anytime latency.
   std::size_t decision_timestep = 0;
   float margin = 0.0f;  ///< top-1/top-2 logit gap at the decision
 };
@@ -110,10 +105,23 @@ struct SimRequest {
 };
 
 /// Zero-allocation entry point: simulates `image` per `req` into `out`,
-/// reusing the request's workspace (when set) and `out`'s storage. Routes
-/// to the stepped core when req.policy is enabled (or TSNN_STEPPED=1),
-/// otherwise to the layer-sequential reference -- indistinguishable with
-/// the policy off.
+/// reusing the request's workspace (when set) and `out`'s storage.
+///
+/// Hidden stages run stage by stage, each to completion, and the readout
+/// is stepped under req.policy: decision_timestep then counts readout
+/// timesteps consumed, the on-hardware latency metric for temporal
+/// codings. Only with the policy enabled, a per-step-causal scheme
+/// (rate/phase/burst) and no noise model do all hidden stages and the
+/// readout advance in lockstep wavefront order instead: in round t, stage
+/// s consumes step t of stage s-1's train (closed earlier the same round)
+/// and closes its own step t, then the readout consumes step t and the
+/// policy is consulted -- an early exit truncates the remaining timesteps
+/// of *every* stage. TTFS/TTAS hidden layers are barrier stages
+/// (causal_step() == false: the analytic fire phase needs the whole input
+/// window), and noise models corrupt complete trains in stage order from
+/// one Rng stream (the draw-order contract), so both stay stage by stage.
+/// A wavefront run whose policy never fires is bit-identical to the
+/// stage-by-stage run.
 void simulate_into(const SimRequest& req, const Tensor& image, SimResult& out);
 
 /// Convenience wrapper allocating a fresh SimResult per call.
@@ -153,44 +161,8 @@ struct ClassifyRequest {
 void execute_request(const ClassifyRequest& req, SimWorkspace& ws,
                      SimResult& out);
 
-/// The layer-sequential reference core: each stage runs its full window
-/// before the next starts. Ignores req.policy (never exits early).
-void simulate_sequential_into(const SimRequest& req, const Tensor& image,
-                              SimResult& out);
-
-/// The time-major stepped core (always consulted policy): see SteppedRunner.
-void simulate_stepped_into(const SimRequest& req, const Tensor& image,
-                           SimResult& out);
-
-/// True when TSNN_STEPPED=1 forces simulate_into() through the stepped core
-/// even with the policy off (read once; used by CI to run the golden pins
-/// over the stepped core, which must be bit-identical).
-bool stepped_forced();
-
-/// Time-major stepped execution core.
-///
-/// For per-step-causal schemes (rate/phase/burst) on clean inputs, all
-/// hidden stages and the readout advance in lockstep wavefront order: in
-/// round t, stage s consumes step t of stage s-1's train (closed earlier
-/// the same round) and closes its own step t, then the readout consumes
-/// step t and the DecisionPolicy is consulted -- an early exit truncates
-/// the remaining timesteps of *every* stage.
-///
-/// TTFS/TTAS hidden layers are barrier stages (causal_step() == false: the
-/// analytic fire phase needs the whole input window), and noise models
-/// corrupt complete trains in stage order from one Rng stream (the draw-
-/// order contract). In either case the runner falls back to running hidden
-/// stages to completion stage by stage -- arithmetic identical to the
-/// reference -- and steps only the readout, where the policy still applies:
-/// decision_timestep then measures readout timesteps consumed, the
-/// on-hardware latency metric for temporal codings.
-class SteppedRunner {
- public:
-  void run_into(const SimRequest& req, const Tensor& image, SimResult& out);
-};
-
 /// Top-1 minus top-2 of `logits` (0 when fewer than 2 entries) -- the
-/// decision margin both cores record.
+/// decision margin SimResult records.
 float logit_margin(const float* logits, std::size_t n);
 
 /// Batch evaluation: accuracy and mean spike count over a labeled set.

@@ -81,7 +81,7 @@ class SpikeBatch {
 /// accumulator slot j (identity) or, when `transposed`, at
 /// (j % cols) * rows + j / cols -- e.g. ConvTopology keeps potentials as
 /// {spatial, channel} so its spike kernel runs unit-stride over channels.
-/// SimWorkspace::accum_map() materializes the j -> slot mapping for the
+/// StageState::accum_map() materializes the j -> slot mapping for the
 /// coding schemes' firing loops.
 struct AccumLayout {
   std::size_t rows = 0;     ///< canonical-major extent (e.g. out channels)

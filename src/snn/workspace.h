@@ -2,8 +2,9 @@
 //
 // One SimWorkspace owns every piece of mutable scratch the per-image hot
 // path needs -- the layer-to-layer EventBuffer ping-pong pair, the
-// counting-sort scratch, the per-step SpikeBatch, membrane potentials, and
-// the coding schemes' encoder/decoder state arrays. All members are
+// counting-sort scratch, the encoder state arrays, and one StageState
+// (per-step SpikeBatch, membrane potentials, decoder state) per stage in
+// flight. All members are
 // grow-only: vectors are re-dimensioned with assign()/resize() which never
 // release capacity, so after a warm-up image the steady state performs
 // zero heap allocations per image (see docs/ARCHITECTURE.md,
@@ -51,15 +52,16 @@ inline const std::uint32_t* build_accum_map(const SynapseTopology& syn,
 
 /// Per-stage mutable state of one in-flight layer (or readout) run under
 /// the stepped CodingScheme interface (begin_layer/step_layer/end_layer).
-/// The layer-sequential loops lease SimWorkspace::seq; the time-major
-/// SteppedRunner leases one StageState per stage (SimWorkspace::stage_state)
-/// so every stage of the wavefront holds its own potentials, scratch, and
-/// output train concurrently. Grow-only, like the workspace itself.
+/// The whole-window run_layer_into/readout_into loops lease
+/// SimWorkspace::seq; simulate_into leases one StageState per stage
+/// (SimWorkspace::stage_state) so every stage of the wavefront holds its
+/// own potentials, scratch, and output train concurrently. Grow-only, like
+/// the workspace itself.
 struct StageState {
   EventSortScratch sort;  ///< counting-sort scratch for out.finalize()
   SpikeBatch batch;       ///< per-step propagation batch
-  EventBuffer out;        ///< stage output train (SteppedRunner only; the
-                          ///< sequential loops emit into a caller buffer)
+  EventBuffer out;        ///< stage output train (wavefront only; the
+                          ///< whole-window loops emit into a caller buffer)
 
   aligned_vector<float> u;             ///< membrane potentials accumulator
   std::vector<std::uint32_t> k;        ///< burst escalation counters
@@ -93,31 +95,19 @@ struct StageState {
 /// Reusable scratch of one simulation thread. Members are public: the
 /// workspace is a bag of buffers with a single owner at a time, not an
 /// abstraction boundary. `cur`/`next` are the simulator's layer ping-pong
-/// pair; the remaining members are leased by whichever scheme or noise
-/// model is currently running a stage.
+/// pair; `acc`/`k`/`fired` are the encoders' scratch, and each stage's
+/// state lives in a StageState.
 struct SimWorkspace {
   EventBuffer cur;        ///< spike train entering the current stage
   EventBuffer next;       ///< spike train the current stage emits
   EventSortScratch sort;  ///< counting-sort / conversion scratch
-  SpikeBatch batch;       ///< per-step propagation batch
 
-  // The SIMD-streamed buffers (potentials, encoder charge, the firing
-  // scan's inputs/outputs) are aligned_vectors so the dispatch-table
-  // kernels (simd/kernels.h) never split cache lines.
-  aligned_vector<float> u;    ///< membrane potentials / logits accumulator
+  // The SIMD-streamed buffers (encoder charge, the firing scan's outputs)
+  // are aligned_vectors so the dispatch-table kernels (simd/kernels.h)
+  // never split cache lines.
   aligned_vector<float> acc;  ///< encoder charge accumulators
-
-  std::vector<std::uint32_t> k;        ///< burst escalation counters
-  std::vector<std::int64_t> isi_last;  ///< burst ISI decoder: last arrival
-  std::vector<std::uint32_t> isi_k;    ///< burst ISI decoder: run length
-  aligned_vector<std::uint32_t> umap;  ///< canonical neuron -> accumulator slot
+  std::vector<std::uint32_t> k;         ///< burst escalation counters
   aligned_vector<std::uint32_t> fired;  ///< threshold_fire kernel output
-
-  /// Zeroed potential array of length `n` (recycles capacity).
-  float* potentials(std::size_t n) {
-    u.assign(n, 0.0f);
-    return u.data();
-  }
 
   /// Uninitialized fired-index scratch of capacity `n` for the
   /// threshold_fire kernel (recycles capacity; contents are overwritten by
@@ -127,22 +117,16 @@ struct SimWorkspace {
     return fired.data();
   }
 
-  /// Canonical-neuron -> accumulator-slot map for `syn` (see
-  /// build_accum_map). Valid until the next accum_map() call.
-  const std::uint32_t* accum_map(const SynapseTopology& syn) {
-    return build_accum_map(syn, umap);
-  }
-
   /// Pre-encoding input-corruption scratch: execute_request() writes the
   /// noise::InputNoiseModel output here so a corrupted request allocates
   /// nothing once warm (grow-only, like everything else in the workspace).
   Tensor input_scratch;
 
-  /// Stage state leased by the layer-sequential run_layer_into/readout_into
+  /// Stage state leased by the whole-window run_layer_into/readout_into
   /// loops (strictly one stage in flight at a time, so one state suffices).
   StageState seq;
 
-  /// Per-stage states for the time-major SteppedRunner (index = stage).
+  /// Per-stage states for simulate_into (index = stage).
   /// unique_ptr for pointer/reference stability across pool growth; the
   /// pool only grows at a new high-water stage count, preserving the
   /// zero-allocation steady state.

@@ -244,7 +244,7 @@ TEST(ScenarioBuiltins, SuitesParseAndAreWellFormed) {
     }
   }
   EXPECT_THROW(builtin_suite("no-such-suite"), InvalidArgument);
-  // The paper suite names match the bench binaries it replaces.
+  // The paper suite names its scenarios (and CSVs) after the figures.
   const auto paper = builtin_suite("paper");
   ASSERT_EQ(paper.size(), 8u);
   EXPECT_EQ(paper.front().name, "fig2_deletion_codings");

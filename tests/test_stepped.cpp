@@ -1,13 +1,15 @@
-// Tests for the time-major stepped simulation core (snn::SteppedRunner).
+// Tests for snn::simulate_into's stepped execution and anytime policy.
 //
-// The load-bearing contract: with the DecisionPolicy off, the stepped core
-// is bit-identical to the layer-sequential reference -- same logits, same
-// spike counts, same per-train tallies -- across every coding scheme, both
-// stage topologies (dense-only and conv/pool), and every noise condition.
-// Policy edge cases (never-firing margin, min_timesteps == window, hard
-// deadline) and the determinism contract (early exit must not perturb the
-// per-image RNG streams of later images) ride on top, plus unit coverage
-// for EventBuffer's incremental close_step() production.
+// The load-bearing contract: a DecisionPolicy that never fires is
+// bit-identical to the policy off -- same logits, same spike counts, same
+// per-train tallies -- across every coding scheme, both stage topologies
+// (dense-only and conv/pool), and every noise condition. On clean inputs
+// with a per-step-causal scheme the enabled policy runs the lockstep
+// wavefront and the policy off runs stage by stage, so this pins the two
+// execution orders against each other. Policy edge cases (min_timesteps ==
+// window, hard deadline) and the determinism contract (early exit must not
+// perturb the per-image RNG streams of later images) ride on top, plus unit
+// coverage for EventBuffer's incremental close_step() production.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,14 +92,19 @@ void expect_identical(const SimResult& a, const SimResult& b,
 }
 
 // ---------------------------------------------------------------------------
-// Policy off => the stepped core is bit-identical to the reference, for
-// every coding x {dense, conv} x {clean, deletion, jitter}.
+// A never-firing policy (margin 1e9: no logit gap reaches it) is
+// bit-identical to the policy off, for every coding x {dense, conv} x
+// {clean, deletion, jitter}. Clean rate/phase/burst runs take the wavefront
+// under the policy and stage by stage without it.
 
-TEST(SteppedCore, PolicyOffBitIdenticalToSequential) {
+TEST(SteppedCore, NeverFiringPolicyBitIdenticalToPolicyOff) {
   const SnnModel dense = dense_model();
   const SnnModel conv = conv_model();
-  SimWorkspace seq_ws, stepped_ws;  // reused across all combos, like a sweep
-  SimResult seq, stepped;
+  DecisionPolicy never;
+  never.mode = DecisionPolicy::Mode::kMargin;
+  never.margin = 1e9f;
+  SimWorkspace off_ws, on_ws;  // reused across all combos, like a sweep
+  SimResult off, on;
   for (const SnnModel* model : {&dense, &conv}) {
     const Tensor img = image_for(*model);
     for (const Coding c : all_codings()) {
@@ -110,65 +117,27 @@ TEST(SteppedCore, PolicyOffBitIdenticalToSequential) {
         for (std::uint64_t stream = 0; stream < 2; ++stream) {
           Rng rng1 = Rng::for_stream(9001, stream);
           Rng rng2 = Rng::for_stream(9001, stream);
-          simulate_sequential_into(
-              SimRequest{model, scheme.get(), noise.get(), &rng1, &seq_ws},
-              img, seq);
-          simulate_stepped_into(
-              SimRequest{model, scheme.get(), noise.get(), &rng2, &stepped_ws},
-              img, stepped);
-          expect_identical(seq, stepped,
-                           coding_name(c) + " cond " + std::to_string(cond) +
-                               " stream " + std::to_string(stream));
+          simulate_into(
+              SimRequest{model, scheme.get(), noise.get(), &rng1, &off_ws},
+              img, off);
+          simulate_into(SimRequest{model, scheme.get(), noise.get(), &rng2,
+                                   &on_ws, never},
+                        img, on);
+          const std::string what = coding_name(c) + " cond " +
+                                   std::to_string(cond) + " stream " +
+                                   std::to_string(stream);
+          expect_identical(off, on, what);
+          // Both consumed the full readout window; guard against a vacuous
+          // 0 == 0 comparison.
+          EXPECT_GT(on.decision_timestep, 0u) << what;
         }
       }
     }
   }
 }
 
-// simulate_into() itself routes by policy: off -> reference, and the two
-// entry points agree with the explicit cores.
-
-TEST(SteppedCore, SimulateIntoRoutesByPolicy) {
-  const SnnModel model = dense_model();
-  const Tensor img = image_for(model);
-  const auto scheme = scheme_for(Coding::kRate);
-  SimResult via_router, via_core;
-  simulate_into(SimRequest{&model, scheme.get()}, img, via_router);
-  simulate_sequential_into(SimRequest{&model, scheme.get()}, img, via_core);
-  expect_identical(via_router, via_core, "policy off routes to reference");
-
-  SimRequest req{&model, scheme.get()};
-  req.policy.mode = DecisionPolicy::Mode::kMargin;
-  req.policy.margin = 0.01f;
-  req.policy.min_timesteps = 1;
-  simulate_into(req, img, via_router);
-  simulate_stepped_into(req, img, via_core);
-  expect_identical(via_router, via_core, "policy on routes to stepped");
-}
-
 // ---------------------------------------------------------------------------
 // Policy edge cases.
-
-TEST(SteppedCore, NeverFiringMarginConsumesFullWindow) {
-  // A margin no logit gap can reach never exits early: results identical to
-  // the reference, decision_timestep == the full readout window.
-  const SnnModel model = conv_model();
-  const Tensor img = image_for(model);
-  for (const Coding c : all_codings()) {
-    const auto scheme = scheme_for(c);
-    SimResult ref, res;
-    simulate_sequential_into(SimRequest{&model, scheme.get()}, img, ref);
-    SimRequest req{&model, scheme.get()};
-    req.policy.mode = DecisionPolicy::Mode::kMargin;
-    req.policy.margin = 1e9f;
-    simulate_stepped_into(req, img, res);
-    expect_identical(ref, res, std::string("never-firing ") + coding_name(c));
-    // The reference's decision_timestep is by contract the full readout
-    // window, so equality above also pins res to it; assert it is nonzero
-    // to guard against a vacuous 0 == 0 comparison.
-    EXPECT_GT(res.decision_timestep, 0u) << coding_name(c);
-  }
-}
 
 TEST(SteppedCore, MinTimestepsAtWindowIsNoOp) {
   // margin 0 exits at the first policy check, but min_timesteps == the full
@@ -178,12 +147,12 @@ TEST(SteppedCore, MinTimestepsAtWindowIsNoOp) {
   for (const Coding c : all_codings()) {
     const auto scheme = scheme_for(c);
     SimResult ref, res;
-    simulate_sequential_into(SimRequest{&model, scheme.get()}, img, ref);
+    simulate_into(SimRequest{&model, scheme.get()}, img, ref);
     SimRequest req{&model, scheme.get()};
     req.policy.mode = DecisionPolicy::Mode::kMargin;
     req.policy.margin = 0.0f;
     req.policy.min_timesteps = ref.decision_timestep;  // == readout window
-    simulate_stepped_into(req, img, res);
+    simulate_into(req, img, res);
     expect_identical(ref, res, std::string("min==window ") + coding_name(c));
   }
 }
@@ -209,12 +178,12 @@ TEST(SteppedCore, AggressiveMarginExitsEarlyOnTemporalCoding) {
   const Tensor img = image_for(model);
   const auto scheme = scheme_for(Coding::kTtfs);
   SimResult ref, res;
-  simulate_sequential_into(SimRequest{&model, scheme.get()}, img, ref);
+  simulate_into(SimRequest{&model, scheme.get()}, img, ref);
   SimRequest req{&model, scheme.get()};
   req.policy.mode = DecisionPolicy::Mode::kMargin;
   req.policy.margin = 1e-4f;
   req.policy.min_timesteps = 1;
-  simulate_stepped_into(req, img, res);
+  simulate_into(req, img, res);
   EXPECT_LT(res.decision_timestep, ref.decision_timestep);
   EXPECT_GE(res.margin, req.policy.margin);
 }
@@ -247,7 +216,7 @@ TEST(SteppedCore, EarlyExitDoesNotPerturbLaterImages) {
   for (std::size_t i = 0; i < images.size(); ++i) {
     SimWorkspace ws;
     Rng rng = Rng::for_stream(777, i);
-    simulate_stepped_into(
+    simulate_into(
         SimRequest{&model, scheme.get(), noise.get(), &rng, &ws, aggressive},
         images[i], solo[i]);
   }
@@ -258,7 +227,7 @@ TEST(SteppedCore, EarlyExitDoesNotPerturbLaterImages) {
   for (std::size_t i = 0; i < images.size(); ++i) {
     Rng rng = Rng::for_stream(777, i);
     SimResult batched;
-    simulate_stepped_into(
+    simulate_into(
         SimRequest{&model, scheme.get(), noise.get(), &rng, &ws, aggressive},
         images[i], batched);
     expect_identical(solo[i], batched, "image " + std::to_string(i));
