@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   using namespace tsnn;
   bench::init(argc, argv);
   std::printf("Ablation | TTFS/TTAS kernel time constant tau\n");
-  const bench::Workload w = bench::prepare_workload(core::DatasetKind::kCifar10Like);
+  const core::ZooWorkload w =
+      bench::prepare_workload(core::DatasetKind::kCifar10Like);
   const snn::EvalOptions options = bench::eval_options();
 
   const std::vector<float> taus{2.0f, 3.0f, 4.0f, 6.0f, 8.0f};

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   using namespace tsnn;
   bench::init(argc, argv);
   std::printf("Ablation | static (parametric) vs dynamic (spike) noise\n");
-  const bench::Workload w = bench::prepare_workload(core::DatasetKind::kCifar10Like);
+  const core::ZooWorkload w =
+      bench::prepare_workload(core::DatasetKind::kCifar10Like);
   const auto scheme = coding::make_scheme(snn::Coding::kRate);
   const snn::EvalOptions options = bench::eval_options();
 

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   using namespace tsnn;
   bench::init(argc, argv);
   std::printf("Ablation | weight-scaling factor C at deletion p = 0.5\n");
-  const bench::Workload w = bench::prepare_workload(core::DatasetKind::kCifar10Like);
+  const core::ZooWorkload w =
+      bench::prepare_workload(core::DatasetKind::kCifar10Like);
   const snn::EvalOptions options = bench::eval_options();
 
   const double p = 0.5;

@@ -18,18 +18,17 @@ namespace tsnn::bench {
 
 namespace {
 
-/// Flag overrides captured by init(); fall back to TSNN_BENCH_* env vars.
-struct CliOverrides {
-  std::optional<std::int64_t> images;
-  std::optional<std::int64_t> seed;
-  std::optional<std::int64_t> threads;
-  std::optional<std::string> out;
+/// The shared knobs as init() resolved them (defaults until it runs).
+struct Knobs {
+  std::int64_t images = 40;
+  std::int64_t seed = 0xBEEF;
+  std::int64_t threads = 1;
   std::optional<std::string> json;
 };
 
-CliOverrides& cli() {
-  static CliOverrides overrides;
-  return overrides;
+Knobs& knobs() {
+  static Knobs k;
+  return k;
 }
 
 [[noreturn]] void usage(const char* prog, int exit_code) {
@@ -97,70 +96,71 @@ double parse_double_arg(const char* prog, const char* flag, const char* value,
 
 void init(int argc, char** argv) {
   const char* prog = argc > 0 ? argv[0] : "bench";
+  // Environment first, through the flags' validation but always decimal (a
+  // leading 0 is not octal, 0x is rejected); flags override it.
+  const auto from_env = [prog](const char* name, bool allow_negative,
+                               std::int64_t& knob) {
+    if (const char* value = std::getenv(name)) {
+      knob = parse_arg<std::int64_t>(
+          prog, name, value, allow_negative, /*usage=*/nullptr,
+          [](const char* s, char** end) { return std::strtoll(s, end, 10); });
+    }
+  };
+  from_env("TSNN_BENCH_IMAGES", /*allow_negative=*/false, knobs().images);
+  // Any 64-bit pattern is a valid seed; negative values just wrap.
+  from_env("TSNN_BENCH_SEED", /*allow_negative=*/true, knobs().seed);
+  from_env("TSNN_BENCH_THREADS", /*allow_negative=*/false, knobs().threads);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage(prog, 0);
     } else if (std::strcmp(arg, "--images") == 0) {
-      cli().images = parse_int_arg(prog, arg, value, /*allow_negative=*/false);
+      knobs().images =
+          parse_int_arg(prog, arg, value, /*allow_negative=*/false);
       ++i;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      // Any 64-bit pattern is a valid seed; negative values just wrap.
-      cli().seed = parse_int_arg(prog, arg, value, /*allow_negative=*/true);
+      knobs().seed = parse_int_arg(prog, arg, value, /*allow_negative=*/true);
       ++i;
     } else if (std::strcmp(arg, "--threads") == 0) {
-      cli().threads = parse_int_arg(prog, arg, value, /*allow_negative=*/false);
+      knobs().threads =
+          parse_int_arg(prog, arg, value, /*allow_negative=*/false);
       ++i;
     } else if (std::strcmp(arg, "--out") == 0) {
       if (value == nullptr) {
         std::fprintf(stderr, "%s: --out needs a value\n", prog);
         usage(prog, 2);
       }
-      cli().out = value;
+      // csv_output_path reads the env var, so route the flag through it.
+      setenv("TSNN_BENCH_OUT", value, /*overwrite=*/1);
       ++i;
     } else if (std::strcmp(arg, "--json") == 0) {
       if (value == nullptr) {
         std::fprintf(stderr, "%s: --json needs a value\n", prog);
         usage(prog, 2);
       }
-      cli().json = value;
+      knobs().json = value;
       ++i;
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", prog, arg);
       usage(prog, 2);
     }
   }
-  if (cli().out) {
-    // write_csv reads the env var, so route the flag through it.
-    setenv("TSNN_BENCH_OUT", cli().out->c_str(), /*overwrite=*/1);
-  }
 }
 
 std::size_t bench_images() {
-  if (cli().images) {
-    return static_cast<std::size_t>(*cli().images);
-  }
-  return static_cast<std::size_t>(env::get_int("TSNN_BENCH_IMAGES", 40));
+  return static_cast<std::size_t>(knobs().images);
 }
 
-std::uint64_t bench_seed() {
-  if (cli().seed) {
-    return static_cast<std::uint64_t>(*cli().seed);
-  }
-  return static_cast<std::uint64_t>(env::get_int("TSNN_BENCH_SEED", 0xBEEF));
-}
+std::uint64_t bench_seed() { return static_cast<std::uint64_t>(knobs().seed); }
 
 std::size_t bench_threads() {
-  if (cli().threads) {
-    return static_cast<std::size_t>(*cli().threads);
-  }
-  return static_cast<std::size_t>(env::get_int("TSNN_BENCH_THREADS", 1));
+  return static_cast<std::size_t>(knobs().threads);
 }
 
 std::string bench_json() {
-  if (cli().json) {
-    return *cli().json;
+  if (knobs().json) {
+    return *knobs().json;
   }
   return env::get_string("TSNN_BENCH_JSON", "");
 }
@@ -183,25 +183,15 @@ snn::EvalOptions eval_options() {
   return options;
 }
 
-Workload prepare_workload(core::DatasetKind kind) {
-  // One workload-prep recipe for benches and the scenario engine
-  // (core::load_zoo_workload): same calibration slice, same test slice, so
-  // the two paths stay byte-for-byte comparable.
-  core::ZooWorkload zoo = core::load_zoo_workload(kind, bench_images());
-  Workload w;
-  w.kind = kind;
-  w.dnn_accuracy = zoo.dnn_accuracy;
-  w.conversion = std::move(zoo.conversion);
-  w.test_images = std::move(zoo.test_images);
-  w.test_labels = std::move(zoo.test_labels);
-
+core::ZooWorkload prepare_workload(core::DatasetKind kind) {
+  core::ZooWorkload w = core::load_zoo_workload(kind, bench_images());
   std::printf(
       "# dataset %s | source DNN acc %s%% | %zu test images | %zu stages"
       " | %s in %.2fs\n",
       core::dataset_name(kind).c_str(), pct(w.dnn_accuracy).c_str(),
       w.test_images.size(), w.conversion.model.num_stages(),
-      zoo.from_artifact_cache ? "artifact cache" : "fresh convert",
-      zoo.prep_seconds);
+      w.from_artifact_cache ? "artifact cache" : "fresh convert",
+      w.prep_seconds);
   return w;
 }
 
@@ -244,21 +234,12 @@ std::vector<std::string> sweep_csv_headers(const std::string& level_name) {
           "mean_decision_timesteps"};
 }
 
-std::vector<std::string> sweep_csv_cells(const core::SweepRow& r) {
-  return {r.method, str::format_fixed(r.level, 2),
-          str::format_fixed(r.accuracy, 4), str::format_fixed(r.mean_spikes, 1),
-          str::format_fixed(r.mean_decision_timesteps, 2)};
-}
-
 std::vector<std::string> sweep_csv_cells(const core::ScenarioRow& row,
                                          bool prefix_dataset) {
-  core::SweepRow flat;
-  flat.method = prefix_dataset ? row.dataset + "/" + row.method : row.method;
-  flat.level = row.level;
-  flat.accuracy = row.accuracy;
-  flat.mean_spikes = row.mean_spikes;
-  flat.mean_decision_timesteps = row.mean_decision_timesteps;
-  return sweep_csv_cells(flat);
+  return {prefix_dataset ? row.dataset + "/" + row.method : row.method,
+          str::format_fixed(row.level, 2), str::format_fixed(row.accuracy, 4),
+          str::format_fixed(row.mean_spikes, 1),
+          str::format_fixed(row.mean_decision_timesteps, 2)};
 }
 
 std::string csv_output_path(const std::string& name) {
@@ -364,7 +345,7 @@ namespace {
 /// Emits the sweep rows as one JSON document to the --json path. Failures
 /// degrade to a warning, matching write_csv.
 void write_json_results(const std::string& name, const std::string& level_name,
-                        const std::vector<core::SweepRow>& rows) {
+                        const std::vector<core::ScenarioRow>& rows) {
   const std::string path = bench_json();
   if (path.empty()) {
     return;
@@ -390,7 +371,7 @@ void write_json_results(const std::string& name, const std::string& level_name,
                json_escape(simd::active_isa()).c_str(),
                json_escape(early_exit_label()).c_str());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const core::SweepRow& r = rows[i];
+    const core::ScenarioRow& r = rows[i];
     std::fprintf(f,
                  "%s\n    {\"method\": \"%s\", \"level\": %.6g, "
                  "\"accuracy\": %.8g, \"mean_spikes\": %.8g, "
@@ -443,21 +424,16 @@ SweepReport::SweepReport(std::string name, std::string level_name)
   }
 }
 
-core::SweepOptions SweepReport::options() {
-  core::SweepOptions options;
-  options.pool = eval_pool();
-  options.on_row = [this](const core::SweepRow& row) {
-    if (csv_) {
-      try {
-        csv_->add_row(sweep_csv_cells(row));
-      } catch (const IoError& e) {
-        std::fprintf(stderr, "warning: %s\n", e.what());
-        csv_.reset();
-      }
+void SweepReport::add_row(const core::ScenarioRow& row) {
+  if (csv_) {
+    try {
+      csv_->add_row(sweep_csv_cells(row, /*prefix_dataset=*/false));
+    } catch (const IoError& e) {
+      std::fprintf(stderr, "warning: %s\n", e.what());
+      csv_.reset();
     }
-    rows_.push_back(row);
-  };
-  return options;
+  }
+  rows_.push_back(row);
 }
 
 void SweepReport::finish() {

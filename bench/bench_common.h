@@ -22,27 +22,17 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "convert/converter.h"
-#include "core/experiment.h"
 #include "core/scenario.h"
-#include "core/zoo.h"
 #include "report/csv.h"
 #include "snn/simulator.h"
 
 namespace tsnn::bench {
 
-/// A converted, evaluation-ready dataset bundle.
-struct Workload {
-  core::DatasetKind kind = core::DatasetKind::kCifar10Like;
-  double dnn_accuracy = 0.0;
-  convert::Conversion conversion;
-  std::vector<Tensor> test_images;
-  std::vector<std::size_t> test_labels;
-};
-
 /// Parses the shared bench flags (--images, --seed, --threads, --out; see
-/// file comment). Call first in every bench main. Unknown arguments abort
-/// with a usage message; `--help` prints it and exits 0.
+/// file comment) and reads TSNN_BENCH_IMAGES/_SEED/_THREADS through the
+/// same validation as the flags, in base 10. Call first in every bench
+/// main. Unknown arguments and bad values abort with a usage message (exit
+/// 2); `--help` prints it and exits 0.
 void init(int argc, char** argv);
 
 /// Prints a CLI's usage text for `prog`.
@@ -70,9 +60,10 @@ std::size_t bench_threads();
 
 /// The process-wide persistent evaluation pool, sized by bench_threads()
 /// and created on first use; nullptr when the bench runs single-threaded.
-/// Every sweep and evaluate() call of a bench shares it, so worker threads
-/// -- and their thread-local SimWorkspaces -- stay warm across sweep cells,
-/// sweeps, and datasets instead of being torn down at every cell boundary.
+/// Every grid and evaluate() call of a bench shares it, so worker threads
+/// -- and their thread-local SimWorkspaces -- stay warm across grid cells,
+/// scenarios, and datasets instead of being torn down at every cell
+/// boundary.
 ThreadPool* eval_pool();
 
 /// The snn::evaluate options the shared knobs imply: base_seed from
@@ -80,8 +71,9 @@ ThreadPool* eval_pool();
 snn::EvalOptions eval_options();
 
 /// Loads/trains the zoo model for `kind`, converts it, and slices the test
-/// set down to bench_images() samples.
-Workload prepare_workload(core::DatasetKind kind);
+/// set down to bench_images() samples (core::load_zoo_workload, the recipe
+/// the scenario engine uses too).
+core::ZooWorkload prepare_workload(core::DatasetKind kind);
 
 /// JSON results path (--json / TSNN_BENCH_JSON); empty when unset.
 std::string bench_json();
@@ -101,20 +93,16 @@ void record_early_exit(const std::string& label);
 
 /// Streaming result sink for sweep benches. Construction opens
 /// TSNN_BENCH_OUT/<name>.csv (header written immediately; failure degrades
-/// to a warning and the bench runs CSV-less); options() yields
-/// core::SweepOptions wired to the persistent eval_pool() and an on_row
-/// sink that appends each completed cell's row to the CSV -- the file fills
-/// while the sweep runs. finish() emits the JSON document (--json) from all
-/// streamed rows and prints the csv/json paths; call it once, last.
+/// to a warning and the bench runs CSV-less); add_row() appends each
+/// completed row to the CSV, so the file fills while the bench runs.
+/// finish() emits the JSON document (--json) from all added rows and prints
+/// the csv/json paths; call it once, last.
 class SweepReport {
  public:
   SweepReport(std::string name, std::string level_name);
 
-  /// Sweep options for one sweep of this report.
-  core::SweepOptions options();
-
-  /// Every row streamed so far, in stream order.
-  const std::vector<core::SweepRow>& rows() const { return rows_; }
+  /// Streams one row (the dataset field is not written).
+  void add_row(const core::ScenarioRow& row);
 
   void finish();
 
@@ -122,7 +110,7 @@ class SweepReport {
   std::string name_;
   std::string level_name_;
   std::unique_ptr<report::CsvStream> csv_;  ///< null if the open failed
-  std::vector<core::SweepRow> rows_;
+  std::vector<core::ScenarioRow> rows_;
 };
 
 /// Accuracy as "93.25" (percent, two decimals).
@@ -134,12 +122,9 @@ std::string pct(double accuracy);
 /// format.
 std::vector<std::string> sweep_csv_headers(const std::string& level_name);
 
-/// One SweepRow formatted exactly as the sweep CSVs have always been.
-std::vector<std::string> sweep_csv_cells(const core::SweepRow& row);
-
 /// One scenario row in sweep-CSV form (the bytes on disk); the method label
 /// gets a "<dataset>/" prefix when the scenario spans several datasets --
-/// shared by run_scenarios and merge_shards so a merged CSV is
+/// shared by run_scenarios, merge_shards and SweepReport so a merged CSV is
 /// byte-identical to a directly-written one.
 std::vector<std::string> sweep_csv_cells(const core::ScenarioRow& row,
                                          bool prefix_dataset);

@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
   using namespace tsnn;
   bench::init(argc, argv);
 
-  const bench::Workload w = bench::prepare_workload(core::DatasetKind::kMnistLike);
+  const core::ZooWorkload w =
+      bench::prepare_workload(core::DatasetKind::kMnistLike);
 
   const std::vector<core::MethodSpec> methods = {
       core::baseline_method(snn::Coding::kRate, false),
@@ -42,7 +43,6 @@ int main(int argc, char** argv) {
 
   bench::SweepReport report("frontier", "margin_frac");
   bench::record_early_exit("margin:sweep");
-  const core::SweepOptions sink = report.options();
 
   struct FrontierPoint {
     double reference_accuracy = 0.0;
@@ -84,13 +84,13 @@ int main(int argc, char** argv) {
       const snn::BatchResult batch =
           snn::evaluate(w.conversion.model, *scheme, w.test_images,
                         w.test_labels, /*noise=*/nullptr, options);
-      core::SweepRow row;
+      core::ScenarioRow row;
       row.method = method.label;
       row.level = fraction;
       row.accuracy = batch.accuracy;
       row.mean_spikes = batch.mean_spikes_per_image;
       row.mean_decision_timesteps = batch.mean_decision_timesteps;
-      sink.on_row(row);
+      report.add_row(row);
 
       if (fraction == 0.0) {
         frontier[m].reference_accuracy = batch.accuracy;

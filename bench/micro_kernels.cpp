@@ -8,11 +8,11 @@
 //
 // The spike-propagation benches also register one variant per runnable
 // SIMD dispatch table (e.g. BM_DenseSpikePropagate<scalar> next to
-// BM_DenseSpikePropagate<avx2+fma>), so one run measures the vector
-// speedup against the forced-scalar reference on identical batches. The
-// active table's dense-drive crossover shows up as the "dense_crossover"
-// counter on every propagate config, and the active ISA is stamped into
-// the benchmark JSON context ("isa").
+// BM_DenseSpikePropagate<avx2>), so one run measures the vector speedup
+// against the forced-scalar reference on identical batches. The dense-drive
+// crossover shows up as the "dense_crossover" counter on every propagate
+// config, and the active ISA is stamped into the benchmark JSON context
+// ("isa").
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -174,6 +174,8 @@ BENCHMARK(BM_ConvSpikeAccumulate)
     ->Args({64, 16, 1024})
     ->Args({128, 16, 2048});
 
+/// The simulator's conv kernel: propagate_accum into the transposed
+/// {spatial, channel} accumulator through the dispatch table's conv_taps.
 void BM_ConvSpikePropagate(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
   const auto hw = static_cast<std::size_t>(state.range(1));
@@ -182,9 +184,9 @@ void BM_ConvSpikePropagate(benchmark::State& state) {
                         hw, 1, 1);
   const snn::SpikeBatch batch = make_batch(syn.in_size(), spikes, 14);
   std::vector<float> u(syn.out_size(), 0.0f);
-  syn.propagate(batch, u.data());  // build the tap tables up front
+  syn.propagate_accum(batch, u.data());  // build the tap tables up front
   for (auto _ : state) {
-    syn.propagate(batch, u.data());
+    syn.propagate_accum(batch, u.data());
     benchmark::DoNotOptimize(u.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -316,7 +318,7 @@ BENCHMARK(BM_JitterNoise);
 /// Registers one copy of the spike-propagation benches per runnable
 /// dispatch table, each pinned via ScopedKernelOverride for the duration of
 /// its run -- BM_DenseSpikePropagate<scalar>/512/350 next to
-/// BM_DenseSpikePropagate<avx2+fma>/512/350 is the vector-vs-reference
+/// BM_DenseSpikePropagate<avx2>/512/350 is the vector-vs-reference
 /// speedup on identical work. Only registered when more than one table is
 /// runnable (a TSNN_CPUFLAGS=scalar run has nothing to compare).
 void register_isa_variants() {

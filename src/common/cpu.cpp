@@ -16,9 +16,6 @@ std::uint32_t detect_features() {
     if (__builtin_cpu_supports("avx2")) {
       f |= kAvx2;
     }
-    if (__builtin_cpu_supports("fma")) {
-      f |= kFma;
-    }
 #endif
     return f;
   }();
@@ -31,7 +28,7 @@ std::uint32_t parse_cpuflags(const std::string& flags) {
     return ~0u;
   }
   std::uint32_t mask = 0;
-  // Accept both "avx2+fma" and "avx2,fma"; tokens are case-insensitive.
+  // Tokens are separated by '+', ',' or ' ' and case-insensitive.
   std::string token;
   const auto consume = [&mask, &token] {
     if (token.empty()) {
@@ -46,12 +43,10 @@ std::uint32_t parse_cpuflags(const std::string& flags) {
       mask = ~0u;
     } else if (t == "avx2") {
       mask |= kAvx2;
-    } else if (t == "fma") {
-      mask |= kFma;
     } else {
       std::fprintf(stderr,
                    "warning: TSNN_CPUFLAGS token '%s' not recognized "
-                   "(known: scalar, avx2, fma, native)\n",
+                   "(known: scalar, avx2, native)\n",
                    t.c_str());
     }
   };
@@ -70,26 +65,6 @@ std::uint32_t allowed_features() {
   static const std::uint32_t allowed =
       detect_features() & parse_cpuflags(env::get_string("TSNN_CPUFLAGS", ""));
   return allowed;
-}
-
-std::string feature_string(std::uint32_t features) {
-  std::string s;
-  const auto append = [&s](const char* name) {
-    if (!s.empty()) {
-      s += '+';
-    }
-    s += name;
-  };
-  if (features & kAvx2) {
-    append("avx2");
-  }
-  if (features & kFma) {
-    append("fma");
-  }
-  if (s.empty()) {
-    s = "scalar";
-  }
-  return s;
 }
 
 }  // namespace tsnn::cpu

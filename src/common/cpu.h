@@ -7,8 +7,7 @@
 // set the mask does not allow.
 //
 //   TSNN_CPUFLAGS=scalar     force the scalar reference kernels
-//   TSNN_CPUFLAGS=avx2       allow AVX2 but not FMA
-//   TSNN_CPUFLAGS=avx2+fma   allow AVX2 and FMA
+//   TSNN_CPUFLAGS=avx2       allow AVX2
 //   TSNN_CPUFLAGS=native     everything the host supports (default)
 //
 // Requesting a feature the host lacks is not an error -- the mask is an
@@ -25,23 +24,19 @@ namespace tsnn::cpu {
 /// table actually uses get a bit.
 enum Feature : std::uint32_t {
   kAvx2 = 1u << 0,
-  kFma = 1u << 1,
 };
 
 /// Features of the executing host (cached after the first call).
 std::uint32_t detect_features();
 
-/// Parses a TSNN_CPUFLAGS-style string ("scalar", "avx2", "avx2+fma",
-/// "native", comma or plus separated) into a feature mask. Unknown tokens
-/// are ignored with a warning to stderr. Exposed for tests; "native" and
-/// the empty string map to ~0u (everything).
+/// Parses a TSNN_CPUFLAGS-style string ("scalar", "avx2", "native", comma
+/// or plus separated) into a feature mask. Unknown tokens are ignored with
+/// a warning to stderr. Exposed for tests; "native" and the empty string
+/// map to ~0u (everything).
 std::uint32_t parse_cpuflags(const std::string& flags);
 
 /// detect_features() intersected with the TSNN_CPUFLAGS mask -- the
 /// features kernel selection may use (cached after the first call).
 std::uint32_t allowed_features();
-
-/// Human-readable form: "scalar", "avx2", "avx2+fma".
-std::string feature_string(std::uint32_t features);
 
 }  // namespace tsnn::cpu

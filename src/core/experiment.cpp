@@ -7,13 +7,8 @@
 
 #include "coding/registry.h"
 #include "common/error.h"
-#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/serve.h"
-#include "core/ttas.h"
-#include "core/weight_scaling.h"
-#include "noise/input_noise.h"
-#include "noise/noise.h"
 #include "snn/simulator.h"
 
 namespace tsnn::core {
@@ -60,6 +55,11 @@ const snn::SnnModel& ScaledModelCache::get(float factor) {
 
 namespace {
 
+/// (cell, image) requests a worker pops per pull from the admission queue.
+/// Pure scheduling: rows are bit-identical at any batch size (test_serve
+/// pins the server's replay identity across {1, 4, 16}).
+constexpr std::size_t kMicroBatch = 8;
+
 /// Compiles (cell, image i) down to the one self-contained request every
 /// execution path runs (snn::ClassifyRequest): image i of a cell is stream
 /// i of the cell's seed, so the result is a pure function of the request
@@ -80,7 +80,7 @@ snn::ClassifyRequest make_request(const EvalCell& cell, std::size_t i) {
 
 /// Executes image `i` of `cell` inline into the caller's slots -- the
 /// serial walker's body. The workspace is thread_local: warm across cells,
-/// sweeps, and whole benches.
+/// grids, and whole benches.
 void eval_cell_image(const EvalCell& cell, std::size_t i,
                      std::uint8_t* correct, std::size_t* spikes,
                      std::size_t* decisions) {
@@ -302,7 +302,7 @@ std::vector<EvalCellResult> run_grid(const std::vector<EvalCell>& cells,
   ServeOptions serve;
   serve.pool = options.pool;
   serve.num_threads = options.num_threads;
-  serve.max_batch = options.micro_batch == 0 ? 1 : options.micro_batch;
+  serve.max_batch = kMicroBatch;
   InferenceServer server(serve);
 
   std::exception_ptr error;
@@ -380,126 +380,6 @@ std::vector<EvalCellResult> run_grid(const std::vector<EvalCell>& cells,
     std::rethrow_exception(error);
   }
   return results;
-}
-
-namespace {
-
-void check_inputs(const SweepInputs& in) {
-  TSNN_CHECK_MSG(in.model != nullptr, "sweep needs a model");
-  TSNN_CHECK_MSG(in.images != nullptr && in.labels != nullptr,
-                 "sweep needs images and labels");
-  TSNN_CHECK_MSG(in.images->size() == in.labels->size(),
-                 "images/labels size mismatch");
-}
-
-enum class NoiseKind { kDeletion, kJitter };
-
-std::vector<SweepRow> sweep(const SweepInputs& in,
-                            const std::vector<MethodSpec>& methods,
-                            const std::vector<double>& levels, NoiseKind kind,
-                            const SweepOptions& options) {
-  check_inputs(in);
-
-  // Resolve the whole grid up front: schemes once per method, noise models
-  // once per cell, and models through the scaled-clone cache -- every
-  // method at the same deletion level shares one scaled model.
-  std::vector<snn::CodingSchemePtr> schemes;
-  schemes.reserve(methods.size());
-  for (const MethodSpec& method : methods) {
-    schemes.push_back(coding::make_scheme(method.coding, method.params));
-  }
-  ScaledModelCache cache(*in.model);
-  std::vector<snn::NoiseModelPtr> noises;
-  noises.reserve(methods.size() * levels.size());
-
-  /// Row metadata of cell c (EvalCell carries no labels of its own).
-  struct CellMeta {
-    const MethodSpec* method;
-    double level;
-    float ws_factor;
-  };
-  std::vector<CellMeta> meta;
-  std::vector<EvalCell> cells;
-  meta.reserve(methods.size() * levels.size());
-  cells.reserve(methods.size() * levels.size());
-  for (std::size_t m = 0; m < methods.size(); ++m) {
-    for (const double level : levels) {
-      EvalCell cell;
-      cell.scheme = schemes[m].get();
-      cell.images = in.images;
-      cell.labels = in.labels;
-      cell.seed = in.seed;
-      // Weight scaling compensates the *deletion* level; for jitter sweeps
-      // the clean (unscaled) model is correct since no charge is lost (see
-      // MethodSpec) -- ws_factor stays 1.
-      float ws_factor = 1.0f;
-      if (methods[m].weight_scaling && kind == NoiseKind::kDeletion &&
-          level > 0.0) {
-        ws_factor = weight_scaling_factor(level);
-      }
-      cell.model = &cache.get(ws_factor);
-      if (level > 0.0) {
-        noises.push_back(kind == NoiseKind::kDeletion
-                             ? noise::make_deletion(level)
-                             : noise::make_jitter(level));
-        cell.noise = noises.back().get();
-      }
-      cells.push_back(cell);
-      meta.push_back({&methods[m], level, ws_factor});
-    }
-  }
-
-  std::vector<SweepRow> rows;
-  rows.reserve(cells.size());
-
-  GridOptions grid;
-  grid.pool = options.pool;
-  grid.num_threads = in.num_threads;
-  grid.on_cell = [&](std::size_t c, const EvalCellResult& result) {
-    SweepRow row;
-    row.method = meta[c].method->label;
-    row.level = meta[c].level;
-    row.accuracy = result.accuracy;
-    row.mean_spikes = result.mean_spikes;
-    row.ws_factor = static_cast<double>(meta[c].ws_factor);
-    row.mean_decision_timesteps = result.mean_decision_timesteps;
-    rows.push_back(std::move(row));
-    const SweepRow& r = rows.back();
-    if (options.on_row) {
-      options.on_row(r);
-    }
-    TSNN_LOG(kInfo) << r.method << " level " << r.level << " acc "
-                    << r.accuracy << " spikes " << r.mean_spikes;
-  };
-  run_grid(cells, grid);
-  return rows;
-}
-
-}  // namespace
-
-std::vector<SweepRow> deletion_sweep(const SweepInputs& in,
-                                     const std::vector<MethodSpec>& methods,
-                                     const std::vector<double>& levels,
-                                     const SweepOptions& options) {
-  return sweep(in, methods, levels, NoiseKind::kDeletion, options);
-}
-
-std::vector<SweepRow> jitter_sweep(const SweepInputs& in,
-                                   const std::vector<MethodSpec>& methods,
-                                   const std::vector<double>& levels,
-                                   const SweepOptions& options) {
-  return sweep(in, methods, levels, NoiseKind::kJitter, options);
-}
-
-std::vector<SweepRow> rows_for(const std::vector<SweepRow>& rows,
-                               const std::string& method) {
-  std::vector<SweepRow> out;
-  for (const SweepRow& r : rows) {
-    if (r.method == method) {
-      out.push_back(r);
-    }
-  }
-  return out;
 }
 
 }  // namespace tsnn::core

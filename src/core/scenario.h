@@ -42,10 +42,10 @@
 // Mitigation is encoded in the method label: "+WS" opts into the paper's
 // deletion compensation W' = C.W, where C multiplies 1/(1-p) over every
 // deletion component of the resolved stack at that grid point (a plain
-// deletion sweep therefore matches deletion_sweep()'s factor bit-exactly,
-// and a device profile gets the compensation tuned to its loss rate);
-// TTAS is itself a coding ("ttas(5)"). Jitter-only stacks yield C = 1 --
-// jitter displaces charge but loses none, exactly as in jitter_sweep().
+// deletion sweep therefore scales by weight_scaling_factor(p) exactly, and
+// a device profile gets the compensation tuned to its loss rate); TTAS is
+// itself a coding ("ttas(5)"). Jitter-only stacks yield C = 1 -- jitter
+// displaces charge but loses none.
 #pragma once
 
 #include <cstdint>

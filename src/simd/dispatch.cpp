@@ -4,11 +4,8 @@
 #include "simd/kernels.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstring>
 
 #include "common/cpu.h"
-#include "common/env.h"
 #include "simd/kernels_internal.h"
 
 namespace tsnn::simd {
@@ -17,39 +14,23 @@ namespace {
 // Best first; selection walks this in order.
 const KernelDispatch* const kRegistry[] = {
 #if defined(TSNN_SIMD_AVX2)
-    &kAvx2FmaTable,
     &kAvx2Table,
 #endif
     &kScalarTable,
 };
 
-// The table selection resolves to, with env policy knobs applied -- a copy,
-// so the registered tables stay pristine for runnable_tables()/find_table().
+// The best registered table the allowed features can run.
 const KernelDispatch& resolved() {
-  static const KernelDispatch table = [] {
+  static const KernelDispatch* const table = [] {
     const std::uint32_t allowed = cpu::allowed_features();
-    const KernelDispatch* best = &kScalarTable;
     for (const KernelDispatch* t : kRegistry) {
       if ((t->features & ~allowed) == 0) {
-        best = t;
-        break;
+        return t;
       }
     }
-    KernelDispatch copy = *best;
-    const int pct = env::get_int("TSNN_DENSE_CROSSOVER", -1);
-    if (pct >= 0 && pct <= 100) {
-      copy.policy.dense_crossover_num = static_cast<std::uint32_t>(pct);
-      copy.policy.dense_crossover_den = 100;
-    } else if (pct != -1) {
-      std::fprintf(stderr,
-                   "warning: TSNN_DENSE_CROSSOVER=%d out of range [0, 100], "
-                   "keeping %u/%u\n",
-                   pct, copy.policy.dense_crossover_num,
-                   copy.policy.dense_crossover_den);
-    }
-    return copy;
+    return &kScalarTable;
   }();
-  return table;
+  return *table;
 }
 
 std::atomic<const KernelDispatch*> g_active{nullptr};

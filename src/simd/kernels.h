@@ -6,9 +6,9 @@
 // leaf functions behind a KernelDispatch table of function pointers, the
 // FFmpeg DSP-table idiom: callers marshal their state into a plain KernelCtx
 // view and invoke through kernels(), and the variant that runs (scalar
-// reference, AVX2, AVX2+FMA) is chosen once at startup from
-// cpu::allowed_features() -- so adding an ISA means adding leaf functions,
-// never touching the class hierarchy.
+// reference or AVX2) is chosen once at startup from cpu::allowed_features()
+// -- so adding an ISA means adding leaf functions, never touching the class
+// hierarchy.
 //
 // Exactness contract
 // ------------------
@@ -17,9 +17,9 @@
 // order (contributions land in batch order) and use separate multiply and
 // add (no FMA contraction), so golden pins cannot move when the dispatch
 // changes. dense_matvec vectorizes a dot-product reduction -- a different
-// summation order (and FMA in the avx2+fma table), agreeing with the
-// reference to ~1e-5 relative; it backs the dense-drive path, whose
-// tolerance contract predates this layer (see SynapseTopology::propagate).
+// summation order, agreeing with the reference to ~1e-5 relative; it backs
+// the dense-drive path, whose tolerance contract predates this layer (see
+// SynapseTopology::propagate).
 // The simd translation units are compiled with -ffp-contract=off so the
 // "scalar" semantics stay scalar under any -march.
 //
@@ -104,29 +104,12 @@ struct ThresholdCtx {
 
 // ------------------------------------------------------- dispatch table ----
 
-/// Tunables that ride on the dispatch table so they can differ per ISA.
-struct KernelPolicy {
-  /// propagate()'s scatter -> dense-drive crossover as a fraction of
-  /// in_size (spike count at which one gathered matvec beats per-spike
-  /// scatter). num/den instead of a float so the historical 3/4 stays
-  /// exact. Overridable via TSNN_DENSE_CROSSOVER (percent, 0-100).
-  std::uint32_t dense_crossover_num = 3;
-  std::uint32_t dense_crossover_den = 4;
-
-  /// Scatter -> dense-drive crossover for an `in_size`-wide layer.
-  std::size_t dense_drive_threshold(std::size_t in_size) const {
-    const std::size_t t = (in_size * dense_crossover_num) / dense_crossover_den;
-    return t > 0 ? t : 1;
-  }
-};
-
 /// Function-pointer table of one ISA variant. All pointers are always
 /// populated (a variant may reuse the scalar leaf where vectorizing does
 /// not pay).
 struct KernelDispatch {
-  const char* isa = "scalar";  ///< "scalar", "avx2", "avx2+fma"
+  const char* isa = "scalar";  ///< "scalar" or "avx2"
   std::uint32_t features = 0;  ///< cpu::Feature bits this table requires
-  KernelPolicy policy;
 
   void (*dense_scatter)(const DenseScatterCtx&) = nullptr;
   void (*dense_matvec)(const DenseMatvecCtx&) = nullptr;
@@ -147,8 +130,8 @@ struct KernelDispatch {
 /// variant), resolved once on first use.
 const KernelDispatch& kernels();
 
-/// kernels().isa plus any policy overrides -- the provenance string benches
-/// record next to their numbers.
+/// kernels().isa -- the provenance string benches record next to their
+/// numbers.
 std::string active_isa();
 
 /// The scalar reference table (always available; the equivalence oracle).

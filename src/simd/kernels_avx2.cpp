@@ -1,14 +1,13 @@
-// AVX2 kernel variants. Compiled with -mavx2 -mfma -ffp-contract=off (the
-// only TU in the tree with vector ISA flags); dispatch only ever selects
-// these tables when cpu::allowed_features() includes the bits, so no AVX2
-// instruction executes on a host without them.
+// AVX2 kernel variants. Compiled with -mavx2 -ffp-contract=off (the only TU
+// in the tree with vector ISA flags); dispatch only ever selects this table
+// when cpu::allowed_features() includes the bit, so no AVX2 instruction
+// executes on a host without it.
 //
 // Bit-exactness discipline (see simd/kernels.h): every kernel here except
 // dense_matvec vectorizes across the fan-out dimension j -- independent
 // destination slots -- so each slot still receives its contributions in
-// batch order, as one mul and one add. No _mm256_fmadd_ps outside the
-// avx2+fma dense_matvec, and -ffp-contract=off keeps the compiler from
-// contracting the scalar tails.
+// batch order, as one mul and one add, and -ffp-contract=off keeps the
+// compiler from contracting the scalar tails.
 #include "simd/kernels_internal.h"
 
 #if defined(TSNN_SIMD_AVX2) && defined(__AVX2__)
@@ -86,9 +85,9 @@ float hsum(__m256 v) {
 }
 
 // Tolerance path: the dot product is reduced 8 lanes at a time, a different
-// summation order than the scalar reference (and single-rounded when kFma).
-template <bool kUseFma>
-void av_dense_matvec_impl(const DenseMatvecCtx& ctx) {
+// summation order than the scalar reference. Separate mul and add: FMA
+// measured slower here (the only kernel it could apply to).
+void av_dense_matvec(const DenseMatvecCtx& ctx) {
   for (std::size_t j = 0; j < ctx.out; ++j) {
     const float* row = ctx.w + j * ctx.in;
     __m256 acc = _mm256_setzero_ps();
@@ -96,11 +95,7 @@ void av_dense_matvec_impl(const DenseMatvecCtx& ctx) {
     for (; i + 8 <= ctx.in; i += 8) {
       const __m256 w = _mm256_loadu_ps(row + i);
       const __m256 x = _mm256_loadu_ps(ctx.x + i);
-      if constexpr (kUseFma) {
-        acc = _mm256_fmadd_ps(w, x, acc);
-      } else {
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(w, x));
-      }
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(w, x));
     }
     float tail = 0.0f;
     for (; i < ctx.in; ++i) {
@@ -108,14 +103,6 @@ void av_dense_matvec_impl(const DenseMatvecCtx& ctx) {
     }
     ctx.y[j] += hsum(acc) + tail;
   }
-}
-
-void av_dense_matvec(const DenseMatvecCtx& ctx) {
-  av_dense_matvec_impl<false>(ctx);
-}
-
-void av_dense_matvec_fma(const DenseMatvecCtx& ctx) {
-  av_dense_matvec_impl<true>(ctx);
 }
 
 // ----------------------------------------------------------- conv taps ----
@@ -267,23 +254,20 @@ std::size_t av_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
   return k;
 }
 
-KernelDispatch make_avx2_table(bool fma) {
+}  // namespace
+
+const KernelDispatch kAvx2Table = [] {
   KernelDispatch t;
-  t.isa = fma ? "avx2+fma" : "avx2";
-  t.features = fma ? (cpu::kAvx2 | cpu::kFma) : cpu::kAvx2;
+  t.isa = "avx2";
+  t.features = cpu::kAvx2;
   t.dense_scatter = av_dense_scatter;
-  t.dense_matvec = fma ? av_dense_matvec_fma : av_dense_matvec;
+  t.dense_matvec = av_dense_matvec;
   t.conv_taps = av_conv_taps;
   t.threshold_fire = av_threshold_fire;
   t.axpy = av_axpy;
   t.mask_compact = av_mask_compact;
   return t;
-}
-
-}  // namespace
-
-const KernelDispatch kAvx2Table = make_avx2_table(false);
-const KernelDispatch kAvx2FmaTable = make_avx2_table(true);
+}();
 
 }  // namespace tsnn::simd
 

@@ -18,12 +18,11 @@ std::size_t sc_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
 
 extern const KernelDispatch kScalarTable;
 
-// Defined in kernels_avx2.cpp, which CMake compiles with -mavx2 -mfma only
-// on toolchains that support it; the define keeps dispatch.cpp (built
-// without those flags) from referencing tables that were never built.
+// Defined in kernels_avx2.cpp, which CMake compiles with -mavx2 only on
+// toolchains that support it; the define keeps dispatch.cpp (built without
+// that flag) from referencing a table that was never built.
 #if defined(TSNN_SIMD_AVX2)
 extern const KernelDispatch kAvx2Table;
-extern const KernelDispatch kAvx2FmaTable;
 #endif
 
 }  // namespace tsnn::simd

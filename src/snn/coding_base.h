@@ -191,16 +191,4 @@ inline void propagate_step(const EventBuffer& in, std::size_t t, float m,
   syn.propagate_accum(batch, u);
 }
 
-/// SpikeRaster overload, kept for micro-benchmarks and reference code.
-inline void propagate_step(const SpikeRaster& in, std::size_t t, float m,
-                           const SynapseTopology& syn, SpikeBatch& batch,
-                           float* u) {
-  const std::vector<std::uint32_t>& ids = in.at(t);
-  if (ids.empty()) {
-    return;
-  }
-  batch.assign(ids, m);
-  syn.propagate(batch, u);
-}
-
 }  // namespace tsnn::snn

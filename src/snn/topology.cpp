@@ -299,20 +299,16 @@ const ConvTopology::PropagateCache& ConvTopology::cache() const {
               static_cast<std::uint32_t>(cache_.taps.size());
         }
       }
-      // {ic, oc, k*k} layout: the per-spike inner loops read one contiguous
-      // k*k block per output channel instead of striding by in_ch*k*k.
-      cache_.weight_t.resize(weight_.numel());
-      // {ic, k*k, oc} layout for propagate_accum(): with the transposed
-      // {spatial, channel} accumulator, one tap's fan-out is a unit-stride
-      // multiply-add over out_ch in both the weight and the accumulator.
+      // {ic, k*k, oc} layout: with the transposed {spatial, channel}
+      // accumulator, one tap's fan-out is a unit-stride multiply-add over
+      // out_ch in both the weight and the accumulator.
       cache_.weight_acc.resize(weight_.numel());
       const float* w = weight_.data();
       for (std::size_t oc = 0; oc < out_ch_; ++oc) {
         for (std::size_t ic = 0; ic < in_ch_; ++ic) {
           for (std::size_t t = 0; t < k2; ++t) {
-            const float wv = w[(oc * in_ch_ + ic) * k2 + t];
-            cache_.weight_t[(ic * out_ch_ + oc) * k2 + t] = wv;
-            cache_.weight_acc[(ic * k2 + t) * out_ch_ + oc] = wv;
+            cache_.weight_acc[(ic * k2 + t) * out_ch_ + oc] =
+                w[(oc * in_ch_ + ic) * k2 + t];
           }
         }
       }
@@ -326,40 +322,6 @@ void ConvTopology::invalidate_cache() {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   cache_ = PropagateCache{};
   cache_ready_.store(false, std::memory_order_release);
-}
-
-void ConvTopology::propagate(const SpikeBatch& batch, float* u) const {
-  if (batch.empty()) {
-    return;
-  }
-  if (batch.size() >= dense_drive_threshold()) {
-    dense_drive(batch, u);
-    return;
-  }
-  const PropagateCache& c = cache();
-  const std::size_t hw = in_h_ * in_w_;
-  const std::size_t out_hw = out_h_ * out_w_;
-  const std::size_t k2 = kernel_ * kernel_;
-  const std::uint32_t* pre = batch.pre();
-  const float* mag = batch.magnitude();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    TSNN_CHECK_MSG(pre[i] < in_size(), "pre neuron out of range");
-    const std::size_t ic = pre[i] / hw;
-    const std::size_t sp = pre[i] - ic * hw;
-    const Tap* taps = c.taps.data() + c.tap_offset[sp];
-    const std::size_t num_taps = c.tap_offset[sp + 1] - c.tap_offset[sp];
-    if (num_taps == 0) {
-      continue;
-    }
-    const float m = mag[i];
-    const float* wt = c.weight_t.data() + ic * out_ch_ * k2;
-    float* umap = u;
-    for (std::size_t oc = 0; oc < out_ch_; ++oc, wt += k2, umap += out_hw) {
-      for (std::size_t t = 0; t < num_taps; ++t) {
-        umap[taps[t].spatial] += m * wt[taps[t].wofs];
-      }
-    }
-  }
 }
 
 void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
@@ -380,9 +342,9 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
     return;
   }
   // Each accumulator slot is touched at most once per spike, and spikes
-  // stay in batch order, so per-slot addition order matches propagate()
-  // exactly (values are bit-identical up to the layout permutation) -- the
-  // conv_taps kernel contract in simd/kernels.h.
+  // stay in batch order, so per-slot addition order matches per-spike
+  // accumulate() exactly (values are bit-identical up to the layout
+  // permutation) -- the conv_taps kernel contract in simd/kernels.h.
   check_batch_bounds(batch, in_size());
   const PropagateCache& c = cache();
   simd::ConvTapCtx ctx;

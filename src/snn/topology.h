@@ -8,13 +8,14 @@
 // count, not layer size).
 //
 // Two entry points exist: accumulate() applies a single spike and is the
-// readable reference implementation; propagate() applies one timestep's
-// whole SpikeBatch at once through cache-resident kernels (transposed
-// weights for dense, precomputed tap tables for conv, a pre->post map for
-// pooling) and is what the coding schemes' hot loops call. See
-// docs/ARCHITECTURE.md "Hot path & batched propagation".
+// readable reference implementation; propagate_accum() applies one
+// timestep's whole SpikeBatch at once through cache-resident kernels
+// (transposed weights for dense, precomputed tap tables for conv, a
+// pre->post map for pooling) and is what the coding schemes' hot loops
+// call. See docs/ARCHITECTURE.md "Hot path & batched propagation".
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -53,14 +54,9 @@ class SpikeBatch {
     mag_.push_back(m);
   }
 
-  /// Replaces the contents with `ids`, all at uniform magnitude `m` (the
-  /// common case: rate/phase/TTFS magnitudes depend on t, not on the spike).
-  void assign(const std::vector<std::uint32_t>& ids, float m) {
-    pre_.assign(ids.begin(), ids.end());
-    mag_.assign(ids.size(), m);
-  }
-
-  /// Pointer-range overload of assign() for EventBuffer per-step spans.
+  /// Replaces the contents with `ids[0..n)`, all at uniform magnitude `m`
+  /// (the common case: rate/phase/TTFS magnitudes depend on t, not on the
+  /// spike) -- an EventBuffer per-step span.
   void assign(const std::uint32_t* ids, std::size_t n, float m) {
     pre_.assign(ids, ids + n);
     mag_.assign(n, m);
@@ -105,7 +101,8 @@ class SynapseTopology {
 
   /// Batched entry point: applies every (pre, m) pair of `batch` into `u`
   /// (length out_size()). Semantically equal to calling accumulate() per
-  /// spike; subclasses override it with cache-resident kernels. Batches at
+  /// spike; dense and pool topologies override it with cache-resident
+  /// kernels (conv's batched kernel is propagate_accum()). Batches at
   /// or above dense_drive_threshold() may be gathered into a dense input
   /// vector and served by one apply_dense() pass -- a different summation
   /// order, so agreement with accumulate() is to float tolerance (~1e-5),
@@ -125,13 +122,11 @@ class SynapseTopology {
   }
 
   /// Spike count at which propagate() switches from per-spike scatter to
-  /// the dense drive. Scatter costs O(spikes x fanout) while the dense pass
-  /// costs O(in x fanout-ish) regardless of spike count, so the crossover
-  /// sits near full density. The actual fraction is the active dispatch
-  /// table's KernelPolicy knob (historically 3/4; tunable per ISA and via
-  /// TSNN_DENSE_CROSSOVER -- see simd/kernels.h).
+  /// the dense drive: 3/4 of in_size(), at least 1. Scatter costs
+  /// O(spikes x fanout) while the dense pass costs O(in x fanout-ish)
+  /// regardless of spike count, so the crossover sits near full density.
   std::size_t dense_drive_threshold() const {
-    return simd::kernels().policy.dense_drive_threshold(in_size());
+    return std::max<std::size_t>(1, in_size() * 3 / 4);
   }
 
   /// Dense reference: y += W x. Used by tests, the activation-transport
@@ -238,7 +233,6 @@ class ConvTopology : public SynapseTopology {
   std::size_t in_size() const override;
   std::size_t out_size() const override;
   void accumulate(std::size_t pre, float m, float* u) const override;
-  void propagate(const SpikeBatch& batch, float* u) const override;
   /// Conv potentials live transposed as {spatial, channel}: the spike
   /// kernel's inner loop becomes a unit-stride multiply-add over channels
   /// (SIMD-friendly) instead of a scatter across {channel, spatial}.
@@ -272,14 +266,13 @@ class ConvTopology : public SynapseTopology {
   /// without repacking.
   using Tap = simd::ConvTap;
 
-  /// Per-input-position tap tables plus a {ic, oc, k*k} transposed weight
-  /// copy: propagate() walks precomputed (offset, weight-index) entries
+  /// Per-input-position tap tables plus an {ic, k*k, oc} weight copy:
+  /// propagate_accum() walks precomputed (offset, weight-index) entries
   /// with zero div/mod and zero bounds branches in the inner loops.
   /// Lazily built (thread-safe), invalidated by weight mutation.
   struct PropagateCache {
     aligned_vector<std::uint32_t> tap_offset;  // in_h*in_w + 1, CSR offsets
     aligned_vector<Tap> taps;                  // <= k*k per spatial position
-    aligned_vector<float> weight_t;    // [(ic*out_ch + oc)*k*k + wofs]
     aligned_vector<float> weight_acc;  // [(ic*k*k + wofs)*out_ch + oc]
   };
   const PropagateCache& cache() const;

@@ -1,6 +1,6 @@
-// Tests for the experiment harness: method specs, noise sweeps, and the
-// grid scheduler (thread-count invariance, row streaming order, the
-// scaled-model cache, and the effective-WS bookkeeping).
+// Tests for the experiment harness: method specs, the grid scheduler
+// (thread-count invariance, cell streaming order, sharding, resume
+// injection), and the scaled-model cache.
 #include <gtest/gtest.h>
 
 #include "coding/registry.h"
@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "core/experiment.h"
 #include "core/weight_scaling.h"
+#include "noise/noise.h"
 #include "snn/topology.h"
 
 namespace tsnn::core {
@@ -47,14 +48,66 @@ struct Fixture {
     }
   }
 
-  SweepInputs inputs() const {
-    SweepInputs in;
-    in.model = &model;
-    in.images = &images;
-    in.labels = &labels;
-    return in;
+  /// A cell over this fixture's images, on `scaled` when given (else on
+  /// the fixture's model).
+  EvalCell cell(const snn::CodingScheme& scheme,
+                const snn::NoiseModel* noise = nullptr,
+                std::uint64_t seed = 0xBEEF,
+                const snn::SnnModel* scaled = nullptr) const {
+    EvalCell c;
+    c.model = scaled != nullptr ? scaled : &model;
+    c.scheme = &scheme;
+    c.noise = noise;
+    c.images = &images;
+    c.labels = &labels;
+    c.seed = seed;
+    return c;
   }
 };
+
+snn::CodingSchemePtr scheme_of(const MethodSpec& method) {
+  return coding::make_scheme(method.coding, method.params);
+}
+
+/// A mixed grid: every (method, noise) pair on the base model and on a
+/// weight-scaled clone, each cell with its own seed.
+struct MixedGrid {
+  ScaledModelCache cache;
+  std::vector<snn::CodingSchemePtr> schemes;
+  std::vector<snn::NoiseModelPtr> noises;
+  std::vector<EvalCell> cells;
+
+  explicit MixedGrid(const Fixture& f) : cache(f.model) {
+    for (const MethodSpec& m : {baseline_method(Coding::kRate, false),
+                                baseline_method(Coding::kBurst, false),
+                                ttas_method(3, false)}) {
+      schemes.push_back(scheme_of(m));
+    }
+    noises.push_back(nullptr);
+    noises.push_back(noise::make_deletion(0.3));
+    noises.push_back(noise::make_jitter(1.0));
+    std::uint64_t seed = 100;
+    for (const float factor : {1.0f, weight_scaling_factor(0.3)}) {
+      const snn::SnnModel& model = cache.get(factor);
+      for (const snn::CodingSchemePtr& s : schemes) {
+        for (const snn::NoiseModelPtr& n : noises) {
+          cells.push_back(f.cell(*s, n.get(), seed++, &model));
+        }
+      }
+    }
+  }
+};
+
+void expect_results_identical(const std::vector<EvalCellResult>& a,
+                              const std::vector<EvalCellResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    EXPECT_EQ(a[c].accuracy, b[c].accuracy) << "cell " << c;
+    EXPECT_EQ(a[c].mean_spikes, b[c].mean_spikes) << "cell " << c;
+    EXPECT_EQ(a[c].mean_decision_timesteps, b[c].mean_decision_timesteps)
+        << "cell " << c;
+  }
+}
 
 TEST(MethodSpec, BaselineLabels) {
   EXPECT_EQ(baseline_method(Coding::kRate, false).label, "rate");
@@ -69,186 +122,100 @@ TEST(MethodSpec, TtasLabels) {
   EXPECT_EQ(spec.coding, Coding::kTtas);
 }
 
-TEST(DeletionSweep, ProducesRowPerMethodAndLevel) {
+TEST(GridScheduler, CleanCellIsNoiseless) {
   const Fixture f;
-  const std::vector<MethodSpec> methods{baseline_method(Coding::kRate, false),
-                                        ttas_method(3, true)};
-  const std::vector<double> levels{0.0, 0.3, 0.6};
-  const auto rows = deletion_sweep(f.inputs(), methods, levels);
-  ASSERT_EQ(rows.size(), 6u);
-  for (const SweepRow& r : rows) {
-    EXPECT_GE(r.accuracy, 0.0);
-    EXPECT_LE(r.accuracy, 1.0);
-    EXPECT_GT(r.mean_spikes, 0.0);
-  }
+  const auto rate = scheme_of(baseline_method(Coding::kRate, false));
+  const auto results = run_grid({f.cell(*rate)});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_DOUBLE_EQ(results[0].accuracy, 1.0);  // tiny problem is separable
 }
 
-TEST(DeletionSweep, CleanLevelIsNoiseless) {
+TEST(GridScheduler, SpikesDecreaseWithDeletionP) {
   const Fixture f;
-  const auto rows = deletion_sweep(
-      f.inputs(), {baseline_method(Coding::kRate, false)}, {0.0});
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows[0].accuracy, 1.0);  // tiny problem is separable
+  const auto rate = scheme_of(baseline_method(Coding::kRate, false));
+  const auto half = noise::make_deletion(0.5);
+  const auto most = noise::make_deletion(0.9);
+  const auto results =
+      run_grid({f.cell(*rate), f.cell(*rate, half.get()),
+                f.cell(*rate, most.get())});
+  EXPECT_GT(results[0].mean_spikes, results[1].mean_spikes);
+  EXPECT_GT(results[1].mean_spikes, results[2].mean_spikes);
 }
 
-TEST(DeletionSweep, SpikesDecreaseWithP) {
+TEST(GridScheduler, SpikeCountStableUnderJitter) {
   const Fixture f;
-  const auto rows = deletion_sweep(
-      f.inputs(), {baseline_method(Coding::kRate, false)}, {0.0, 0.5, 0.9});
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_GT(rows[0].mean_spikes, rows[1].mean_spikes);
-  EXPECT_GT(rows[1].mean_spikes, rows[2].mean_spikes);
-}
-
-TEST(JitterSweep, SpikeCountStableUnderJitter) {
-  const Fixture f;
-  const auto rows = jitter_sweep(
-      f.inputs(), {baseline_method(Coding::kRate, false)}, {0.0, 2.0});
-  ASSERT_EQ(rows.size(), 2u);
+  const auto rate = scheme_of(baseline_method(Coding::kRate, false));
+  const auto jitter = noise::make_jitter(2.0);
+  const auto results = run_grid({f.cell(*rate), f.cell(*rate, jitter.get())});
   // Jitter never deletes: spike counts stay within a few percent (layer
   // dynamics can shift slightly).
-  EXPECT_NEAR(rows[1].mean_spikes / rows[0].mean_spikes, 1.0, 0.1);
+  EXPECT_NEAR(results[1].mean_spikes / results[0].mean_spikes, 1.0, 0.1);
 }
 
-TEST(JitterSweep, WeightScalingNotAppliedForJitter) {
-  // WS compensates charge loss; jitter loses no charge, so a WS method at
-  // jitter level sigma uses the unscaled model and matches the non-WS one.
+TEST(GridScheduler, RejectsIncompleteCells) {
   const Fixture f;
-  const auto ws_rows = jitter_sweep(
-      f.inputs(), {baseline_method(Coding::kRate, true)}, {1.0});
-  const auto plain_rows = jitter_sweep(
-      f.inputs(), {baseline_method(Coding::kRate, false)}, {1.0});
-  EXPECT_DOUBLE_EQ(ws_rows[0].accuracy, plain_rows[0].accuracy);
-  EXPECT_DOUBLE_EQ(ws_rows[0].mean_spikes, plain_rows[0].mean_spikes);
-}
-
-TEST(Sweep, RowsForFiltersByMethod) {
-  std::vector<SweepRow> rows{{"a", 0, 1, 1}, {"b", 0, 1, 1}, {"a", 1, 0.5, 1}};
-  const auto only_a = rows_for(rows, "a");
-  ASSERT_EQ(only_a.size(), 2u);
-  EXPECT_EQ(only_a[1].level, 1.0);
-  EXPECT_TRUE(rows_for(rows, "c").empty());
-}
-
-TEST(Sweep, ValidatesInputs) {
-  SweepInputs in;  // null everything
-  EXPECT_THROW(deletion_sweep(in, {}, {}), InvalidArgument);
-}
-
-TEST(Sweep, DeterministicForSeed) {
-  const Fixture f;
-  SweepInputs in = f.inputs();
-  in.seed = 123;
-  const auto a = deletion_sweep(in, {baseline_method(Coding::kRate, false)}, {0.4});
-  const auto b = deletion_sweep(in, {baseline_method(Coding::kRate, false)}, {0.4});
-  EXPECT_DOUBLE_EQ(a[0].accuracy, b[0].accuracy);
-  EXPECT_DOUBLE_EQ(a[0].mean_spikes, b[0].mean_spikes);
-}
-
-void expect_rows_identical(const std::vector<SweepRow>& a,
-                           const std::vector<SweepRow>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].method, b[i].method) << "row " << i;
-    EXPECT_DOUBLE_EQ(a[i].level, b[i].level) << "row " << i;
-    EXPECT_DOUBLE_EQ(a[i].accuracy, b[i].accuracy) << "row " << i;
-    EXPECT_DOUBLE_EQ(a[i].mean_spikes, b[i].mean_spikes) << "row " << i;
-    EXPECT_DOUBLE_EQ(a[i].ws_factor, b[i].ws_factor) << "row " << i;
-  }
+  const auto rate = scheme_of(baseline_method(Coding::kRate, false));
+  EvalCell no_model = f.cell(*rate);
+  no_model.model = nullptr;
+  EXPECT_THROW(run_grid({no_model}), InvalidArgument);
+  EvalCell no_scheme = f.cell(*rate);
+  no_scheme.scheme = nullptr;
+  EXPECT_THROW(run_grid({no_scheme}), InvalidArgument);
+  EvalCell no_labels = f.cell(*rate);
+  no_labels.labels = nullptr;
+  EXPECT_THROW(run_grid({no_labels}), InvalidArgument);
+  const std::vector<std::size_t> short_labels(3, 0);
+  EvalCell mismatched = f.cell(*rate);
+  mismatched.labels = &short_labels;
+  EXPECT_THROW(run_grid({mismatched}), InvalidArgument);
 }
 
 TEST(GridScheduler, RowsBitIdenticalAt1_2_8Threads) {
+  // The serial walk is the reference; a second serial run, the admission-
+  // queued parallel path, and its micro-batched pulls must not move a bit.
   const Fixture f;
-  const std::vector<MethodSpec> methods{baseline_method(Coding::kRate, false),
-                                        baseline_method(Coding::kBurst, true),
-                                        ttas_method(3, true)};
-  const std::vector<double> levels{0.0, 0.3, 0.6};
-
-  SweepInputs in = f.inputs();
-  in.num_threads = 1;
-  const auto serial = deletion_sweep(in, methods, levels);
-  in.num_threads = 2;
-  const auto grid2 = deletion_sweep(in, methods, levels);
-  in.num_threads = 8;
-  const auto grid8 = deletion_sweep(in, methods, levels);
-
-  expect_rows_identical(serial, grid2);
-  expect_rows_identical(serial, grid8);
+  const MixedGrid grid(f);
+  const auto reference = run_grid(grid.cells);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    GridOptions options;
+    options.num_threads = threads;
+    expect_results_identical(reference, run_grid(grid.cells, options));
+  }
 }
 
 TEST(GridScheduler, ExternalPersistentPoolMatchesSerial) {
   const Fixture f;
-  const std::vector<MethodSpec> methods{baseline_method(Coding::kRate, true),
-                                        ttas_method(2, false)};
-  const std::vector<double> levels{0.0, 0.4, 0.7};
-  const auto serial = deletion_sweep(f.inputs(), methods, levels);
+  const MixedGrid grid(f);
+  const auto reference = run_grid(grid.cells);
 
   ThreadPool pool(4);
-  SweepOptions options;
+  GridOptions options;
   options.pool = &pool;
-  // Two sweeps over the same borrowed pool: warm-worker reuse across sweeps
+  // Two grids over the same borrowed pool: warm-worker reuse across grids
   // must not perturb results.
-  const auto first = deletion_sweep(f.inputs(), methods, levels, options);
-  const auto second = deletion_sweep(f.inputs(), methods, levels, options);
-  expect_rows_identical(serial, first);
-  expect_rows_identical(serial, second);
+  expect_results_identical(reference, run_grid(grid.cells, options));
+  expect_results_identical(reference, run_grid(grid.cells, options));
 }
 
-TEST(GridScheduler, RowOrderIsMethodMajorAtAnyThreadCount) {
+TEST(GridScheduler, StreamsCellsInIndexOrderAtAnyThreadCount) {
   const Fixture f;
-  const std::vector<MethodSpec> methods{baseline_method(Coding::kRate, false),
-                                        ttas_method(3, false)};
-  const std::vector<double> levels{0.0, 0.2, 0.5};
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    SweepInputs in = f.inputs();
-    in.num_threads = threads;
-    const auto rows = jitter_sweep(in, methods, levels);
-    ASSERT_EQ(rows.size(), 6u);
-    for (std::size_t m = 0; m < methods.size(); ++m) {
-      for (std::size_t l = 0; l < levels.size(); ++l) {
-        EXPECT_EQ(rows[m * levels.size() + l].method, methods[m].label);
-        EXPECT_DOUBLE_EQ(rows[m * levels.size() + l].level, levels[l]);
-      }
+  const MixedGrid grid(f);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    GridOptions options;
+    options.num_threads = threads;
+    std::vector<std::size_t> order;
+    std::vector<EvalCellResult> streamed;
+    options.on_cell = [&](std::size_t c, const EvalCellResult& r) {
+      order.push_back(c);
+      streamed.push_back(r);
+    };
+    const auto returned = run_grid(grid.cells, options);
+    ASSERT_EQ(order.size(), grid.cells.size());
+    for (std::size_t c = 0; c < order.size(); ++c) {
+      EXPECT_EQ(order[c], c) << "threads " << threads;
     }
-  }
-}
-
-TEST(GridScheduler, RowsBitIdenticalAtAnyMicroBatch) {
-  // micro_batch only shapes how the admission queue is pulled; the rows
-  // must not move by a bit across batch sizes (and threads).
-  const Fixture f;
-  const snn::CodingSchemePtr scheme =
-      coding::make_scheme(Coding::kRate, coding::default_params(Coding::kRate));
-  std::vector<EvalCell> cells(4);
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    cells[c].model = &f.model;
-    cells[c].scheme = scheme.get();
-    cells[c].images = &f.images;
-    cells[c].labels = &f.labels;
-    cells[c].seed = 100 + c;
-  }
-  GridOptions serial;
-  serial.num_threads = 1;
-  const auto reference = run_grid(cells, serial);
-
-  for (const std::size_t micro_batch :
-       {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      GridOptions options;
-      options.num_threads = threads;
-      options.micro_batch = micro_batch;
-      const auto batched = run_grid(cells, options);
-      ASSERT_EQ(batched.size(), reference.size());
-      for (std::size_t c = 0; c < reference.size(); ++c) {
-        EXPECT_DOUBLE_EQ(batched[c].accuracy, reference[c].accuracy)
-            << "cell " << c << " micro_batch " << micro_batch;
-        EXPECT_DOUBLE_EQ(batched[c].mean_spikes, reference[c].mean_spikes)
-            << "cell " << c << " micro_batch " << micro_batch;
-        EXPECT_DOUBLE_EQ(batched[c].mean_decision_timesteps,
-                         reference[c].mean_decision_timesteps)
-            << "cell " << c << " micro_batch " << micro_batch;
-      }
-    }
+    expect_results_identical(returned, streamed);
   }
 }
 
@@ -389,46 +356,6 @@ TEST(GridScheduler, RejectsInvalidShard) {
   EXPECT_THROW(run_grid(cells, options), InvalidArgument);
   options.shard = GridShard{0, 0};  // zero shards is meaningless
   EXPECT_THROW(run_grid(cells, options), InvalidArgument);
-}
-
-TEST(GridScheduler, StreamsRowsInGridOrderAsCellsFinish) {
-  const Fixture f;
-  const std::vector<MethodSpec> methods{baseline_method(Coding::kRate, false),
-                                        baseline_method(Coding::kBurst, true)};
-  const std::vector<double> levels{0.0, 0.3, 0.6, 0.9};
-
-  SweepInputs in = f.inputs();
-  in.num_threads = 4;
-  std::vector<SweepRow> streamed;
-  SweepOptions options;
-  options.on_row = [&streamed](const SweepRow& r) { streamed.push_back(r); };
-  const auto returned = deletion_sweep(in, methods, levels, options);
-  expect_rows_identical(returned, streamed);
-}
-
-TEST(GridScheduler, RecordsEffectiveWeightScaling) {
-  const Fixture f;
-  const std::vector<MethodSpec> methods{baseline_method(Coding::kRate, true),
-                                        baseline_method(Coding::kRate, false)};
-
-  // Deletion: a +WS method at p > 0 runs scaled by 1/(1-p); the clean point
-  // and non-WS methods run unscaled.
-  const auto del = deletion_sweep(f.inputs(), methods, {0.0, 0.5});
-  ASSERT_EQ(del.size(), 4u);
-  EXPECT_DOUBLE_EQ(del[0].ws_factor, 1.0);  // rate+WS, clean
-  EXPECT_DOUBLE_EQ(del[1].ws_factor,
-                   static_cast<double>(weight_scaling_factor(0.5)));
-  EXPECT_DOUBLE_EQ(del[2].ws_factor, 1.0);  // rate, clean
-  EXPECT_DOUBLE_EQ(del[3].ws_factor, 1.0);  // rate, p=0.5
-
-  // Jitter: "+WS" methods intentionally run unscaled (no charge is lost);
-  // the rows must say so.
-  const auto jit = jitter_sweep(f.inputs(), methods, {0.0, 2.0});
-  ASSERT_EQ(jit.size(), 4u);
-  for (const SweepRow& r : jit) {
-    EXPECT_DOUBLE_EQ(r.ws_factor, 1.0) << r.method << " sigma " << r.level;
-  }
-  EXPECT_EQ(jit[0].method, "rate+WS");  // label still names the method spec
 }
 
 TEST(ScaledModelCache, SharesBaseAndCachesPerFactor) {

@@ -21,7 +21,7 @@
 #include "common/env.h"
 #include "common/hash.h"
 #include "convert/converter.h"
-#include "core/experiment.h"
+#include "core/scenario.h"
 #include "core/ttas.h"
 #include "data/mnist_like.h"
 #include "dnn/serialize.h"
@@ -114,14 +114,37 @@ struct EndToEnd {
     }
   }
 
-  core::SweepInputs inputs() const {
-    core::SweepInputs in;
-    in.model = &conversion.model;
-    in.images = &test_images;
-    in.labels = &test_labels;
-    return in;
+  /// Rows of a one-scenario run over this fixture (dataset name
+  /// "fixture"), through the scenario engine at its defaults: seed 0xBEEF,
+  /// one thread.
+  std::vector<core::ScenarioRow> scenario(const std::string& methods,
+                                          const std::string& noise,
+                                          const std::string& levels) const {
+    core::ScenarioEngine::Options options;
+    options.workload_provider = [this](const std::string&, std::size_t) {
+      return core::ScenarioWorkload{&conversion.model, &test_images,
+                                    &test_labels};
+    };
+    core::ScenarioEngine engine(options);
+    return engine
+        .run_one(core::ScenarioSpec::parse(
+            "name = integration\ndatasets = fixture\nmethods = " + methods +
+            "\nnoise = " + noise + "\nlevels = " + levels + "\n"))
+        .rows;
   }
 };
+
+/// Accuracy of `method` at `level` among `rows`.
+double accuracy(const std::vector<core::ScenarioRow>& rows,
+                const std::string& method, double level) {
+  for (const core::ScenarioRow& row : rows) {
+    if (row.method == method && row.level == level) {
+      return row.accuracy;
+    }
+  }
+  ADD_FAILURE() << "no row for " << method << " at " << level;
+  return 0.0;
+}
 
 EndToEnd& fixture() {
   static EndToEnd f;
@@ -168,86 +191,49 @@ TEST(Integration, TtasCleanAccuracyMatchesTtfs) {
 }
 
 TEST(Integration, DeletionDegradesAllCodings) {
-  auto& f = fixture();
-  const std::vector<core::MethodSpec> methods{
-      core::baseline_method(Coding::kRate, false),
-      core::baseline_method(Coding::kTtfs, false)};
-  const auto rows = core::deletion_sweep(f.inputs(), methods, {0.0, 0.8});
-  const auto rate = core::rows_for(rows, "rate");
-  const auto ttfs = core::rows_for(rows, "ttfs");
-  EXPECT_LT(rate[1].accuracy, rate[0].accuracy - 0.2);
-  EXPECT_LT(ttfs[1].accuracy, ttfs[0].accuracy);
+  const auto rows =
+      fixture().scenario("rate, ttfs", "deletion:sweep", "0, 0.8");
+  EXPECT_LT(accuracy(rows, "rate", 0.8), accuracy(rows, "rate", 0.0) - 0.2);
+  EXPECT_LT(accuracy(rows, "ttfs", 0.8), accuracy(rows, "ttfs", 0.0));
 }
 
 TEST(Integration, TtfsMoreDeletionRobustThanCountCodings) {
   // Paper SS III: the all-or-none activation of TTFS (plus dropout-trained
   // weights) makes it more deletion-robust than the count-based codings
   // whose activations shrink uniformly. (The full "most robust of all"
-  // claim is depth-dependent and reproduced by the Fig. 2 bench on the
+  // claim is depth-dependent and reproduced by the Fig. 2 scenario on the
   // deeper S-CIFAR10 model.)
-  auto& f = fixture();
-  const auto rows = core::deletion_sweep(
-      f.inputs(),
-      {core::baseline_method(Coding::kRate, false),
-       core::baseline_method(Coding::kBurst, false),
-       core::baseline_method(Coding::kTtfs, false)},
-      {0.5});
-  const double rate = core::rows_for(rows, "rate")[0].accuracy;
-  const double burst = core::rows_for(rows, "burst")[0].accuracy;
-  const double ttfs = core::rows_for(rows, "ttfs")[0].accuracy;
-  EXPECT_GT(ttfs, rate);
-  EXPECT_GT(ttfs, burst);
+  const auto rows =
+      fixture().scenario("rate, burst, ttfs", "deletion:sweep", "0.5");
+  EXPECT_GT(accuracy(rows, "ttfs", 0.5), accuracy(rows, "rate", 0.5));
+  EXPECT_GT(accuracy(rows, "ttfs", 0.5), accuracy(rows, "burst", 0.5));
 }
 
 TEST(Integration, WeightScalingImprovesDeletionRobustness) {
-  auto& f = fixture();
-  const auto rows = core::deletion_sweep(
-      f.inputs(),
-      {core::baseline_method(Coding::kRate, false),
-       core::baseline_method(Coding::kRate, true)},
-      {0.5});
-  const double plain = core::rows_for(rows, "rate")[0].accuracy;
-  const double ws = core::rows_for(rows, "rate+WS")[0].accuracy;
-  EXPECT_GT(ws, plain + 0.2);
+  const auto rows =
+      fixture().scenario("rate, rate+WS", "deletion:sweep", "0.5");
+  EXPECT_GT(accuracy(rows, "rate+WS", 0.5), accuracy(rows, "rate", 0.5) + 0.2);
 }
 
 TEST(Integration, TtasWithWsBeatsTtfsWithWsUnderDeletion) {
   // The paper's headline deletion result (Fig. 4 / Table I).
-  auto& f = fixture();
-  const auto rows = core::deletion_sweep(
-      f.inputs(),
-      {core::baseline_method(Coding::kTtfs, true), core::ttas_method(5, true)},
-      {0.5});
-  const double ttfs_ws = core::rows_for(rows, "ttfs+WS")[0].accuracy;
-  const double ttas_ws = core::rows_for(rows, "ttas(5)+WS")[0].accuracy;
-  EXPECT_GT(ttas_ws, ttfs_ws);
+  const auto rows =
+      fixture().scenario("ttfs+WS, ttas(5)+WS", "deletion:sweep", "0.5");
+  EXPECT_GT(accuracy(rows, "ttas(5)+WS", 0.5), accuracy(rows, "ttfs+WS", 0.5));
 }
 
 TEST(Integration, RateIsFlatUnderJitterPhaseIsNot) {
   // Paper Fig. 3: rate coding carries no timing information; phase carries
   // almost only timing information.
-  auto& f = fixture();
-  const auto rows = core::jitter_sweep(
-      f.inputs(),
-      {core::baseline_method(Coding::kRate, false),
-       core::baseline_method(Coding::kPhase, false)},
-      {0.0, 2.0});
-  const auto rate = core::rows_for(rows, "rate");
-  const auto phase = core::rows_for(rows, "phase");
-  EXPECT_GT(rate[1].accuracy, rate[0].accuracy - 0.05);
-  EXPECT_LT(phase[1].accuracy, phase[0].accuracy - 0.15);
+  const auto rows = fixture().scenario("rate, phase", "jitter:sweep", "0, 2");
+  EXPECT_GT(accuracy(rows, "rate", 2.0), accuracy(rows, "rate", 0.0) - 0.05);
+  EXPECT_LT(accuracy(rows, "phase", 2.0), accuracy(rows, "phase", 0.0) - 0.15);
 }
 
 TEST(Integration, TtasMoreJitterRobustThanTtfs) {
   // Paper Fig. 6: averaging over the burst cancels spike-time jitter.
-  auto& f = fixture();
-  const auto rows = core::jitter_sweep(
-      f.inputs(),
-      {core::baseline_method(Coding::kTtfs, false), core::ttas_method(10, false)},
-      {3.0});
-  const double ttfs = core::rows_for(rows, "ttfs")[0].accuracy;
-  const double ttas = core::rows_for(rows, "ttas(10)")[0].accuracy;
-  EXPECT_GT(ttas, ttfs);
+  const auto rows = fixture().scenario("ttfs, ttas(10)", "jitter:sweep", "3");
+  EXPECT_GT(accuracy(rows, "ttas(10)", 3.0), accuracy(rows, "ttfs", 3.0));
 }
 
 TEST(Integration, SpikeCountOrderingMatchesPaper) {

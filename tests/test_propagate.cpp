@@ -1,8 +1,10 @@
 // Property-style equivalence suite for the batched spike-propagation
-// engine: SynapseTopology::propagate() must agree with the per-spike
-// accumulate() reference and with one apply_dense() pass over the gathered
-// batch, for dense, conv (stride/pad variants), and pooling topologies, on
-// both sides of the sparse<->dense-drive threshold.
+// engine: SynapseTopology::propagate() and propagate_accum() -- the batched
+// kernel the simulator runs, which for conv is the tap-table kernel --
+// must agree with the per-spike accumulate() reference and with one
+// apply_dense() pass over the gathered batch, for dense, conv (stride/pad
+// variants), and pooling topologies, on both sides of the
+// sparse<->dense-drive threshold.
 //
 // The whole suite then re-runs once per runnable SIMD dispatch table
 // (PropagateIsa/* below), and a cross-ISA matrix pins every vector variant
@@ -55,12 +57,24 @@ SpikeBatch random_batch(std::size_t in_size, std::size_t count,
   return batch;
 }
 
+/// Maps canonical postsynaptic index j to its accum_layout() slot.
+std::size_t accum_slot(const AccumLayout& l, std::size_t j) {
+  return l.transposed ? (j % l.cols) * l.rows + j / l.cols : j;
+}
+
 /// Core property: propagate == sum of accumulate == apply_dense(gather)
-/// within 1e-5 (plus a small relative cushion for large partial sums).
+/// within 1e-5 (plus a small relative cushion for large partial sums), and
+/// propagate_accum equals the per-spike reference slot for slot: exactly
+/// below the dense-drive threshold, to the same tolerance at or above it.
 void expect_equivalent(const SynapseTopology& syn, const SpikeBatch& batch) {
   const std::size_t out = syn.out_size();
   std::vector<float> via_batch(out, 0.0f);
   syn.propagate(batch, via_batch.data());
+
+  std::vector<float> via_accum(out, 0.0f);
+  syn.propagate_accum(batch, via_accum.data());
+  const AccumLayout layout = syn.accum_layout();
+  const bool sparse = batch.size() < syn.dense_drive_threshold();
 
   std::vector<float> via_events(out, 0.0f);
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -78,6 +92,12 @@ void expect_equivalent(const SynapseTopology& syn, const SpikeBatch& batch) {
     const float tol = 1e-5f + 1e-6f * std::fabs(via_events[j]);
     EXPECT_NEAR(via_batch[j], via_events[j], tol) << "vs events, out " << j;
     EXPECT_NEAR(via_batch[j], via_dense[j], tol) << "vs dense, out " << j;
+    const float accum = via_accum[accum_slot(layout, j)];
+    if (sparse) {
+      EXPECT_EQ(accum, via_events[j]) << "accum vs events, out " << j;
+    } else {
+      EXPECT_NEAR(accum, via_events[j], tol) << "accum vs events, out " << j;
+    }
   }
 }
 
@@ -186,15 +206,26 @@ TEST(Propagate, ConvRectangularInput) {
 }
 
 TEST(Propagate, ConvScaleWeightsInvalidatesTapCache) {
+  // propagate_accum() builds the tap tables and their {ic, k*k, oc} weight
+  // copy on first use; scale_weights and map_weights must drop that copy.
   ConvTopology syn(random_tensor(Shape{2, 2, 3, 3}, 21), 5, 5, 1, 1);
   const SpikeBatch batch = random_batch(syn.in_size(), 4, 22);
+  ASSERT_LT(batch.size(), syn.dense_drive_threshold());  // tap-table path
   std::vector<float> before(syn.out_size(), 0.0f);
-  syn.propagate(batch, before.data());
+  syn.propagate_accum(batch, before.data());  // builds the tap cache
   syn.scale_weights(3.0f);
   std::vector<float> after(syn.out_size(), 0.0f);
-  syn.propagate(batch, after.data());
+  syn.propagate_accum(batch, after.data());
   for (std::size_t j = 0; j < syn.out_size(); ++j) {
     EXPECT_NEAR(after[j], 3.0f * before[j], 1e-5f + 1e-6f * std::fabs(after[j]));
+  }
+  expect_equivalent(syn, batch);
+
+  syn.map_weights([](float w) { return -w; });
+  std::vector<float> negated(syn.out_size(), 0.0f);
+  syn.propagate_accum(batch, negated.data());
+  for (std::size_t j = 0; j < syn.out_size(); ++j) {
+    EXPECT_EQ(negated[j], -after[j]) << "out " << j;  // negation is exact
   }
   expect_equivalent(syn, batch);
 }
@@ -216,9 +247,10 @@ TEST(Propagate, PoolDuplicatesSum) {
 }
 
 TEST(Propagate, SparsePathMatchesAccumulateBitwise) {
-  // Below the threshold the dense/conv kernels replay accumulate()'s exact
-  // adds (same values, same order) through transposed copies, so results
-  // are bit-identical -- the engine swap cannot move logits on sparse steps.
+  // Below the threshold the dense and conv kernels replay accumulate()'s
+  // exact adds (same values, same order) through a transposed weight copy
+  // and the conv tap tables, so results are bit-identical -- the engine
+  // swap cannot move logits on sparse steps.
   DenseTopology dense(random_tensor(Shape{17, 29}, 24));
   const SpikeBatch db = random_batch(29, 5, 25);
   std::vector<float> a(17, 0.0f), b(17, 0.0f);
@@ -231,16 +263,14 @@ TEST(Propagate, SparsePathMatchesAccumulateBitwise) {
   ConvTopology conv(random_tensor(Shape{3, 2, 3, 3}, 26), 7, 7, 1, 1);
   const SpikeBatch cb = random_batch(conv.in_size(), 6, 27);
   std::vector<float> ca(conv.out_size(), 0.0f), cbv(conv.out_size(), 0.0f);
-  conv.propagate(cb, ca.data());
+  conv.propagate_accum(cb, ca.data());
   for (std::size_t i = 0; i < cb.size(); ++i) {
     conv.accumulate(cb.pre()[i], cb.magnitude()[i], cbv.data());
   }
-  EXPECT_EQ(ca, cbv);
-}
-
-/// Maps canonical postsynaptic index j to its accum_layout() slot.
-std::size_t accum_slot(const AccumLayout& l, std::size_t j) {
-  return l.transposed ? (j % l.cols) * l.rows + j / l.cols : j;
+  const AccumLayout layout = conv.accum_layout();
+  for (std::size_t j = 0; j < conv.out_size(); ++j) {
+    EXPECT_EQ(ca[accum_slot(layout, j)], cbv[j]) << "out " << j;
+  }
 }
 
 TEST(Propagate, AccumIsBitIdenticalUpToLayoutPermutation) {
@@ -304,7 +334,7 @@ TEST(Propagate, RandomizedShapeSweep) {
 // the scalar reference output for output: bit-exact where the kernel
 // contract promises it (per-spike scatter, conv taps, accum layouts),
 // within 1e-5 where summation order legitimately differs (dense drive /
-// matvec, FMA variants). Shapes are randomized with odd sizes so vector
+// matvec). Shapes are randomized with odd sizes so vector
 // tails and remainder lanes are always exercised.
 
 std::string isa_test_name(
@@ -380,7 +410,7 @@ TEST_P(PropagateIsa, SparseScatterBitExactVsScalar) {
 
 TEST_P(PropagateIsa, DenseDriveMatchesScalarWithinTolerance) {
   // At/above the threshold the matvec path may reorder the dot-product
-  // reduction (and use FMA), so the contract is <= 1e-5 absolute plus a
+  // reduction, so the contract is <= 1e-5 absolute plus a
   // small relative term -- the same bound the kernel-level suite enforces.
   DenseTopology dense(random_tensor(Shape{41, 67}, 920));
   for (std::uint64_t seed = 930; seed < 933; ++seed) {

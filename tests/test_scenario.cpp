@@ -1,12 +1,12 @@
 // Tests for the declarative scenario engine: spec parse round-trips and
-// error paths, and scenario output bit-identical to the equivalent direct
-// deletion_sweep/jitter_sweep calls at 1/2/8 threads and on external pools.
+// error paths, and scenario rows bit-identical to a per-cell snn::evaluate
+// reference at 1/2/8 threads and on external pools.
 #include <gtest/gtest.h>
 
+#include "coding/registry.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/experiment.h"
 #include "core/scenario.h"
 #include "core/weight_scaling.h"
 #include "noise/device_profile.h"
@@ -305,17 +305,6 @@ struct Fixture {
     };
     return options;
   }
-
-  SweepInputs sweep_inputs(std::size_t threads,
-                           std::uint64_t seed = 0xBEEF) const {
-    SweepInputs in;
-    in.model = &model;
-    in.images = &images;
-    in.labels = &labels;
-    in.seed = seed;
-    in.num_threads = threads;
-    return in;
-  }
 };
 
 ScenarioSpec tiny_spec(const char* noise_line) {
@@ -326,48 +315,85 @@ ScenarioSpec tiny_spec(const char* noise_line) {
                              noise_line);
 }
 
-void expect_rows_match_sweep(const std::vector<ScenarioRow>& scenario_rows,
-                             const std::vector<SweepRow>& sweep_rows) {
-  ASSERT_EQ(scenario_rows.size(), sweep_rows.size());
-  for (std::size_t i = 0; i < scenario_rows.size(); ++i) {
-    EXPECT_EQ(scenario_rows[i].method, sweep_rows[i].method) << "row " << i;
-    EXPECT_EQ(scenario_rows[i].level, sweep_rows[i].level) << "row " << i;
-    // Bit-identical, not approximately equal: the scenario engine and the
-    // direct sweep must compile to the same grid cells.
-    EXPECT_EQ(scenario_rows[i].accuracy, sweep_rows[i].accuracy)
+/// The engine's reference for a one-dataset scenario with a single swept
+/// deletion or jitter layer: every (method, level) row recomputed by a
+/// plain snn::evaluate with the cell's noise and seed, on a model scaled by
+/// weight_scaling_factor(p) for +WS deletion cells. It shares no code with
+/// ScenarioEngine::compile or run_grid's scheduling.
+std::vector<ScenarioRow> per_cell_reference(const Fixture& f,
+                                            const ScenarioSpec& spec) {
+  const bool deletion =
+      spec.noise.at(0).kind == NoiseLayerSpec::Kind::kDeletion;
+  std::vector<ScenarioRow> rows;
+  for (const MethodSpec& method : spec.methods) {
+    const snn::CodingSchemePtr scheme =
+        coding::make_scheme(method.coding, method.params);
+    for (const double level : spec.levels) {
+      ScenarioRow row;
+      row.method = method.label;
+      row.level = level;
+      row.ws_factor = method.weight_scaling && deletion && level > 0.0
+                          ? weight_scaling_factor(level)
+                          : 1.0f;
+      snn::SnnModel model = f.model.clone();
+      model.scale_all_weights(static_cast<float>(row.ws_factor));
+      snn::NoiseModelPtr noise;
+      if (level > 0.0) {
+        noise = deletion ? noise::make_deletion(level)
+                         : noise::make_jitter(level);
+      }
+      snn::EvalOptions options;
+      options.base_seed = 0xBEEF;
+      const snn::BatchResult r = snn::evaluate(model, *scheme, f.images,
+                                               f.labels, noise.get(), options);
+      row.accuracy = r.accuracy;
+      row.mean_spikes = r.mean_spikes_per_image;
+      row.mean_decision_timesteps = r.mean_decision_timesteps;
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+void expect_rows_match(const std::vector<ScenarioRow>& got,
+                       const std::vector<ScenarioRow>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].method, want[i].method) << "row " << i;
+    EXPECT_EQ(got[i].level, want[i].level) << "row " << i;
+    // Bit-identical, not approximately equal: every grid cell must run
+    // exactly the evaluation its (method, level) names.
+    EXPECT_EQ(got[i].accuracy, want[i].accuracy) << "row " << i;
+    EXPECT_EQ(got[i].mean_spikes, want[i].mean_spikes) << "row " << i;
+    EXPECT_EQ(got[i].mean_decision_timesteps, want[i].mean_decision_timesteps)
         << "row " << i;
-    EXPECT_EQ(scenario_rows[i].mean_spikes, sweep_rows[i].mean_spikes)
-        << "row " << i;
-    EXPECT_EQ(scenario_rows[i].ws_factor, sweep_rows[i].ws_factor)
-        << "row " << i;
+    EXPECT_EQ(got[i].ws_factor, want[i].ws_factor) << "row " << i;
   }
 }
 
-TEST(ScenarioEngine, DeletionScenarioMatchesDirectSweepAt1_2_8Threads) {
+TEST(ScenarioEngine, DeletionScenarioMatchesPerCellEvaluateAt1_2_8Threads) {
   const Fixture f;
   const ScenarioSpec spec =
       tiny_spec("noise = deletion:sweep\nlevels = 0, 0.3, 0.6\n");
-  const auto direct = deletion_sweep(f.sweep_inputs(1), spec.methods,
-                                     {0.0, 0.3, 0.6});
+  const auto reference = per_cell_reference(f, spec);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ScenarioEngine engine(f.options(threads));
     const ScenarioResult result = engine.run_one(spec);
     EXPECT_EQ(result.level_name, "p");
-    expect_rows_match_sweep(result.rows, direct);
+    expect_rows_match(result.rows, reference);
   }
 }
 
-TEST(ScenarioEngine, JitterScenarioMatchesDirectSweepAt1_2_8Threads) {
+TEST(ScenarioEngine, JitterScenarioMatchesPerCellEvaluateAt1_2_8Threads) {
   const Fixture f;
   const ScenarioSpec spec =
       tiny_spec("noise = jitter:sweep\nlevels = 0, 1, 2.5\n");
-  const auto direct =
-      jitter_sweep(f.sweep_inputs(1), spec.methods, {0.0, 1.0, 2.5});
+  const auto reference = per_cell_reference(f, spec);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ScenarioEngine engine(f.options(threads));
     const ScenarioResult result = engine.run_one(spec);
     EXPECT_EQ(result.level_name, "sigma");
-    expect_rows_match_sweep(result.rows, direct);
+    expect_rows_match(result.rows, reference);
   }
 }
 
@@ -375,16 +401,35 @@ TEST(ScenarioEngine, ExternalPersistentPoolMatchesSerial) {
   const Fixture f;
   const ScenarioSpec spec =
       tiny_spec("noise = deletion:sweep\nlevels = 0, 0.4, 0.7\n");
-  const auto direct = deletion_sweep(f.sweep_inputs(1), spec.methods,
-                                     {0.0, 0.4, 0.7});
+  const auto reference = per_cell_reference(f, spec);
   ThreadPool pool(4);
   ScenarioEngine::Options options = f.options(1);
   options.pool = &pool;
   ScenarioEngine engine(options);
   // Two runs over the same borrowed pool: warm-worker reuse across suites
   // must not perturb results.
-  expect_rows_match_sweep(engine.run_one(spec).rows, direct);
-  expect_rows_match_sweep(engine.run_one(spec).rows, direct);
+  expect_rows_match(engine.run_one(spec).rows, reference);
+  expect_rows_match(engine.run_one(spec).rows, reference);
+}
+
+TEST(ScenarioEngine, JitterWeightScalingRunsUnscaled) {
+  // WS compensates charge loss; jitter loses none, so a "+WS" method under
+  // jitter runs the unscaled model, matches the plain method, and says so.
+  const Fixture f;
+  const ScenarioSpec spec = ScenarioSpec::parse(
+      "name = jitter_ws\ndatasets = tiny\nmethods = rate+WS, rate\n"
+      "noise = jitter:sweep\nlevels = 0, 2\n");
+  ScenarioEngine engine(f.options(1));
+  const ScenarioResult result = engine.run_one(spec);
+  ASSERT_EQ(result.rows.size(), 4u);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const ScenarioRow& ws = result.rows[l];
+    const ScenarioRow& plain = result.rows[2 + l];
+    EXPECT_EQ(ws.method, "rate+WS");  // the label still names the spec
+    EXPECT_EQ(ws.ws_factor, 1.0);
+    EXPECT_EQ(ws.accuracy, plain.accuracy);
+    EXPECT_EQ(ws.mean_spikes, plain.mean_spikes);
+  }
 }
 
 TEST(ScenarioEngine, RowsStreamInGridOrder) {

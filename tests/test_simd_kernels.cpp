@@ -18,6 +18,7 @@
 #include "common/cpu.h"
 #include "common/rng.h"
 #include "simd/kernels.h"
+#include "snn/topology.h"
 
 namespace tsnn {
 namespace {
@@ -318,13 +319,13 @@ TEST(SimdDispatch, ScopedOverrideSwapsAndRestores) {
 }
 
 TEST(SimdDispatch, PolicyCrossoverMath) {
-  simd::KernelPolicy policy;  // defaults: 3/4, the historical crossover
-  EXPECT_EQ(policy.dense_drive_threshold(512), 384u);
-  EXPECT_EQ(policy.dense_drive_threshold(4), 3u);
-  EXPECT_EQ(policy.dense_drive_threshold(1), 1u);  // clamped to >= 1
-  policy.dense_crossover_num = 0;
-  policy.dense_crossover_den = 100;
-  EXPECT_EQ(policy.dense_drive_threshold(512), 1u);  // 0% still clamps
+  // The scatter -> dense-drive crossover: 3/4 of in_size, at least 1.
+  const auto threshold = [](std::size_t in) {
+    return snn::DenseTopology(Tensor{Shape{1, in}}).dense_drive_threshold();
+  };
+  EXPECT_EQ(threshold(512), 384u);
+  EXPECT_EQ(threshold(4), 3u);
+  EXPECT_EQ(threshold(1), 1u);  // clamped to >= 1
 }
 
 // --------------------------------------------------------------------------
@@ -336,16 +337,10 @@ TEST(CpuFlags, ParseCpuflags) {
   EXPECT_EQ(cpu::parse_cpuflags("scalar"), 0u);
   EXPECT_EQ(cpu::parse_cpuflags("none"), 0u);
   EXPECT_EQ(cpu::parse_cpuflags("avx2"), cpu::kAvx2);
-  EXPECT_EQ(cpu::parse_cpuflags("avx2+fma"), cpu::kAvx2 | cpu::kFma);
-  EXPECT_EQ(cpu::parse_cpuflags("avx2,fma"), cpu::kAvx2 | cpu::kFma);
+  // "fma" is no token (no kernel uses it): it warns and adds no bits.
+  EXPECT_EQ(cpu::parse_cpuflags("avx2+fma"), cpu::kAvx2);
   EXPECT_EQ(cpu::parse_cpuflags("  AVX2 "), cpu::kAvx2);
   EXPECT_EQ(cpu::parse_cpuflags("bogus"), 0u);  // warns, contributes no bits
-}
-
-TEST(CpuFlags, FeatureString) {
-  EXPECT_EQ(cpu::feature_string(0), "scalar");
-  EXPECT_EQ(cpu::feature_string(cpu::kAvx2), "avx2");
-  EXPECT_EQ(cpu::feature_string(cpu::kAvx2 | cpu::kFma), "avx2+fma");
 }
 
 // --------------------------------------------------------------------------
