@@ -15,9 +15,13 @@
 // ("isa").
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "coding/registry.h"
+#include "common/aligned.h"
 #include "common/rng.h"
 #include "dnn/conv2d.h"
 #include "noise/noise.h"
@@ -227,12 +231,20 @@ void BM_ConvTopologyAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvTopologyAccumulate)->Arg(16)->Arg(64);
 
+/// The simulator's encoder call: encode_into on a warm workspace, so the
+/// loop times encoding alone (the raster adapter encode() would add a fresh
+/// workspace and a raster conversion to every call).
 void BM_Encode(benchmark::State& state) {
   const auto coding = static_cast<snn::Coding>(state.range(0));
   const auto scheme = coding::make_scheme(coding);
   const Tensor a = random_activations(768, 6);
+  snn::SimWorkspace ws;
+  snn::EventBuffer out;
+  scheme->encode_into(a, ws, out);  // warm the workspace and the buffer
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme->encode(a));
+    scheme->encode_into(a, ws, out);
+    benchmark::DoNotOptimize(out.size());
+    benchmark::ClobberMemory();
   }
   state.SetLabel(snn::coding_name(coding));
 }
@@ -240,7 +252,61 @@ BENCHMARK(BM_Encode)
     ->Arg(static_cast<int>(snn::Coding::kRate))
     ->Arg(static_cast<int>(snn::Coding::kPhase))
     ->Arg(static_cast<int>(snn::Coding::kBurst))
-    ->Arg(static_cast<int>(snn::Coding::kTtfs));
+    ->Arg(static_cast<int>(snn::Coding::kTtfs))
+    ->Arg(static_cast<int>(snn::Coding::kTtas));
+
+/// One step of burst coding's escalating fire scan through the dispatch
+/// table's burst_fire, at the default ladder (theta 0.4, g 2, cap 4), on an
+/// S-CIFAR10 stage's output: arg 0 is conv1a (16 channels at 16x16, 4096
+/// neurons read through the transposed conv accumulator map), arg 1 pool1
+/// (1024 neurons, identity layout). Each iteration restores the potentials
+/// and counters, so every scan sees the same state.
+void BM_BurstFire(benchmark::State& state) {
+  const bool pool = state.range(0) != 0;
+  std::unique_ptr<snn::SynapseTopology> syn;
+  if (pool) {
+    syn = std::make_unique<snn::PoolTopology>(16, 16, 16, 2);
+  } else {
+    syn = std::make_unique<snn::ConvTopology>(
+        random_tensor(Shape{16, 3, 3, 3}, 16), 16, 16, 1, 1);
+  }
+  const std::size_t n = syn->out_size();
+  aligned_vector<std::uint32_t> umap;
+  snn::build_accum_map(*syn, umap);
+  const std::vector<float> quanta = {0.4f, 0.8f, 1.6f, 3.2f, 6.4f};
+  Rng rng(17);
+  aligned_vector<float> u0(n);
+  aligned_vector<std::uint32_t> k0(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    u0[j] = static_cast<float>(rng.uniform(0.0, 2.0));
+    k0[j] = static_cast<std::uint32_t>(rng.uniform_index(quanta.size()));
+  }
+  aligned_vector<float> u(n);
+  aligned_vector<std::uint32_t> k(n);
+  aligned_vector<std::uint32_t> fired(n);
+  simd::BurstFireCtx ctx;
+  ctx.u = u.data();
+  ctx.umap = syn->accum_layout().transposed ? umap.data() : nullptr;
+  ctx.k = k.data();
+  ctx.n = n;
+  ctx.quanta = quanta.data();
+  ctx.cap = static_cast<std::uint32_t>(quanta.size() - 1);
+  ctx.fired = fired.data();
+  std::size_t nf = 0;
+  for (auto _ : state) {
+    std::copy(u0.begin(), u0.end(), u.begin());
+    std::copy(k0.begin(), k0.end(), k.begin());
+    nf = simd::kernels().burst_fire(ctx);
+    benchmark::DoNotOptimize(nf);
+    benchmark::DoNotOptimize(ctx.u);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(pool ? "pool1" : "conv1a");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.counters["fired"] = static_cast<double>(nf);
+}
+BENCHMARK(BM_BurstFire)->Arg(0)->Arg(1);
 
 void BM_DeletionNoise(benchmark::State& state) {
   const auto scheme = coding::make_scheme(snn::Coding::kRate);
@@ -347,6 +413,10 @@ void register_isa_variants() {
                                  pinned(BM_ConvSpikePropagate))
         ->Args({64, 16, 1024})
         ->Args({128, 16, 2048});
+    benchmark::RegisterBenchmark(("BM_BurstFire" + suffix).c_str(),
+                                 pinned(BM_BurstFire))
+        ->Arg(0)
+        ->Arg(1);
   }
 }
 

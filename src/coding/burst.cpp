@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "simd/kernels.h"
 
 namespace tsnn::coding {
 
@@ -29,50 +30,62 @@ inline std::size_t isi_on_arrival(std::int64_t t, std::int64_t& last,
 BurstScheme::BurstScheme(snn::CodingParams params) : CodingScheme(params) {
   TSNN_CHECK_MSG(params_.burst_gain > 1.0f, "burst gain must exceed 1");
   TSNN_CHECK_MSG(params_.threshold > 0.0f, "burst threshold must be positive");
-}
-
-float BurstScheme::burst_gain(std::size_t k) const {
-  const auto e = static_cast<int>(std::min(k, params_.burst_cap));
-  return std::pow(params_.burst_gain, static_cast<float>(e));
+  TSNN_CHECK_MSG(params_.burst_cap <= kMaxBurstCap,
+                 "burst cap " << params_.burst_cap << " exceeds "
+                              << kMaxBurstCap);
+  // Tabulated once with the same float operations a per-spike evaluation
+  // would use (powf of the exponent, then one multiply by theta), so a
+  // table read is bit-identical to computing the gain in the loop.
+  gain_.resize(params_.burst_cap + 1);
+  quantum_.resize(params_.burst_cap + 1);
+  for (std::size_t e = 0; e <= params_.burst_cap; ++e) {
+    gain_[e] = std::pow(params_.burst_gain, static_cast<float>(e));
+    quantum_[e] = params_.threshold * gain_[e];
+  }
 }
 
 void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
                               EventBuffer& out) const {
   const std::size_t n = activations.numel();
   out.reset(n, params_.window);
-  // Injection a per step, drained by escalating burst quanta (base 1.0).
+  // Injection a per step (an axpy), drained by escalating burst quanta of
+  // base 1.0 (the burst_fire scan) -- the rate encoder's split, bit-exact
+  // for the same reason: each neuron is independent.
   ws.acc.assign(n, 0.0f);
   ws.k.assign(n, 0);
-  float* acc = ws.acc.data();
-  std::uint32_t* k = ws.k.data();
   const float* a = activations.data();
+  const auto& kern = simd::kernels();
+  simd::BurstFireCtx fire;
+  fire.u = ws.acc.data();
+  fire.k = ws.k.data();
+  fire.n = n;
+  fire.quanta = gain_.data();
+  fire.cap = static_cast<std::uint32_t>(params_.burst_cap);
+  fire.fired = ws.fired_scratch(n);
   for (std::size_t t = 0; t < params_.window; ++t) {
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] += a[i];
-      const float quantum = burst_gain(k[i]);
-      if (acc[i] >= quantum) {
-        acc[i] -= quantum;
-        ++k[i];
-        out.push(static_cast<std::int32_t>(t), static_cast<std::uint32_t>(i));
-      } else {
-        k[i] = 0;
-      }
+    kern.axpy(fire.u, a, 1.0f, n);
+    const std::size_t nf = kern.burst_fire(fire);
+    for (std::size_t f = 0; f < nf; ++f) {
+      out.push(static_cast<std::int32_t>(t), fire.fired[f]);
     }
   }
   out.finalize(ws.sort);
 }
 
 void BurstScheme::decode_arrivals(const EventBuffer& in, std::size_t t,
-                                  float base_in, snn::StageState& st) const {
+                                  LayerRole role, snn::StageState& st) const {
   // Burst magnitudes depend on each sender's ISI history, so the batch is
   // assembled spike by spike (unlike the uniform-magnitude schemes).
   st.batch.clear();
+  const float* ladder =
+      role == LayerRole::kFirstHidden ? gain_.data() : quantum_.data();
+  const std::size_t cap = params_.burst_cap;
   const EventBuffer::StepSpan span = in.step(t);
   for (std::size_t i = 0; i < span.count; ++i) {
     const std::uint32_t pre = span.ids[i];
     const std::size_t k = isi_on_arrival(static_cast<std::int64_t>(t),
                                          st.isi_last[pre], st.isi_k[pre]);
-    st.batch.add(pre, base_in * burst_gain(k));
+    st.batch.add(pre, ladder[std::min(k, cap)]);
   }
 }
 
@@ -88,31 +101,29 @@ void BurstScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   st.isi_last.assign(in.num_neurons(), -10);
   st.isi_k.assign(in.num_neurons(), 0);
   st.k.assign(out_n, 0);
+  st.fired_scratch(out_n);
 }
 
 void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
                              LayerRole role, std::size_t t, snn::StageState& st,
                              EventBuffer& out) const {
-  const std::size_t out_n = syn.out_size();
-  const float theta = params_.threshold;
-  const float base_in = role == LayerRole::kFirstHidden ? 1.0f : theta;
-  float* u = st.u.data();
-  const std::uint32_t* umap = st.umap.data();
-  std::uint32_t* k_out = st.k.data();
   if (t < in.window()) {
-    decode_arrivals(in, t, base_in, st);
-    syn.propagate_accum(st.batch, u);
+    decode_arrivals(in, t, role, st);
+    syn.propagate_accum(st.batch, st.u.data());
   }
-  for (std::size_t j = 0; j < out_n; ++j) {
-    const float quantum = theta * burst_gain(k_out[j]);
-    float& uj = u[umap[j]];
-    if (uj >= quantum) {
-      uj -= quantum;
-      ++k_out[j];
-      out.push(static_cast<std::int32_t>(t), static_cast<std::uint32_t>(j));
-    } else {
-      k_out[j] = 0;
-    }
+  // Escalating fire scan at the threshold scale: quantum theta * g^min(k,cap).
+  // Identity layouts skip the umap indirection inside the kernel.
+  simd::BurstFireCtx fire;
+  fire.u = st.u.data();
+  fire.umap = st.transposed ? st.umap.data() : nullptr;
+  fire.k = st.k.data();
+  fire.n = syn.out_size();
+  fire.quanta = quantum_.data();
+  fire.cap = static_cast<std::uint32_t>(params_.burst_cap);
+  fire.fired = st.fired.data();
+  const std::size_t nf = simd::kernels().burst_fire(fire);
+  for (std::size_t f = 0; f < nf; ++f) {
+    out.push(static_cast<std::int32_t>(t), fire.fired[f]);
   }
 }
 
@@ -139,9 +150,7 @@ void BurstScheme::begin_readout(const EventBuffer& in,
 void BurstScheme::step_readout(const EventBuffer& in,
                                const SynapseTopology& syn, LayerRole role,
                                std::size_t t, snn::StageState& st) const {
-  const float base_in =
-      role == LayerRole::kFirstHidden ? 1.0f : params_.threshold;
-  decode_arrivals(in, t, base_in, st);
+  decode_arrivals(in, t, role, st);
   syn.propagate_accum(st.batch, st.u.data());
 }
 

@@ -8,6 +8,9 @@
 // in noise robustness.
 #pragma once
 
+#include <algorithm>
+#include <vector>
+
 #include "snn/coding_base.h"
 
 namespace tsnn::coding {
@@ -16,6 +19,14 @@ namespace tsnn::coding {
 /// decoding.
 class BurstScheme : public snn::CodingScheme {
  public:
+  /// Largest accepted CodingParams::burst_cap. A counter climbs at most
+  /// once per timestep, so a cap beyond the window never binds; the bound
+  /// keeps the gain ladder (cap + 1 floats) small and every exponent a
+  /// valid 32-bit table index for the burst_fire kernel.
+  static constexpr std::size_t kMaxBurstCap = 1024;
+
+  /// Validates the parameters (gain > 1, threshold > 0, burst_cap <=
+  /// kMaxBurstCap) and tabulates the gain ladder.
   explicit BurstScheme(snn::CodingParams params);
 
   snn::Coding kind() const override { return snn::Coding::kBurst; }
@@ -48,14 +59,21 @@ class BurstScheme : public snn::CodingScheme {
   Tensor decode(const snn::SpikeRaster& in) const override;
 
   /// Gain of the k-th consecutive spike, capped at burst_cap: g^min(k,cap).
-  float burst_gain(std::size_t k) const;
+  float burst_gain(std::size_t k) const {
+    return gain_[std::min(k, params_.burst_cap)];
+  }
 
  private:
   /// Assembles the ISI-decoded arrival batch of step `t`: each sender's
   /// escalation counter k is reconstructed from its arrival history in
   /// st.isi_last/st.isi_k (sized to `in`, reset by begin_layer/begin_readout).
   void decode_arrivals(const snn::EventBuffer& in, std::size_t t,
-                       float base_in, snn::StageState& st) const;
+                       snn::LayerRole role, snn::StageState& st) const;
+
+  // The ladders a sender's spikes drain and weigh: gain_ at the encoder's
+  // base 1.0, quantum_ at the hidden layers' base theta.
+  std::vector<float> gain_;     ///< g^e for e = 0..burst_cap
+  std::vector<float> quantum_;  ///< threshold * gain_[e]
 };
 
 }  // namespace tsnn::coding

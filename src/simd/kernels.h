@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD kernel layer.
 //
-// The four hot inner loops of the simulator -- dense fan-out scatter, conv
-// tap accumulate, the potential/threshold scan, and the in-place noise
-// compaction -- plus the dense-drive matvec and the axpy building block are
+// The five hot inner loops of the simulator -- dense fan-out scatter, conv
+// tap accumulate, the potential/threshold scan, burst coding's escalating
+// fire scan, and the in-place noise compaction -- plus the dense-drive
+// matvec and the axpy building block are
 // leaf functions behind a KernelDispatch table of function pointers, the
 // FFmpeg DSP-table idiom: callers marshal their state into a plain KernelCtx
 // view and invoke through kernels(), and the variant that runs (scalar
@@ -102,6 +103,24 @@ struct ThresholdCtx {
   std::uint32_t* fired = nullptr;
 };
 
+/// Burst coding's escalating fire scan: visits canonical neurons j = 0..n
+/// in order with quantum = quanta[min(k[j], cap)], reading u[umap[j]]
+/// (umap == nullptr means identity). Where u >= quantum the neuron drains
+/// the quantum in place, k[j] is incremented and j is recorded into `fired`
+/// (capacity >= n); elsewhere k[j] resets to 0. Returns the fired count.
+/// Bit-exact: every neuron gets the scalar leaf's compare, subtraction and
+/// counter update, and fired indices come out ascending. Assumes umap is
+/// a permutation (each potential read and written once).
+struct BurstFireCtx {
+  float* u = nullptr;
+  const std::uint32_t* umap = nullptr;
+  std::uint32_t* k = nullptr;  ///< per-neuron escalation counters
+  std::size_t n = 0;
+  const float* quanta = nullptr;  ///< cap + 1 quanta, indexed by exponent
+  std::uint32_t cap = 0;
+  std::uint32_t* fired = nullptr;
+};
+
 // ------------------------------------------------------- dispatch table ----
 
 /// Function-pointer table of one ISA variant. All pointers are always
@@ -115,6 +134,7 @@ struct KernelDispatch {
   void (*dense_matvec)(const DenseMatvecCtx&) = nullptr;
   void (*conv_taps)(const ConvTapCtx&) = nullptr;
   std::size_t (*threshold_fire)(const ThresholdCtx&) = nullptr;
+  std::size_t (*burst_fire)(const BurstFireCtx&) = nullptr;
   /// y[i] += a * x[i] for i in [0, n) -- elementwise, bit-exact.
   void (*axpy)(float* y, const float* x, float a, std::size_t n) = nullptr;
   /// Keep-mask stream compaction: dst[k++] = src[i] for every i in order

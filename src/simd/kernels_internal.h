@@ -12,6 +12,7 @@ void sc_dense_scatter(const DenseScatterCtx& ctx);
 void sc_dense_matvec(const DenseMatvecCtx& ctx);
 void sc_conv_taps(const ConvTapCtx& ctx);
 std::size_t sc_threshold_fire(const ThresholdCtx& ctx);
+std::size_t sc_burst_fire(const BurstFireCtx& ctx);
 void sc_axpy(float* y, const float* x, float a, std::size_t n);
 std::size_t sc_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
                             std::size_t n, std::uint32_t* dst);

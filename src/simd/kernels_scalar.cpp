@@ -5,6 +5,8 @@
 // reference stays plain mul+add under any optimization flags.
 #include "simd/kernels_internal.h"
 
+#include <algorithm>
+
 namespace tsnn::simd {
 
 void sc_dense_scatter(const DenseScatterCtx& ctx) {
@@ -74,6 +76,22 @@ std::size_t sc_threshold_fire(const ThresholdCtx& ctx) {
   return fired;
 }
 
+std::size_t sc_burst_fire(const BurstFireCtx& ctx) {
+  std::size_t fired = 0;
+  for (std::size_t j = 0; j < ctx.n; ++j) {
+    const float quantum = ctx.quanta[std::min(ctx.k[j], ctx.cap)];
+    float& uj = ctx.u[ctx.umap == nullptr ? j : ctx.umap[j]];
+    if (uj >= quantum) {
+      uj -= quantum;
+      ++ctx.k[j];
+      ctx.fired[fired++] = static_cast<std::uint32_t>(j);
+    } else {
+      ctx.k[j] = 0;
+    }
+  }
+  return fired;
+}
+
 void sc_axpy(float* y, const float* x, float a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] += a * x[i];
@@ -99,6 +117,7 @@ const KernelDispatch kScalarTable = [] {
   t.dense_matvec = sc_dense_matvec;
   t.conv_taps = sc_conv_taps;
   t.threshold_fire = sc_threshold_fire;
+  t.burst_fire = sc_burst_fire;
   t.axpy = sc_axpy;
   t.mask_compact = sc_mask_compact;
   return t;

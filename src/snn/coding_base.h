@@ -49,7 +49,8 @@ struct CodingParams {
 
   // Burst coding (Park et al. DAC 2019).
   float burst_gain = 2.0f;        ///< geometric gain g of consecutive spikes
-  std::size_t burst_cap = 4;      ///< max exponent of the gain
+  std::size_t burst_cap = 4;      ///< max exponent of the gain (at most
+                                  ///< BurstScheme::kMaxBurstCap)
 
   // TTFS (Park et al. DAC 2020) and TTAS (this paper).
   float tau = 3.0f;               ///< exponential PSC kernel time constant

@@ -64,11 +64,11 @@ struct StageState {
                           ///< whole-window loops emit into a caller buffer)
 
   aligned_vector<float> u;             ///< membrane potentials accumulator
-  std::vector<std::uint32_t> k;        ///< burst escalation counters
+  aligned_vector<std::uint32_t> k;     ///< burst escalation counters
   std::vector<std::int64_t> isi_last;  ///< burst ISI decoder: last arrival
   std::vector<std::uint32_t> isi_k;    ///< burst ISI decoder: run length
   aligned_vector<std::uint32_t> umap;  ///< neuron -> accumulator slot
-  aligned_vector<std::uint32_t> fired;  ///< threshold_fire kernel output
+  aligned_vector<std::uint32_t> fired;  ///< fire-scan kernel output
   bool transposed = false;  ///< cached syn.accum_layout().transposed
 
   /// Zeroed potential array of length `n` (recycles capacity).
@@ -78,7 +78,7 @@ struct StageState {
   }
 
   /// Uninitialized fired-index scratch of capacity `n` for the
-  /// threshold_fire kernel (recycles capacity).
+  /// threshold_fire/burst_fire kernels (recycles capacity).
   std::uint32_t* fired_scratch(std::size_t n) {
     fired.resize(n);
     return fired.data();
@@ -102,16 +102,16 @@ struct SimWorkspace {
   EventBuffer next;       ///< spike train the current stage emits
   EventSortScratch sort;  ///< counting-sort / conversion scratch
 
-  // The SIMD-streamed buffers (encoder charge, the firing scan's outputs)
-  // are aligned_vectors so the dispatch-table kernels (simd/kernels.h)
-  // never split cache lines.
-  aligned_vector<float> acc;  ///< encoder charge accumulators
-  std::vector<std::uint32_t> k;         ///< burst escalation counters
-  aligned_vector<std::uint32_t> fired;  ///< threshold_fire kernel output
+  // The SIMD-streamed buffers (encoder charge and counters, the firing
+  // scan's outputs) are aligned_vectors so the dispatch-table kernels
+  // (simd/kernels.h) never split cache lines.
+  aligned_vector<float> acc;            ///< encoder charge accumulators
+  aligned_vector<std::uint32_t> k;      ///< burst escalation counters
+  aligned_vector<std::uint32_t> fired;  ///< fire-scan kernel output
 
   /// Uninitialized fired-index scratch of capacity `n` for the
-  /// threshold_fire kernel (recycles capacity; contents are overwritten by
-  /// the kernel up to its returned count).
+  /// threshold_fire/burst_fire kernels (recycles capacity; contents are
+  /// overwritten by the kernel up to its returned count).
   std::uint32_t* fired_scratch(std::size_t n) {
     fired.resize(n);
     return fired.data();

@@ -2,7 +2,11 @@
 // coding-specific mechanics the paper's analysis relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "coding/burst.h"
 #include "coding/phase.h"
@@ -119,10 +123,41 @@ TEST(PhaseScheme, IdentityTransport) {
 
 TEST(BurstScheme, GainLadderAndCap) {
   const auto scheme = std::make_unique<BurstScheme>(default_params(Coding::kBurst));
-  EXPECT_FLOAT_EQ(scheme->burst_gain(0), 1.0f);
-  EXPECT_FLOAT_EQ(scheme->burst_gain(1), 2.0f);
-  EXPECT_FLOAT_EQ(scheme->burst_gain(4), 16.0f);
-  EXPECT_FLOAT_EQ(scheme->burst_gain(9), 16.0f);  // capped
+  EXPECT_EQ(scheme->burst_gain(0), 1.0f);
+  EXPECT_EQ(scheme->burst_gain(1), 2.0f);
+  EXPECT_EQ(scheme->burst_gain(4), 16.0f);
+  EXPECT_EQ(scheme->burst_gain(9), 16.0f);  // capped
+
+  // Every rung, bitwise against std::pow(g, float(min(k, cap))): a table
+  // that drifts from it in the last bit fails here. 1.1 is not a power of
+  // two or a short binary fraction, so its powers round; the reference
+  // reads g back from the scheme, which the compiler cannot fold.
+  for (const auto& [g, cap] : {std::pair{2.0f, std::size_t{4}},
+                               std::pair{1.5f, std::size_t{7}},
+                               std::pair{1.1f, std::size_t{12}}}) {
+    CodingParams p = default_params(Coding::kBurst);
+    p.burst_gain = g;
+    p.burst_cap = cap;
+    const BurstScheme ladder(p);
+    const float gain = ladder.params().burst_gain;
+    for (std::size_t k = 0; k <= cap + 3; ++k) {
+      const float want = std::pow(gain, static_cast<float>(std::min(k, cap)));
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(ladder.burst_gain(k)),
+                std::bit_cast<std::uint32_t>(want))
+          << "g=" << g << " cap=" << cap << " k=" << k;
+    }
+  }
+}
+
+TEST(BurstScheme, RejectsCapBeyondBound) {
+  // As an int exponent, 2^32 would narrow to 0 and make every quantum 1.
+  CodingParams p = default_params(Coding::kBurst);
+  p.burst_cap = std::size_t{1} << 32;
+  EXPECT_THROW(BurstScheme{p}, InvalidArgument);
+  p.burst_cap = BurstScheme::kMaxBurstCap + 1;
+  EXPECT_THROW(BurstScheme{p}, InvalidArgument);
+  p.burst_cap = BurstScheme::kMaxBurstCap;
+  EXPECT_NO_THROW(BurstScheme{p});
 }
 
 TEST(BurstScheme, HighActivationUsesFewerSpikesThanRate) {

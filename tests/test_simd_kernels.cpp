@@ -1,17 +1,20 @@
 // Every-ISA equivalence matrix for the simd kernel layer (simd/kernels.h):
 // each runnable dispatch table is driven against the scalar reference on
 // randomized shapes with odd sizes and tail lanes. Scatter-shaped kernels
-// (dense_scatter, conv_taps, threshold_fire, axpy, mask_compact) must match
-// BIT-EXACTLY -- they preserve per-slot addition order and use separate
-// mul+add -- while dense_matvec reorders its dot-product reduction and is
-// held to the documented 1e-5 tolerance. Which tables are runnable is
+// (dense_scatter, conv_taps, threshold_fire, burst_fire, axpy,
+// mask_compact) must match BIT-EXACTLY -- they preserve per-slot addition
+// order and use separate mul+add -- while dense_matvec reorders its
+// dot-product reduction and is held to the documented 1e-5 tolerance. Which tables are runnable is
 // governed by TSNN_CPUFLAGS, so the CI scalar-forced leg shrinks this
 // matrix to the reference alone and the native leg covers every variant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -224,6 +227,84 @@ TEST_P(SimdEquivalence, ThresholdFireBitExact) {
         for (std::size_t j = 0; j < n; ++j) {
           ASSERT_EQ(u_ref[j], u_got[j]) << table().isa << " n=" << n
                                         << " subtract=" << subtract;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SimdEquivalence, BurstFireBitExact) {
+  Rng rng(0xb0257u);
+  constexpr std::uint32_t kCap = 4;
+  std::vector<float> quanta(kCap + 1);
+  for (std::uint32_t e = 0; e <= kCap; ++e) {
+    quanta[e] = 0.4f * static_cast<float>(1u << e);
+  }
+  for (const std::size_t n : kFanOuts) {
+    for (const bool mapped : {false, true}) {
+      // Counters below, at and above the cap -- including one past 2^31,
+      // which a signed clamp would turn into a negative table index.
+      std::vector<std::uint32_t> k0(n);
+      for (auto& k : k0) {
+        k = static_cast<std::uint32_t>(rng.uniform_index(kCap + 3));
+      }
+      k0[0] = 0;
+      k0[n / 2] = kCap;
+      k0[n - 1] = 0x80000001u;
+      std::vector<std::uint32_t> umap(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        umap[j] = static_cast<std::uint32_t>(j);
+      }
+      for (std::size_t j = n; j > 1; --j) {  // a random permutation
+        std::swap(umap[j - 1], umap[rng.uniform_index(j)]);
+      }
+      const auto slot = [&](std::size_t j) { return mapped ? umap[j] : j; };
+      // Potentials straddling each neuron's quantum, with exact hits, and a
+      // negative zero that an unfired lane must keep bit for bit.
+      auto u0 = random_floats(rng, n, -quanta[kCap], 2.0f * quanta[kCap]);
+      u0[slot(n / 2)] = quanta[kCap];
+      u0[slot(n / 3)] = quanta[std::min(k0[n / 3], kCap)];
+      u0[slot(n / 4)] = -0.0f;
+
+      auto u_ref = u0;
+      auto u_got = u0;
+      auto k_ref = k0;
+      auto k_got = k0;
+      std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
+      std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
+
+      simd::BurstFireCtx ctx;
+      ctx.umap = mapped ? umap.data() : nullptr;
+      ctx.n = n;
+      ctx.quanta = quanta.data();
+      ctx.cap = kCap;
+      // Three scans in a row: counters escalate, reset and escalate again.
+      for (int step = 0; step < 3; ++step) {
+        ctx.u = u_ref.data();
+        ctx.k = k_ref.data();
+        ctx.fired = fired_ref.data();
+        const std::size_t nref = simd::scalar_kernels().burst_fire(ctx);
+        ctx.u = u_got.data();
+        ctx.k = k_got.data();
+        ctx.fired = fired_got.data();
+        const std::size_t ngot = table().burst_fire(ctx);
+
+        ASSERT_EQ(nref, ngot) << table().isa << " n=" << n
+                              << " mapped=" << mapped << " step=" << step;
+        for (std::size_t f = 0; f < nref; ++f) {
+          ASSERT_EQ(fired_ref[f], fired_got[f]) << table().isa << " n=" << n;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(u_ref[j]),
+                    std::bit_cast<std::uint32_t>(u_got[j]))
+              << table().isa << " n=" << n << " mapped=" << mapped
+              << " j=" << j;
+          ASSERT_EQ(k_ref[j], k_got[j]) << table().isa << " n=" << n
+                                        << " mapped=" << mapped << " j=" << j;
+        }
+        for (std::size_t j = 0; j < n; ++j) {  // recharge for the next scan
+          u_ref[j] += 0.5f;
+          u_got[j] += 0.5f;
         }
       }
     }
