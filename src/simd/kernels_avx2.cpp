@@ -14,7 +14,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <array>
 
 #include "common/cpu.h"
@@ -255,77 +254,6 @@ std::size_t av_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
   return k;
 }
 
-// ---------------------------------------------------------- burst fire ----
-
-// The threshold scan with a per-neuron quantum, branch-free per block of
-// eight neurons: the counters are clamped to the cap and their quanta
-// gathered from the ladder, one compare mask updates all eight counters
-// (fired lanes k + 1, the rest 0) and selects the drained potential in
-// fired lanes (unfired lanes are written back unchanged), and the fired
-// lanes' indices are left-packed in ascending order through the
-// mask_compact LUT. The eight-entry fired store stays inside the n-entry
-// capacity because at most j indices precede block j; entries past the
-// returned count are scratch. So u, k and the fired list match the
-// canonical scan exactly. Lanes are independent, as in av_threshold_fire.
-std::size_t av_burst_fire(const BurstFireCtx& ctx) {
-  const auto& lut = compact_lut();
-  const __m256i cap = _mm256_set1_epi32(static_cast<int>(ctx.cap));
-  std::size_t fired = 0;
-  std::size_t j = 0;
-  for (; j + 8 <= ctx.n; j += 8) {
-    auto* kp = reinterpret_cast<__m256i*>(ctx.k + j);
-    const __m256i k = _mm256_loadu_si256(kp);
-    const __m256 q =
-        _mm256_i32gather_ps(ctx.quanta, _mm256_min_epu32(k, cap), 4);
-    const __m256 v =
-        ctx.umap == nullptr
-            ? _mm256_loadu_ps(ctx.u + j)
-            : _mm256_i32gather_ps(ctx.u,
-                                  _mm256_loadu_si256(
-                                      reinterpret_cast<const __m256i*>(
-                                          ctx.umap + j)),
-                                  4);
-    const __m256 ge = _mm256_cmp_ps(v, q, _CMP_GE_OQ);
-    // Fired lanes of the mask are all ones (-1): k - mask is k + 1 there,
-    // and the and zeroes every other lane.
-    const __m256i gei = _mm256_castps_si256(ge);
-    _mm256_storeu_si256(kp, _mm256_and_si256(_mm256_sub_epi32(k, gei), gei));
-    const int mask = _mm256_movemask_ps(ge);
-    if (mask == 0) {
-      continue;
-    }
-    const __m256 drained = _mm256_blendv_ps(v, _mm256_sub_ps(v, q), ge);
-    if (ctx.umap == nullptr) {
-      _mm256_storeu_ps(ctx.u + j, drained);
-    } else {
-      alignas(32) float d[8];
-      _mm256_store_ps(d, drained);
-      for (std::size_t b = 0; b < 8; ++b) {
-        ctx.u[ctx.umap[j + b]] = d[b];
-      }
-    }
-    const __m256i lanes = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(lut[mask].data())));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(ctx.fired + fired),
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(j)), lanes));
-    fired += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(mask)));
-  }
-  for (; j < ctx.n; ++j) {
-    const float quantum = ctx.quanta[std::min(ctx.k[j], ctx.cap)];
-    float& uj = ctx.u[ctx.umap == nullptr ? j : ctx.umap[j]];
-    if (uj >= quantum) {
-      uj -= quantum;
-      ++ctx.k[j];
-      ctx.fired[fired++] = static_cast<std::uint32_t>(j);
-    } else {
-      ctx.k[j] = 0;
-    }
-  }
-  return fired;
-}
-
 }  // namespace
 
 const KernelDispatch kAvx2Table = [] {
@@ -336,7 +264,9 @@ const KernelDispatch kAvx2Table = [] {
   t.dense_matvec = av_dense_matvec;
   t.conv_taps = av_conv_taps;
   t.threshold_fire = av_threshold_fire;
-  t.burst_fire = av_burst_fire;
+  // No vector burst_fire: an eight-lane gather leaf did not clearly beat
+  // the scalar scan end to end (docs/ARCHITECTURE.md, SIMD kernel layer).
+  t.burst_fire = sc_burst_fire;
   t.axpy = av_axpy;
   t.mask_compact = av_mask_compact;
   return t;

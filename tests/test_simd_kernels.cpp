@@ -311,6 +311,43 @@ TEST_P(SimdEquivalence, BurstFireBitExact) {
   }
 }
 
+// The scan's contract worked by hand, so it binds the scalar leaf too: an
+// exact hit fires (>=), counters at and above the cap read the top rung, an
+// unfired counter resets, and fired indices are canonical and ascending
+// whichever slots the umap sends them to.
+TEST_P(SimdEquivalence, BurstFireWorkedExample) {
+  const std::vector<float> quanta = {0.5f, 1.0f, 2.0f};  // cap 2
+  const std::vector<float> u_in = {0.5f, 0.25f, 3.0f, 1.5f, 1.0f};
+  const std::vector<std::uint32_t> k_in = {0, 0, 2, 7, 1};
+  const std::vector<float> u_want = {0.0f, 0.25f, 1.0f, 1.5f, 0.0f};
+  const std::vector<std::uint32_t> k_want = {1, 0, 3, 0, 2};
+  const std::vector<std::uint32_t> fired_want = {0, 2, 4};
+  const std::vector<std::uint32_t> umap = {3, 0, 4, 1, 2};
+  for (const bool mapped : {false, true}) {
+    std::vector<float> u(u_in.size());
+    for (std::size_t j = 0; j < u.size(); ++j) {
+      u[mapped ? umap[j] : j] = u_in[j];
+    }
+    std::vector<std::uint32_t> k = k_in;
+    std::vector<std::uint32_t> fired(u.size());
+    simd::BurstFireCtx ctx;
+    ctx.u = u.data();
+    ctx.umap = mapped ? umap.data() : nullptr;
+    ctx.k = k.data();
+    ctx.n = u.size();
+    ctx.quanta = quanta.data();
+    ctx.cap = 2;
+    ctx.fired = fired.data();
+    fired.resize(table().burst_fire(ctx));
+    EXPECT_EQ(fired, fired_want) << table().isa << " mapped=" << mapped;
+    EXPECT_EQ(k, k_want) << table().isa << " mapped=" << mapped;
+    for (std::size_t j = 0; j < u.size(); ++j) {
+      EXPECT_EQ(u[mapped ? umap[j] : j], u_want[j])
+          << table().isa << " mapped=" << mapped << " j=" << j;
+    }
+  }
+}
+
 TEST_P(SimdEquivalence, AxpyBitExact) {
   Rng rng(0xa4b1u);
   for (const std::size_t n : kFanOuts) {
