@@ -6,10 +6,10 @@
 // figure benches (event-driven cost ~ spikes x fanout, which is why TTFS
 // simulations are ~10x cheaper than rate simulations).
 //
-// The spike-propagation benches also register one variant per runnable
-// SIMD dispatch table (e.g. BM_DenseSpikePropagate<scalar> next to
+// The spike-propagation and fire-scan benches also register one variant per
+// runnable SIMD dispatch table (e.g. BM_DenseSpikePropagate<scalar> next to
 // BM_DenseSpikePropagate<avx2>), so one run measures the vector speedup
-// against the forced-scalar reference on identical batches. The dense-drive
+// against the forced-scalar reference on identical inputs. The dense-drive
 // crossover shows up as the "dense_crossover" counter on every propagate
 // config, and the active ISA is stamped into the benchmark JSON context
 // ("isa").
@@ -179,7 +179,10 @@ BENCHMARK(BM_ConvSpikeAccumulate)
     ->Args({128, 16, 2048});
 
 /// The simulator's conv kernel: propagate_accum into the transposed
-/// {spatial, channel} accumulator through the dispatch table's conv_taps.
+/// {spatial, channel} accumulator through the dispatch table's conv_taps,
+/// on the zoo's 3x3 / stride-1 / pad-1 shapes ({channels, side, spikes}:
+/// conv1b-like layers with as many input as output channels, about 8% of
+/// the input spiking).
 void BM_ConvSpikePropagate(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
   const auto hw = static_cast<std::size_t>(state.range(1));
@@ -198,9 +201,14 @@ void BM_ConvSpikePropagate(benchmark::State& state) {
   state.counters["dense_crossover"] =
       static_cast<double>(syn.dense_drive_threshold());
 }
-BENCHMARK(BM_ConvSpikePropagate)
-    ->Args({64, 16, 1024})
-    ->Args({128, 16, 2048});
+void conv_propagate_args(benchmark::internal::Benchmark* b) {
+  b->Args({12, 16, 256})
+      ->Args({16, 16, 320})
+      ->Args({24, 8, 128})
+      ->Args({32, 8, 160})
+      ->Args({64, 4, 80});
+}
+BENCHMARK(BM_ConvSpikePropagate)->Apply(conv_propagate_args);
 
 void BM_PoolSpikePropagate(benchmark::State& state) {
   snn::PoolTopology syn(16, 16, 16, 2);
@@ -255,59 +263,127 @@ BENCHMARK(BM_Encode)
     ->Arg(static_cast<int>(snn::Coding::kTtfs))
     ->Arg(static_cast<int>(snn::Coding::kTtas));
 
+/// Prepared fire-scan inputs on an S-CIFAR10 stage's accumulator layout:
+/// arg 0 picks conv1a (16 channels x 256 positions, the {spatial, channel}
+/// conv layout) or pool1 (1 x 1024, identity); arg 1 is the share of
+/// neurons that fire, in percent. Eight states per config, because one
+/// replayed state lets the branch predictor learn its fire pattern.
+struct FireScanStates {
+  static constexpr std::size_t kStates = 8;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::vector<aligned_vector<float>> u;
+  std::vector<aligned_vector<std::uint32_t>> k;
+
+  /// `quantum(k)` is the level a neuron with counter k fires at.
+  template <typename Quantum>
+  FireScanStates(const benchmark::State& state, std::uint32_t max_k,
+                 Quantum&& quantum) {
+    const bool pool = state.range(0) != 0;
+    rows = pool ? 1 : 16;
+    cols = pool ? 1024 : 256;
+    const double density = static_cast<double>(state.range(1)) / 100.0;
+    Rng rng(17);
+    for (std::size_t s = 0; s < kStates; ++s) {
+      aligned_vector<float> us(rows * cols);
+      aligned_vector<std::uint32_t> ks(rows * cols);
+      for (std::size_t j = 0; j < us.size(); ++j) {
+        ks[j] = static_cast<std::uint32_t>(rng.uniform_index(max_k + 1));
+        const double level = rng.bernoulli(density) ? rng.uniform(1.0, 1.5)
+                                                    : rng.uniform(-0.5, 1.0);
+        us[j] = quantum(ks[j]) * static_cast<float>(level);
+      }
+      u.push_back(std::move(us));
+      k.push_back(std::move(ks));
+    }
+  }
+};
+
+void label_fire_scan(benchmark::State& state, std::size_t fired,
+                     std::size_t n) {
+  state.SetLabel(state.range(0) != 0 ? "pool1" : "conv1a");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.counters["fired"] = static_cast<double>(fired);
+}
+
+/// One rate/phase step's subtract-mode threshold scan through the dispatch
+/// table's threshold_fire at theta 0.4. Each iteration restores the next of
+/// the prepared states (the copy is part of the time) and scans it.
+void BM_ThresholdFire(benchmark::State& state) {
+  const float theta = 0.4f;
+  const FireScanStates states(state, 0,
+                              [theta](std::uint32_t) { return theta; });
+  const std::size_t n = states.rows * states.cols;
+  aligned_vector<float> u(n);
+  aligned_vector<std::uint32_t> fired(n);
+  simd::ThresholdCtx ctx;
+  ctx.u = u.data();
+  ctx.rows = states.rows;
+  ctx.cols = states.cols;
+  ctx.threshold = theta;
+  ctx.subtract = true;
+  ctx.fired = fired.data();
+  std::size_t nf = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& u0 = states.u[next];
+    std::copy(u0.begin(), u0.end(), u.begin());
+    next = (next + 1) % FireScanStates::kStates;
+    nf = simd::kernels().threshold_fire(ctx);
+    benchmark::DoNotOptimize(nf);
+    benchmark::ClobberMemory();
+  }
+  label_fire_scan(state, nf, n);
+}
+
 /// One step of burst coding's escalating fire scan through the dispatch
-/// table's burst_fire (the scalar leaf in every table), at the default
-/// ladder (theta 0.4, g 2, cap 4), on an S-CIFAR10 stage's output: arg 0 is
-/// conv1a (16 channels at 16x16, 4096 neurons read through the transposed
-/// conv accumulator map), arg 1 pool1 (1024 neurons, identity layout). Each
-/// iteration restores the potentials and counters, so every scan sees the
-/// same state.
+/// table's burst_fire, at the default ladder (theta 0.4, g 2, cap 4), on
+/// the same prepared states (potentials and counters restored per
+/// iteration).
 void BM_BurstFire(benchmark::State& state) {
-  const bool pool = state.range(0) != 0;
-  std::unique_ptr<snn::SynapseTopology> syn;
-  if (pool) {
-    syn = std::make_unique<snn::PoolTopology>(16, 16, 16, 2);
-  } else {
-    syn = std::make_unique<snn::ConvTopology>(
-        random_tensor(Shape{16, 3, 3, 3}, 16), 16, 16, 1, 1);
-  }
-  const std::size_t n = syn->out_size();
-  aligned_vector<std::uint32_t> umap;
-  snn::build_accum_map(*syn, umap);
   const std::vector<float> quanta = {0.4f, 0.8f, 1.6f, 3.2f, 6.4f};
-  Rng rng(17);
-  aligned_vector<float> u0(n);
-  aligned_vector<std::uint32_t> k0(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    u0[j] = static_cast<float>(rng.uniform(0.0, 2.0));
-    k0[j] = static_cast<std::uint32_t>(rng.uniform_index(quanta.size()));
-  }
+  const auto cap = static_cast<std::uint32_t>(quanta.size() - 1);
+  const FireScanStates states(state, cap + 1, [&](std::uint32_t k) {
+    return quanta[std::min(k, cap)];
+  });
+  const std::size_t n = states.rows * states.cols;
   aligned_vector<float> u(n);
   aligned_vector<std::uint32_t> k(n);
   aligned_vector<std::uint32_t> fired(n);
   simd::BurstFireCtx ctx;
   ctx.u = u.data();
-  ctx.umap = syn->accum_layout().transposed ? umap.data() : nullptr;
   ctx.k = k.data();
-  ctx.n = n;
+  ctx.rows = states.rows;
+  ctx.cols = states.cols;
   ctx.quanta = quanta.data();
-  ctx.cap = static_cast<std::uint32_t>(quanta.size() - 1);
+  ctx.cap = cap;
   ctx.fired = fired.data();
   std::size_t nf = 0;
+  std::size_t next = 0;
   for (auto _ : state) {
+    const auto& u0 = states.u[next];
+    const auto& k0 = states.k[next];
     std::copy(u0.begin(), u0.end(), u.begin());
     std::copy(k0.begin(), k0.end(), k.begin());
+    next = (next + 1) % FireScanStates::kStates;
     nf = simd::kernels().burst_fire(ctx);
     benchmark::DoNotOptimize(nf);
-    benchmark::DoNotOptimize(ctx.u);
     benchmark::ClobberMemory();
   }
-  state.SetLabel(pool ? "pool1" : "conv1a");
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.counters["fired"] = static_cast<double>(nf);
+  label_fire_scan(state, nf, n);
 }
-BENCHMARK(BM_BurstFire)->Arg(0)->Arg(1);
+
+/// {layout, firing percent} configs of the fire-scan benches.
+void fire_scan_args(benchmark::internal::Benchmark* b) {
+  for (const int layout : {0, 1}) {
+    for (const int percent : {2, 8, 15}) {
+      b->Args({layout, percent});
+    }
+  }
+}
+BENCHMARK(BM_ThresholdFire)->Apply(fire_scan_args);
+BENCHMARK(BM_BurstFire)->Apply(fire_scan_args);
 
 void BM_DeletionNoise(benchmark::State& state) {
   const auto scheme = coding::make_scheme(snn::Coding::kRate);
@@ -382,9 +458,9 @@ void BM_JitterNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_JitterNoise);
 
-/// Registers one copy of the spike-propagation benches per runnable
-/// dispatch table, each pinned via ScopedKernelOverride for the duration of
-/// its run -- BM_DenseSpikePropagate<scalar>/512/350 next to
+/// Registers one copy of the spike-propagation and fire-scan benches per
+/// runnable dispatch table, each pinned via ScopedKernelOverride for the
+/// duration of its run -- BM_DenseSpikePropagate<scalar>/512/350 next to
 /// BM_DenseSpikePropagate<avx2>/512/350 is the vector-vs-reference
 /// speedup on identical work. Only registered when more than one table is
 /// runnable (a TSNN_CPUFLAGS=scalar run has nothing to compare).
@@ -412,8 +488,13 @@ void register_isa_variants() {
         ->Arg(512);
     benchmark::RegisterBenchmark(("BM_ConvSpikePropagate" + suffix).c_str(),
                                  pinned(BM_ConvSpikePropagate))
-        ->Args({64, 16, 1024})
-        ->Args({128, 16, 2048});
+        ->Apply(conv_propagate_args);
+    benchmark::RegisterBenchmark(("BM_ThresholdFire" + suffix).c_str(),
+                                 pinned(BM_ThresholdFire))
+        ->Apply(fire_scan_args);
+    benchmark::RegisterBenchmark(("BM_BurstFire" + suffix).c_str(),
+                                 pinned(BM_BurstFire))
+        ->Apply(fire_scan_args);
   }
 }
 

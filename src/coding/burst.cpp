@@ -58,16 +58,14 @@ void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   simd::BurstFireCtx fire;
   fire.u = ws.acc.data();
   fire.k = ws.k.data();
-  fire.n = n;
+  fire.cols = n;
   fire.quanta = gain_.data();
   fire.cap = static_cast<std::uint32_t>(params_.burst_cap);
   fire.fired = ws.fired_scratch(n);
   for (std::size_t t = 0; t < params_.window; ++t) {
     kern.axpy(fire.u, a, 1.0f, n);
-    const std::size_t nf = kern.burst_fire(fire);
-    for (std::size_t f = 0; f < nf; ++f) {
-      out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-    }
+    out.push_step(static_cast<std::int32_t>(t), fire.fired,
+                  kern.burst_fire(fire));
   }
   out.finalize(ws.sort);
 }
@@ -96,7 +94,6 @@ void BurstScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   const std::size_t out_n = syn.out_size();
   out.reset(out_n, params_.window);
-  st.accum_map(syn);
   st.potentials(out_n);
   st.isi_last.assign(in.num_neurons(), -10);
   st.isi_k.assign(in.num_neurons(), 0);
@@ -111,20 +108,19 @@ void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
     decode_arrivals(in, t, role, st);
     syn.propagate_accum(st.batch, st.u.data());
   }
-  // Escalating fire scan at the threshold scale: quantum theta * g^min(k,cap).
-  // Identity layouts skip the umap indirection inside the kernel.
+  // Escalating fire scan at the threshold scale: quantum theta * g^min(k,cap),
+  // over the accumulator layout (the counters st.k are indexed like st.u).
+  const snn::AccumLayout layout = syn.accum_layout();
   simd::BurstFireCtx fire;
   fire.u = st.u.data();
-  fire.umap = st.transposed ? st.umap.data() : nullptr;
   fire.k = st.k.data();
-  fire.n = syn.out_size();
+  fire.rows = layout.rows;
+  fire.cols = layout.cols;
   fire.quanta = quantum_.data();
   fire.cap = static_cast<std::uint32_t>(params_.burst_cap);
   fire.fired = st.fired.data();
-  const std::size_t nf = simd::kernels().burst_fire(fire);
-  for (std::size_t f = 0; f < nf; ++f) {
-    out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-  }
+  out.push_step(static_cast<std::int32_t>(t), fire.fired,
+                simd::kernels().burst_fire(fire));
 }
 
 void BurstScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -141,7 +137,6 @@ void BurstScheme::begin_readout(const EventBuffer& in,
                                 snn::StageState& st) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
   st.potentials(syn.out_size());
   st.isi_last.assign(in.num_neurons(), -10);
   st.isi_k.assign(in.num_neurons(), 0);

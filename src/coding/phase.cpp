@@ -38,7 +38,7 @@ void PhaseScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   const auto& kern = simd::kernels();
   simd::ThresholdCtx fire;
   fire.u = ws.acc.data();
-  fire.n = n;
+  fire.cols = n;
   fire.subtract = true;
   fire.fired = ws.fired_scratch(n);
   for (std::size_t t = 0; t < params_.window; ++t) {
@@ -46,10 +46,8 @@ void PhaseScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
       kern.axpy(fire.u, a, 1.0f, n);
     }
     fire.threshold = phase_weight(t);
-    const std::size_t nf = kern.threshold_fire(fire);
-    for (std::size_t f = 0; f < nf; ++f) {
-      out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-    }
+    out.push_step(static_cast<std::int32_t>(t), fire.fired,
+                  kern.threshold_fire(fire));
   }
   out.finalize(ws.sort);
 }
@@ -61,7 +59,6 @@ void PhaseScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   const std::size_t out_n = syn.out_size();
   out.reset(out_n, params_.window);
-  st.accum_map(syn);
   st.potentials(out_n);
   st.fired_scratch(out_n);
 }
@@ -79,17 +76,16 @@ void PhaseScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   // Greedy weighted-spike emission: a neuron fires at phase t if its
   // potential covers the theta-scaled phase weight, draining that quantum
   // -- a subtract-mode threshold scan per phase.
+  const snn::AccumLayout layout = syn.accum_layout();
   simd::ThresholdCtx fire;
   fire.u = st.u.data();
-  fire.umap = st.transposed ? st.umap.data() : nullptr;
-  fire.n = syn.out_size();
+  fire.rows = layout.rows;
+  fire.cols = layout.cols;
   fire.threshold = theta * phase_weight(t);
   fire.subtract = true;
   fire.fired = st.fired.data();
-  const std::size_t nf = simd::kernels().threshold_fire(fire);
-  for (std::size_t f = 0; f < nf; ++f) {
-    out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-  }
+  out.push_step(static_cast<std::int32_t>(t), fire.fired,
+                simd::kernels().threshold_fire(fire));
 }
 
 void PhaseScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -106,7 +102,6 @@ void PhaseScheme::begin_readout(const EventBuffer& in,
                                 snn::StageState& st) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
   st.potentials(syn.out_size());
 }
 

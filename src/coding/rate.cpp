@@ -29,16 +29,14 @@ void RateScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   const auto& kern = simd::kernels();
   simd::ThresholdCtx fire;
   fire.u = ws.acc.data();
-  fire.n = n;
+  fire.cols = n;
   fire.threshold = 1.0f;
   fire.subtract = true;
   fire.fired = ws.fired_scratch(n);
   for (std::size_t t = 0; t < params_.window; ++t) {
     kern.axpy(fire.u, a, 1.0f, n);
-    const std::size_t nf = kern.threshold_fire(fire);
-    for (std::size_t f = 0; f < nf; ++f) {
-      out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-    }
+    out.push_step(static_cast<std::int32_t>(t), fire.fired,
+                  kern.threshold_fire(fire));
   }
   out.finalize(ws.sort);
 }
@@ -50,7 +48,6 @@ void RateScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   const std::size_t out_n = syn.out_size();
   out.reset(out_n, params_.window);
-  st.accum_map(syn);
   st.potentials(out_n);
   st.fired_scratch(out_n);
 }
@@ -65,20 +62,19 @@ void RateScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   const float theta = params_.threshold;
   static_cast<void>(role);
   snn::propagate_step(in, t, theta, syn, st.batch, st.u.data());
-  // Subtract-mode threshold scan: fire where u >= theta and soft-reset by
-  // draining theta (residual preserved, RMP-SNN). Identity layouts skip
-  // the umap indirection inside the kernel.
+  // Subtract-mode threshold scan over the accumulator layout: fire where
+  // u >= theta and soft-reset by draining theta (residual preserved,
+  // RMP-SNN).
+  const snn::AccumLayout layout = syn.accum_layout();
   simd::ThresholdCtx fire;
   fire.u = st.u.data();
-  fire.umap = st.transposed ? st.umap.data() : nullptr;
-  fire.n = syn.out_size();
+  fire.rows = layout.rows;
+  fire.cols = layout.cols;
   fire.threshold = theta;
   fire.subtract = true;
   fire.fired = st.fired.data();
-  const std::size_t nf = simd::kernels().threshold_fire(fire);
-  for (std::size_t f = 0; f < nf; ++f) {
-    out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-  }
+  out.push_step(static_cast<std::int32_t>(t), fire.fired,
+                simd::kernels().threshold_fire(fire));
 }
 
 void RateScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -95,7 +91,6 @@ void RateScheme::begin_readout(const EventBuffer& in,
                                snn::StageState& st) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
   st.potentials(syn.out_size());
 }
 

@@ -76,7 +76,6 @@ void TtfsScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
                              EventBuffer& out) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
   st.potentials(syn.out_size());
   out.reset(syn.out_size(), raster_window());
 }
@@ -101,8 +100,8 @@ void TtfsScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   const std::size_t out_n = syn.out_size();
   const float theta = params_.threshold;
-  float* u = st.u.data();
-  const std::uint32_t* umap = st.umap.data();
+  const float* u = st.u.data();
+  const snn::AccumLayout layout = syn.accum_layout();
   const auto window = static_cast<std::int64_t>(params_.window);
   // Fire phase: u >= theta*exp(-t/tau)  <=>  t >= tau*ln(theta/u). The
   // dynamic threshold floor is theta*exp(-(T-1)/tau); below it (including
@@ -112,16 +111,16 @@ void TtfsScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
   // typically sparse survivor list.
   const float floor = theta * kernel(window - 1);
   simd::ThresholdCtx scan;
-  scan.u = u;
-  scan.umap = st.transposed ? umap : nullptr;
-  scan.n = out_n;
+  scan.u = st.u.data();
+  scan.rows = layout.rows;
+  scan.cols = layout.cols;
   scan.threshold = floor;
   scan.subtract = false;
   scan.fired = st.fired_scratch(out_n);
   const std::size_t nf = simd::kernels().threshold_fire(scan);
   for (std::size_t f = 0; f < nf; ++f) {
     const std::uint32_t j = scan.fired[f];
-    const float uj = u[umap[j]];
+    const float uj = u[layout.slot(j)];
     auto t1 = static_cast<std::int64_t>(
         std::lround(params_.tau * std::log(theta / uj)));
     if (t1 < 0) {
@@ -144,7 +143,6 @@ void TtfsScheme::begin_readout(const EventBuffer& in,
                                snn::StageState& st) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
   st.potentials(syn.out_size());
 }
 

@@ -74,6 +74,12 @@ struct ConvTap {
 /// sp, u[tap.spatial*oc ..] += mag[i] * wt[(ic*k2 + tap.wofs)*oc ..] over
 /// all oc channels. Taps of one spike touch distinct rows, so per-slot
 /// addition order is spike order -- bit-exact by construction.
+///
+/// in_w/in_h are set (nonzero) only when the table describes a 3x3,
+/// stride-1, pad-1 conv of an in_h x in_w input. Then an interior input
+/// position's nine taps sit at fixed offsets from its own spatial slot,
+/// which a vector leaf may use instead of walking the table; the taps and
+/// their order are the same either way.
 struct ConvTapCtx {
   const float* wt = nullptr;                  ///< {ic, k2, oc} weight copy
   const std::uint32_t* tap_offset = nullptr;  ///< in_hw + 1 CSR offsets
@@ -84,38 +90,44 @@ struct ConvTapCtx {
   std::size_t in_hw = 0;  ///< input spatial extent (h*w)
   std::size_t k2 = 0;     ///< kernel*kernel
   std::size_t oc = 0;     ///< output channels (inner vector length)
+  std::size_t in_w = 0;   ///< input width of a 3x3/stride-1/pad-1 conv, else 0
+  std::size_t in_h = 0;   ///< input height of that conv, else 0
   float* u = nullptr;     ///< {spatial, channel} accumulators
 };
 
-/// Potential/threshold scan: visits canonical neurons j = 0..n in order,
-/// reading u[umap[j]] (umap == nullptr means identity), and records every j
-/// with u >= threshold into `fired` (capacity >= n). When `subtract`, a
-/// firing neuron is drained by threshold in place (the rate/phase soft
-/// reset); otherwise u is untouched (the TTFS/TTAS floor scan). Returns the
-/// fired count. Bit-exact: compares and subtractions happen in canonical
-/// order, exactly like the historical per-neuron loop.
+// The fire scans read potentials in an accumulator layout of `rows`
+// channels x `cols` positions (SynapseTopology::accum_layout): canonical
+// neuron j = c*cols + s lives at slot s*rows + c, so rows == 1 is the
+// identity layout. A scan visits canonical j = 0..rows*cols in ascending
+// order, whatever the layout, and records every neuron that fires into
+// `fired` (capacity >= rows*cols) -- fired indices are canonical and
+// ascending.
+
+/// Potential/threshold scan: every neuron with u >= threshold fires. When
+/// `subtract`, a firing neuron is drained by threshold in place (the
+/// rate/phase soft reset); otherwise u is untouched (the TTFS/TTAS floor
+/// scan). Returns the fired count. Bit-exact: each neuron gets the scalar
+/// leaf's compare and subtraction, so the result matches the historical
+/// per-neuron loop.
 struct ThresholdCtx {
   float* u = nullptr;
-  const std::uint32_t* umap = nullptr;
-  std::size_t n = 0;
+  std::size_t rows = 1;  ///< layout channels (1 = identity)
+  std::size_t cols = 0;  ///< layout positions
   float threshold = 0.0f;
   bool subtract = false;
   std::uint32_t* fired = nullptr;
 };
 
-/// Burst coding's escalating fire scan: visits canonical neurons j = 0..n
-/// in order with quantum = quanta[min(k[j], cap)], reading u[umap[j]]
-/// (umap == nullptr means identity). Where u >= quantum the neuron drains
-/// the quantum in place, k[j] is incremented and j is recorded into `fired`
-/// (capacity >= n); elsewhere k[j] resets to 0. Returns the fired count.
-/// Bit-exact: every neuron gets the scalar leaf's compare, subtraction and
-/// counter update, and fired indices come out ascending. Assumes umap is
-/// a permutation (each potential read and written once).
+/// Burst coding's escalating fire scan: a neuron whose counter reads k
+/// fires where u >= quanta[min(k, cap)], drains that quantum in place and
+/// increments k; elsewhere k resets to 0. Counters are indexed like u, by
+/// accumulator slot. Returns the fired count. Bit-exact: every neuron gets
+/// the scalar leaf's compare, subtraction and counter update.
 struct BurstFireCtx {
   float* u = nullptr;
-  const std::uint32_t* umap = nullptr;
-  std::uint32_t* k = nullptr;  ///< per-neuron escalation counters
-  std::size_t n = 0;
+  std::uint32_t* k = nullptr;  ///< per-slot escalation counters
+  std::size_t rows = 1;        ///< layout channels (1 = identity)
+  std::size_t cols = 0;        ///< layout positions
   const float* quanta = nullptr;  ///< cap + 1 quanta, indexed by exponent
   std::uint32_t cap = 0;
   std::uint32_t* fired = nullptr;

@@ -4,17 +4,19 @@
 // executes on a host without it.
 //
 // Bit-exactness discipline (see simd/kernels.h): every kernel here except
-// dense_matvec vectorizes across the fan-out dimension j -- independent
-// destination slots -- so each slot still receives its contributions in
-// batch order, as one mul and one add, and -ffp-contract=off keeps the
-// compiler from contracting the scalar tails.
+// dense_matvec vectorizes across independent destination slots -- the
+// fan-out dimension, or the neurons of a fire scan -- so each slot still
+// receives its contributions in batch order, as one mul and one add, and
+// -ffp-contract=off keeps the compiler from contracting the scalar tails.
 #include "simd/kernels_internal.h"
 
 #if defined(TSNN_SIMD_AVX2) && defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "common/cpu.h"
 
@@ -107,86 +109,351 @@ void av_dense_matvec(const DenseMatvecCtx& ctx) {
 
 // ----------------------------------------------------------- conv taps ----
 
-void av_conv_taps(const ConvTapCtx& ctx) {
-  const std::size_t oc = ctx.oc;
+// u[0..OC) += m * w[0..OC) for a compile-time channel count: whole 8-lane
+// steps, then one 4-lane SSE step when OC % 8 == 4. A masked tail store
+// would stall store forwarding into the next spike's loads of the row.
+template <std::size_t OC>
+inline void madd_row(float* u, const float* w, __m256 m) {
+  static_assert(OC % 4 == 0, "channel count must be a multiple of 4");
+#pragma GCC unroll 8
+  for (std::size_t c = 0; c + 8 <= OC; c += 8) {
+    const __m256 uv = _mm256_loadu_ps(u + c);
+    const __m256 wv = _mm256_loadu_ps(w + c);
+    _mm256_storeu_ps(u + c, _mm256_add_ps(uv, _mm256_mul_ps(m, wv)));
+  }
+  if constexpr (OC % 8 == 4) {
+    constexpr std::size_t c = OC - 4;
+    const __m128 m4 = _mm256_castps256_ps128(m);
+    const __m128 uv = _mm_loadu_ps(u + c);
+    const __m128 wv = _mm_loadu_ps(w + c);
+    _mm_storeu_ps(u + c, _mm_add_ps(uv, _mm_mul_ps(m4, wv)));
+  }
+}
+
+// The 3x3 / stride-1 / pad-1 leaf at OC output channels. Input position
+// (iy, ix) feeds output (iy + 1 - ky, ix + 1 - kx) through weight ky*3 + kx,
+// so an interior position's nine output rows sit at fixed offsets from its
+// own spatial slot; border positions walk the tap table. The taps are the
+// table's, in the table's order, so the sums are the scalar leaf's.
+template <std::size_t OC>
+void av_conv3x3(const ConvTapCtx& ctx) {
+  const auto in_hw = static_cast<std::uint32_t>(ctx.in_hw);
+  const auto w = static_cast<std::uint32_t>(ctx.in_w);
+  const auto h = static_cast<std::uint32_t>(ctx.in_h);
+  const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(w * OC);
   for (std::size_t i = 0; i < ctx.count; ++i) {
-    const std::size_t pre = ctx.pre[i];
-    const std::size_t ic = pre / ctx.in_hw;
-    const std::size_t sp = pre % ctx.in_hw;
-    const __m256 mv = _mm256_set1_ps(ctx.mag[i]);
-    const float m = ctx.mag[i];
-    const float* wbase = ctx.wt + ic * ctx.k2 * oc;
-    const std::uint32_t end = ctx.tap_offset[sp + 1];
-    for (std::uint32_t t = ctx.tap_offset[sp]; t < end; ++t) {
-      const ConvTap tap = ctx.taps[t];
-      float* urow = ctx.u + static_cast<std::size_t>(tap.spatial) * oc;
-      const float* wrow = wbase + static_cast<std::size_t>(tap.wofs) * oc;
-      std::size_t c = 0;
-      for (; c + 8 <= oc; c += 8) {
-        const __m256 u = _mm256_loadu_ps(urow + c);
-        const __m256 w = _mm256_loadu_ps(wrow + c);
-        _mm256_storeu_ps(urow + c, _mm256_add_ps(u, _mm256_mul_ps(mv, w)));
+    const std::uint32_t pre = ctx.pre[i];
+    const std::uint32_t ic = pre / in_hw;
+    const std::uint32_t sp = pre - ic * in_hw;
+    const std::uint32_t iy = sp / w;
+    const std::uint32_t ix = sp - iy * w;
+    const float* wbase = ctx.wt + static_cast<std::size_t>(ic) * 9 * OC;
+    const __m256 m = _mm256_set1_ps(ctx.mag[i]);
+    if (iy >= 1 && iy + 1 < h && ix >= 1 && ix + 1 < w) {
+      float* centre = ctx.u + static_cast<std::size_t>(sp) * OC;
+      for (std::ptrdiff_t ky = 0; ky < 3; ++ky) {
+        float* r = centre + (1 - ky) * row;
+        const float* wr = wbase + static_cast<std::size_t>(ky) * 3 * OC;
+        madd_row<OC>(r + OC, wr, m);
+        madd_row<OC>(r, wr + OC, m);
+        madd_row<OC>(r - OC, wr + 2 * OC, m);
       }
-      for (; c < oc; ++c) {
-        urow[c] += m * wrow[c];
+    } else {
+      const std::uint32_t end = ctx.tap_offset[sp + 1];
+      for (std::uint32_t t = ctx.tap_offset[sp]; t < end; ++t) {
+        const ConvTap tap = ctx.taps[t];
+        madd_row<OC>(ctx.u + static_cast<std::size_t>(tap.spatial) * OC,
+                     wbase + static_cast<std::size_t>(tap.wofs) * OC, m);
       }
     }
   }
 }
 
+// One fixed-shape leaf per zoo channel count; every other shape (or a table
+// without the 3x3 geometry) runs the scalar leaf.
+void av_conv_taps(const ConvTapCtx& ctx) {
+  if (ctx.in_w != 0) {
+    switch (ctx.oc) {
+      case 8: return av_conv3x3<8>(ctx);
+      case 12: return av_conv3x3<12>(ctx);
+      case 16: return av_conv3x3<16>(ctx);
+      case 24: return av_conv3x3<24>(ctx);
+      case 32: return av_conv3x3<32>(ctx);
+      case 64: return av_conv3x3<64>(ctx);
+      default: break;
+    }
+  }
+  sc_conv_taps(ctx);
+}
+
+// ------------------------------------------------------- left-packing ----
+
+// Left-pack via a 256-entry permutation LUT: an 8-bit lane mask indexes the
+// lane order that gathers the selected elements to the front, and the whole
+// 8-lane block is stored at dst + k (popcount advances k, the extra lanes
+// are overwritten by the next block).
+const std::array<std::array<std::uint8_t, 8>, 256>& compact_lut() {
+  static const auto lut = [] {
+    std::array<std::array<std::uint8_t, 8>, 256> t{};
+    for (int mask = 0; mask < 256; ++mask) {
+      int out = 0;
+      for (int lane = 0; lane < 8; ++lane) {
+        if ((mask >> lane) & 1) {
+          t[mask][out++] = static_cast<std::uint8_t>(lane);
+        }
+      }
+    }
+    return t;
+  }();
+  return lut;
+}
+
+// Stores the canonical indices base + lane of the set lanes of `mask`,
+// ascending, at out[0..popcount) -- and up to 8 entries in all, so the
+// caller keeps out + 8 inside its buffer. Returns popcount(mask).
+inline std::size_t pack_lanes(unsigned mask, std::uint32_t base,
+                              std::uint32_t* out) {
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i lanes = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+      reinterpret_cast<const __m128i*>(compact_lut()[mask].data())));
+  const __m256i idx =
+      _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(base)), iota);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permutevar8x32_epi32(idx, lanes));
+  return static_cast<std::size_t>(__builtin_popcount(mask));
+}
+
+// -------------------------------------------------------- fire scans ----
+//
+// Identity layouts (rows == 1: encoders, pool and fc stages) scan eight
+// contiguous neurons per step and left-pack the fired ones. A channel-major
+// conv layout (rows channels x cols positions, slot s*rows + c) is scanned
+// contiguously in tiles of eight positions: each 8-channel group of a tile
+// yields eight compare masks (one byte per position), which one 8x8 bit
+// transpose turns into per-channel bytes -- byte c*cols/8 + tile of a
+// canonical fired bitmap. A second pass left-packs the bitmap, so fired
+// indices come out canonical and ascending. Subtraction is a blend, so an
+// unfired lane keeps its bits exactly. Packed stores write 8 entries at
+// fired + count with count <= the canonical index of the block, so they
+// stay inside the rows*cols fired buffer.
+
+// Largest tiled layout: its fired bitmap is a bounded stack buffer (the
+// scans allocate nothing); bigger layouts take the scalar leaf.
+constexpr std::size_t kMaxTiledNeurons = 32768;
+
+bool tiles_fit(std::size_t rows, std::size_t cols) {
+  return rows % 4 == 0 && rows <= 64 && cols % 8 == 0 &&
+         rows * cols <= kMaxTiledNeurons;
+}
+
+// 8x8 bit-matrix transpose, row r in byte r and column c in bit c: returns
+// column c in byte c (three delta swaps, Hacker's Delight 7-3).
+inline std::uint64_t transpose8x8(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+// Tile walk of a channel-major layout. group.run<W>(slot) scans the W (8
+// or 4) channels at `slot` -- one position of a channel group -- and
+// returns their fire mask; the masks land transposed in `bits`, one bit per
+// neuron in canonical order. Every byte of the rows*cols/8 bitmap is
+// written once. No branch depends on the data: at the scans' firing
+// densities a skip test would mispredict more often than it saves.
+template <typename Group>
+void scan_tiles(std::size_t rows, std::size_t cols, std::uint8_t* bits,
+                const Group& group) {
+  const std::size_t tiles = cols / 8;
+  for (std::size_t tile = 0; tile < tiles; ++tile) {
+    const std::size_t slot0 = tile * 8 * rows;
+    for (std::size_t c0 = 0; c0 < rows; c0 += 8) {
+      const bool wide = c0 + 8 <= rows;
+      std::uint64_t x = 0;
+      for (std::size_t p = 0; p < 8; ++p) {
+        const std::size_t slot = slot0 + p * rows + c0;
+        const unsigned mask = wide ? group.template run<8>(slot)
+                                   : group.template run<4>(slot);
+        x |= static_cast<std::uint64_t>(mask) << (8 * p);
+      }
+      x = transpose8x8(x);
+      const std::size_t width = wide ? 8 : 4;
+      for (std::size_t c = 0; c < width; ++c) {
+        bits[(c0 + c) * tiles + tile] = static_cast<std::uint8_t>(x >> (8 * c));
+      }
+    }
+  }
+}
+
+// Left-packs the canonical indices of every set bit of `bits` (n / 8
+// bytes), skipping all-zero 8-byte words.
+std::size_t pack_bitmap(const std::uint8_t* bits, std::size_t n,
+                        std::uint32_t* fired) {
+  std::size_t count = 0;
+  const std::size_t nbytes = n / 8;
+  std::size_t b = 0;
+  for (; b + 8 <= nbytes; b += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bits + b, sizeof(word));
+    if (word == 0) {
+      continue;
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+      count += pack_lanes(static_cast<unsigned>(word >> (8 * i)) & 0xFF,
+                          static_cast<std::uint32_t>(8 * (b + i)),
+                          fired + count);
+    }
+  }
+  for (; b < nbytes; ++b) {
+    count += pack_lanes(bits[b], static_cast<std::uint32_t>(8 * b),
+                        fired + count);
+  }
+  return count;
+}
+
+// The scan of either kernel over a layout tiles_fit() accepts (or the
+// identity); `group` applies that kernel's per-neuron rule at widths 8, 4
+// and 1. Returns the fired count.
+template <typename Group>
+std::size_t scan_layout(std::size_t rows, std::size_t cols, const Group& group,
+                        std::uint32_t* fired) {
+  if (rows != 1) {
+    alignas(32) std::uint8_t bits[kMaxTiledNeurons / 8];
+    scan_tiles(rows, cols, bits, group);
+    return pack_bitmap(bits, rows * cols, fired);
+  }
+  std::size_t count = 0;
+  std::size_t j = 0;
+  for (; j + 8 <= cols; j += 8) {
+    count += pack_lanes(group.template run<8>(j),
+                        static_cast<std::uint32_t>(j), fired + count);
+  }
+  for (; j < cols; ++j) {
+    if (group.template run<1>(j) != 0) {
+      fired[count++] = static_cast<std::uint32_t>(j);
+    }
+  }
+  return count;
+}
+
 // ------------------------------------------------------ threshold scan ----
 
-// Eight neurons are compared per iteration; fired lanes are then visited in
-// ascending order via the movemask, so the fired list and the subtract side
-// effects match the canonical scan exactly. Lanes are independent (each
-// neuron's potential is read and written once), so the vector compare
-// cannot observe a stale value.
+template <bool Subtract>
+struct ThresholdGroup {
+  float* u;
+  float threshold;
+
+  template <std::size_t W>
+  unsigned run(std::size_t slot) const {
+    float* p = u + slot;
+    if constexpr (W == 8) {
+      const __m256 th = _mm256_set1_ps(threshold);
+      const __m256 v = _mm256_loadu_ps(p);
+      const __m256 ge = _mm256_cmp_ps(v, th, _CMP_GE_OQ);
+      if constexpr (Subtract) {
+        _mm256_storeu_ps(p, _mm256_blendv_ps(v, _mm256_sub_ps(v, th), ge));
+      }
+      return static_cast<unsigned>(_mm256_movemask_ps(ge));
+    } else if constexpr (W == 4) {
+      const __m128 th = _mm_set1_ps(threshold);
+      const __m128 v = _mm_loadu_ps(p);
+      const __m128 ge = _mm_cmp_ps(v, th, _CMP_GE_OQ);
+      if constexpr (Subtract) {
+        _mm_storeu_ps(p, _mm_blendv_ps(v, _mm_sub_ps(v, th), ge));
+      }
+      return static_cast<unsigned>(_mm_movemask_ps(ge));
+    } else {
+      if (*p >= threshold) {
+        if constexpr (Subtract) {
+          *p -= threshold;
+        }
+        return 1;
+      }
+      return 0;
+    }
+  }
+};
+
 std::size_t av_threshold_fire(const ThresholdCtx& ctx) {
-  const __m256 th = _mm256_set1_ps(ctx.threshold);
-  std::size_t fired = 0;
-  std::size_t j = 0;
-  if (ctx.umap == nullptr) {
-    for (; j + 8 <= ctx.n; j += 8) {
-      const __m256 v = _mm256_loadu_ps(ctx.u + j);
-      int mask = _mm256_movemask_ps(_mm256_cmp_ps(v, th, _CMP_GE_OQ));
-      while (mask != 0) {
-        const int b = __builtin_ctz(static_cast<unsigned>(mask));
-        mask &= mask - 1;
-        const std::size_t idx = j + static_cast<std::size_t>(b);
-        if (ctx.subtract) {
-          ctx.u[idx] -= ctx.threshold;
-        }
-        ctx.fired[fired++] = static_cast<std::uint32_t>(idx);
+  if (ctx.rows != 1 && !tiles_fit(ctx.rows, ctx.cols)) {
+    return sc_threshold_fire(ctx);
+  }
+  if (ctx.subtract) {
+    return scan_layout(ctx.rows, ctx.cols,
+                       ThresholdGroup<true>{ctx.u, ctx.threshold}, ctx.fired);
+  }
+  return scan_layout(ctx.rows, ctx.cols,
+                     ThresholdGroup<false>{ctx.u, ctx.threshold}, ctx.fired);
+}
+
+// ---------------------------------------------------------- burst scan ----
+
+// The quantum of a counter k is quanta[min(k, cap)]. The vector widths hold
+// the cap + 1 rung ladder in one register (so caps up to 7) and read each
+// lane's rung with a permute.
+struct BurstGroup {
+  float* u;
+  std::uint32_t* k;
+  const float* quanta;
+  std::uint32_t cap;
+  __m256 ladder;
+
+  template <std::size_t W>
+  unsigned run(std::size_t slot) const {
+    float* up = u + slot;
+    std::uint32_t* kp = k + slot;
+    if constexpr (W == 8) {
+      auto* kv = reinterpret_cast<__m256i*>(kp);
+      const __m256i kk = _mm256_loadu_si256(kv);
+      const __m256 q = _mm256_permutevar8x32_ps(
+          ladder,
+          _mm256_min_epu32(kk, _mm256_set1_epi32(static_cast<int>(cap))));
+      const __m256 v = _mm256_loadu_ps(up);
+      const __m256 ge = _mm256_cmp_ps(v, q, _CMP_GE_OQ);
+      _mm256_storeu_ps(up, _mm256_blendv_ps(v, _mm256_sub_ps(v, q), ge));
+      _mm256_storeu_si256(
+          kv, _mm256_and_si256(_mm256_castps_si256(ge),
+                               _mm256_add_epi32(kk, _mm256_set1_epi32(1))));
+      return static_cast<unsigned>(_mm256_movemask_ps(ge));
+    } else if constexpr (W == 4) {
+      auto* kv = reinterpret_cast<__m128i*>(kp);
+      const __m128i kk = _mm_loadu_si128(kv);
+      const __m128i e =
+          _mm_min_epu32(kk, _mm_set1_epi32(static_cast<int>(cap)));
+      const __m128 q = _mm256_castps256_ps128(
+          _mm256_permutevar8x32_ps(ladder, _mm256_zextsi128_si256(e)));
+      const __m128 v = _mm_loadu_ps(up);
+      const __m128 ge = _mm_cmp_ps(v, q, _CMP_GE_OQ);
+      _mm_storeu_ps(up, _mm_blendv_ps(v, _mm_sub_ps(v, q), ge));
+      _mm_storeu_si128(kv, _mm_and_si128(_mm_castps_si128(ge),
+                                         _mm_add_epi32(kk, _mm_set1_epi32(1))));
+      return static_cast<unsigned>(_mm_movemask_ps(ge));
+    } else {
+      const float quantum = quanta[std::min(*kp, cap)];
+      if (*up >= quantum) {
+        *up -= quantum;
+        ++*kp;
+        return 1;
       }
-    }
-  } else {
-    for (; j + 8 <= ctx.n; j += 8) {
-      const __m256i idxv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(ctx.umap + j));
-      const __m256 v = _mm256_i32gather_ps(ctx.u, idxv, 4);
-      int mask = _mm256_movemask_ps(_mm256_cmp_ps(v, th, _CMP_GE_OQ));
-      while (mask != 0) {
-        const int b = __builtin_ctz(static_cast<unsigned>(mask));
-        mask &= mask - 1;
-        const std::size_t pos = j + static_cast<std::size_t>(b);
-        if (ctx.subtract) {
-          ctx.u[ctx.umap[pos]] -= ctx.threshold;
-        }
-        ctx.fired[fired++] = static_cast<std::uint32_t>(pos);
-      }
+      *kp = 0;
+      return 0;
     }
   }
-  for (; j < ctx.n; ++j) {
-    const std::size_t idx = ctx.umap == nullptr ? j : ctx.umap[j];
-    const float v = ctx.u[idx];
-    if (v >= ctx.threshold) {
-      if (ctx.subtract) {
-        ctx.u[idx] = v - ctx.threshold;
-      }
-      ctx.fired[fired++] = static_cast<std::uint32_t>(j);
-    }
+};
+
+std::size_t av_burst_fire(const BurstFireCtx& ctx) {
+  if (ctx.cap >= 8 || (ctx.rows != 1 && !tiles_fit(ctx.rows, ctx.cols))) {
+    return sc_burst_fire(ctx);
   }
-  return fired;
+  alignas(32) float rungs[8] = {};
+  std::memcpy(rungs, ctx.quanta, (ctx.cap + 1) * sizeof(float));
+  return scan_layout(
+      ctx.rows, ctx.cols,
+      BurstGroup{ctx.u, ctx.k, ctx.quanta, ctx.cap, _mm256_load_ps(rungs)},
+      ctx.fired);
 }
 
 // ---------------------------------------------------------------- axpy ----
@@ -206,27 +473,8 @@ void av_axpy(float* y, const float* x, float a, std::size_t n) {
 
 // -------------------------------------------------------- mask compact ----
 
-// Left-pack via a 256-entry permutation LUT: the keep-byte movemask indexes
-// the lane order that gathers surviving elements to the front, and the
-// whole 8-lane block is stored at dst + k (popcount advances k, the extra
-// lanes are overwritten by the next block). In-place safe for dst <= src:
-// the store at dst + k never passes the next load at src + i + 8.
-const std::array<std::array<std::uint8_t, 8>, 256>& compact_lut() {
-  static const auto lut = [] {
-    std::array<std::array<std::uint8_t, 8>, 256> t{};
-    for (int mask = 0; mask < 256; ++mask) {
-      int out = 0;
-      for (int lane = 0; lane < 8; ++lane) {
-        if ((mask >> lane) & 1) {
-          t[mask][out++] = static_cast<std::uint8_t>(lane);
-        }
-      }
-    }
-    return t;
-  }();
-  return lut;
-}
-
+// The keep-byte movemask indexes the LUT. In-place safe for dst <= src: the
+// store at dst + k never passes the next load at src + i + 8.
 std::size_t av_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
                             std::size_t n, std::uint32_t* dst) {
   const auto& lut = compact_lut();
@@ -264,9 +512,7 @@ const KernelDispatch kAvx2Table = [] {
   t.dense_matvec = av_dense_matvec;
   t.conv_taps = av_conv_taps;
   t.threshold_fire = av_threshold_fire;
-  // No vector burst_fire: an eight-lane gather leaf did not clearly beat
-  // the scalar scan end to end (docs/ARCHITECTURE.md, SIMD kernel layer).
-  t.burst_fire = sc_burst_fire;
+  t.burst_fire = av_burst_fire;
   t.axpy = av_axpy;
   t.mask_compact = av_mask_compact;
   return t;

@@ -49,27 +49,19 @@ void sc_conv_taps(const ConvTapCtx& ctx) {
   }
 }
 
+// Both fire scans walk the layout arithmetically: canonical j = c*cols + s
+// ascending, potential (and burst counter) at slot s*rows + c.
 std::size_t sc_threshold_fire(const ThresholdCtx& ctx) {
   std::size_t fired = 0;
-  if (ctx.umap == nullptr) {
-    for (std::size_t j = 0; j < ctx.n; ++j) {
-      const float v = ctx.u[j];
+  std::uint32_t j = 0;
+  for (std::size_t c = 0; c < ctx.rows; ++c) {
+    for (std::size_t s = 0; s < ctx.cols; ++s, ++j) {
+      float& v = ctx.u[s * ctx.rows + c];
       if (v >= ctx.threshold) {
         if (ctx.subtract) {
-          ctx.u[j] = v - ctx.threshold;
+          v -= ctx.threshold;
         }
-        ctx.fired[fired++] = static_cast<std::uint32_t>(j);
-      }
-    }
-  } else {
-    for (std::size_t j = 0; j < ctx.n; ++j) {
-      const std::size_t idx = ctx.umap[j];
-      const float v = ctx.u[idx];
-      if (v >= ctx.threshold) {
-        if (ctx.subtract) {
-          ctx.u[idx] = v - ctx.threshold;
-        }
-        ctx.fired[fired++] = static_cast<std::uint32_t>(j);
+        ctx.fired[fired++] = j;
       }
     }
   }
@@ -78,15 +70,19 @@ std::size_t sc_threshold_fire(const ThresholdCtx& ctx) {
 
 std::size_t sc_burst_fire(const BurstFireCtx& ctx) {
   std::size_t fired = 0;
-  for (std::size_t j = 0; j < ctx.n; ++j) {
-    const float quantum = ctx.quanta[std::min(ctx.k[j], ctx.cap)];
-    float& uj = ctx.u[ctx.umap == nullptr ? j : ctx.umap[j]];
-    if (uj >= quantum) {
-      uj -= quantum;
-      ++ctx.k[j];
-      ctx.fired[fired++] = static_cast<std::uint32_t>(j);
-    } else {
-      ctx.k[j] = 0;
+  std::uint32_t j = 0;
+  for (std::size_t c = 0; c < ctx.rows; ++c) {
+    for (std::size_t s = 0; s < ctx.cols; ++s, ++j) {
+      const std::size_t slot = s * ctx.rows + c;
+      const float quantum = ctx.quanta[std::min(ctx.k[slot], ctx.cap)];
+      float& v = ctx.u[slot];
+      if (v >= quantum) {
+        v -= quantum;
+        ++ctx.k[slot];
+        ctx.fired[fired++] = j;
+      } else {
+        ctx.k[slot] = 0;
+      }
     }
   }
   return fired;

@@ -39,9 +39,10 @@ void CodingScheme::readout_into(const EventBuffer& in,
 
 void CodingScheme::finish_readout(const SynapseTopology& syn, StageState& st,
                                   float* logits) const {
+  const AccumLayout layout = syn.accum_layout();
   const std::size_t n = syn.out_size();
   for (std::size_t j = 0; j < n; ++j) {
-    logits[j] = st.u[st.umap[j]];
+    logits[j] = st.u[layout.slot(j)];
   }
 }
 

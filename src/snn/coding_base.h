@@ -146,7 +146,8 @@ class CodingScheme {
                             LayerRole role, std::size_t t,
                             StageState& st) const = 0;
   /// Copies the accumulated potentials into `logits` (length
-  /// syn.out_size()). Pure copy through the accumulator map -- callable
+  /// syn.out_size()), reading each neuron's slot of the accumulator layout
+  /// (SynapseTopology::accum_layout). Pure copy -- callable
   /// after any prefix of the readout steps (the anytime-inference hook).
   virtual void finish_readout(const SynapseTopology& syn, StageState& st,
                               float* logits) const;
@@ -180,7 +181,8 @@ using CodingSchemePtr = std::unique_ptr<CodingScheme>;
 /// `batch` is caller-owned scratch (reused across steps so the per-step
 /// assembly allocates only on growth); must not be shared across threads.
 /// Writes `u` in the topology's accumulator layout (propagate_accum) --
-/// consumers index it through StageState::accum_map().
+/// consumers find neuron j at syn.accum_layout().slot(j), and the fire
+/// scans take the layout's extents.
 inline void propagate_step(const EventBuffer& in, std::size_t t, float m,
                            const SynapseTopology& syn, SpikeBatch& batch,
                            float* u) {

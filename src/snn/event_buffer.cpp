@@ -18,6 +18,21 @@ void EventBuffer::reset(std::size_t num_neurons, std::size_t window) {
   finalized_ = false;
 }
 
+void EventBuffer::push_step(std::int32_t t, const std::uint32_t* ids,
+                            std::size_t n) {
+  if (n == 0) {
+    return;
+  }
+  check_push_time(t);
+  for (std::size_t i = 0; i < n; ++i) {
+    check_neuron(ids[i]);
+  }
+  sorted_ = sorted_ && (times_.empty() || t >= times_.back());
+  finalized_ = false;
+  times_.insert(times_.end(), n, t);
+  neurons_.insert(neurons_.end(), ids, ids + n);
+}
+
 void EventBuffer::finalize(EventSortScratch& scratch) {
   if (finalized_) {
     return;

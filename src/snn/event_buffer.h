@@ -64,18 +64,19 @@ class EventBuffer {
   /// Appends a spike of `neuron` at step `t` (bounds-checked). Any order
   /// is accepted; time-ordered appends make finalize() sort-free.
   void push(std::int32_t t, std::uint32_t neuron) {
-    TSNN_CHECK_MSG(t >= 0 && static_cast<std::size_t>(t) < window_,
-                   "event time " << t << " outside window " << window_);
-    TSNN_CHECK_MSG(static_cast<std::size_t>(t) >= closed_,
-                   "event time " << t << " in already-closed step (closed "
-                                 << closed_ << ")");
-    TSNN_CHECK_MSG(neuron < num_neurons_,
-                   "neuron " << neuron << " out of range " << num_neurons_);
+    check_push_time(t);
+    check_neuron(neuron);
     sorted_ = sorted_ && (times_.empty() || t >= times_.back());
     finalized_ = false;
     times_.push_back(t);
     neurons_.push_back(neuron);
   }
+
+  /// Appends `ids[0..n)` at step `t`, in order -- the arrays and flags
+  /// push(t, ids[i]) for each i would leave, with the time checks made once
+  /// per call and the neuron range check per id. Throws before appending
+  /// anything; n == 0 is a no-op. The fire scans' per-step emission.
+  void push_step(std::int32_t t, const std::uint32_t* ids, std::size_t n);
 
   /// Buckets the events by time (stable within a step) and builds the CSR
   /// offset table. Idempotent; required before per-step access.
@@ -191,6 +192,17 @@ class EventBuffer {
  private:
   void check_finalized() const {
     TSNN_CHECK_MSG(finalized_, "EventBuffer not finalized");
+  }
+  void check_push_time(std::int32_t t) const {
+    TSNN_CHECK_MSG(t >= 0 && static_cast<std::size_t>(t) < window_,
+                   "event time " << t << " outside window " << window_);
+    TSNN_CHECK_MSG(static_cast<std::size_t>(t) >= closed_,
+                   "event time " << t << " in already-closed step (closed "
+                                 << closed_ << ")");
+  }
+  void check_neuron(std::uint32_t neuron) const {
+    TSNN_CHECK_MSG(neuron < num_neurons_,
+                   "neuron " << neuron << " out of range " << num_neurons_);
   }
   void check_step_readable(std::size_t t) const {
     TSNN_CHECK_MSG(finalized_ || t < closed_,

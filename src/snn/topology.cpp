@@ -357,6 +357,10 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
   ctx.in_hw = in_h_ * in_w_;
   ctx.k2 = kernel_ * kernel_;
   ctx.oc = out_ch_;
+  if (kernel_ == 3 && stride_ == 1 && pad_ == 1) {
+    ctx.in_w = in_w_;  // the geometry a fixed-offset leaf may specialize
+    ctx.in_h = in_h_;
+  }
   ctx.u = u;
   simd::kernels().conv_taps(ctx);
 }

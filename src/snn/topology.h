@@ -73,16 +73,20 @@ class SpikeBatch {
 };
 
 /// Layout of a topology's *internal* potential accumulator, used by the
-/// propagate_accum() hot path. Canonical postsynaptic neuron j lives at
-/// accumulator slot j (identity) or, when `transposed`, at
-/// (j % cols) * rows + j / cols -- e.g. ConvTopology keeps potentials as
-/// {spatial, channel} so its spike kernel runs unit-stride over channels.
-/// StageState::accum_map() materializes the j -> slot mapping for the
-/// coding schemes' firing loops.
+/// propagate_accum() hot path: `rows` channels x `cols` positions, with
+/// canonical postsynaptic neuron j = c*cols + s at accumulator slot
+/// s*rows + c. rows == 1 is the identity layout; ConvTopology keeps
+/// potentials as {spatial, channel} (rows = out channels) so its spike
+/// kernel runs unit-stride over channels. The fire-scan kernels take the
+/// two extents directly (simd::ThresholdCtx, simd::BurstFireCtx).
 struct AccumLayout {
-  std::size_t rows = 0;     ///< canonical-major extent (e.g. out channels)
-  std::size_t cols = 0;     ///< canonical-minor extent (e.g. out h*w)
-  bool transposed = false;  ///< false = identity layout
+  std::size_t rows = 1;  ///< canonical-major extent (e.g. out channels)
+  std::size_t cols = 0;  ///< canonical-minor extent (e.g. out h*w)
+
+  /// Accumulator slot of canonical neuron j.
+  std::size_t slot(std::size_t j) const {
+    return rows == 1 ? j : (j % cols) * rows + j / cols;
+  }
 };
 
 /// Abstract synapse fan-out.
@@ -110,7 +114,7 @@ class SynapseTopology {
   virtual void propagate(const SpikeBatch& batch, float* u) const;
 
   /// Layout of the accumulator that propagate_accum() writes into.
-  virtual AccumLayout accum_layout() const { return {}; }
+  virtual AccumLayout accum_layout() const { return {1, out_size()}; }
 
   /// Hot-path variant of propagate(): adds into `u` laid out per
   /// accum_layout(). Identical to propagate() up to that permutation --
@@ -237,7 +241,7 @@ class ConvTopology : public SynapseTopology {
   /// kernel's inner loop becomes a unit-stride multiply-add over channels
   /// (SIMD-friendly) instead of a scatter across {channel, spatial}.
   AccumLayout accum_layout() const override {
-    return AccumLayout{out_ch_, out_h_ * out_w_, true};
+    return AccumLayout{out_ch_, out_h_ * out_w_};
   }
   void propagate_accum(const SpikeBatch& batch, float* u) const override;
   void apply_dense(const float* x, float* y) const override;

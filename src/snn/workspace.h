@@ -26,30 +26,6 @@
 
 namespace tsnn::snn {
 
-/// Builds the canonical-neuron -> accumulator-slot map for `syn` (see
-/// SynapseTopology::accum_layout) into `umap`. Firing/readout loops index
-/// the potentials as u[map[j]]; identity layouts get the identity map, so
-/// scheme code has a single path.
-inline const std::uint32_t* build_accum_map(const SynapseTopology& syn,
-                                            aligned_vector<std::uint32_t>& umap) {
-  const AccumLayout l = syn.accum_layout();
-  const std::size_t n = syn.out_size();
-  umap.resize(n);
-  if (!l.transposed) {
-    for (std::size_t j = 0; j < n; ++j) {
-      umap[j] = static_cast<std::uint32_t>(j);
-    }
-  } else {
-    std::size_t j = 0;
-    for (std::size_t r = 0; r < l.rows; ++r) {
-      for (std::size_t c = 0; c < l.cols; ++c) {
-        umap[j++] = static_cast<std::uint32_t>(c * l.rows + r);
-      }
-    }
-  }
-  return umap.data();
-}
-
 /// Per-stage mutable state of one in-flight layer (or readout) run under
 /// the stepped CodingScheme interface (begin_layer/step_layer/end_layer).
 /// The whole-window run_layer_into/readout_into loops lease
@@ -63,13 +39,13 @@ struct StageState {
   EventBuffer out;        ///< stage output train (wavefront only; the
                           ///< whole-window loops emit into a caller buffer)
 
-  aligned_vector<float> u;             ///< membrane potentials accumulator
-  aligned_vector<std::uint32_t> k;     ///< burst escalation counters
+  /// Membrane potentials in the topology's accumulator layout
+  /// (SynapseTopology::accum_layout); burst's counters share its indexing.
+  aligned_vector<float> u;
+  aligned_vector<std::uint32_t> k;     ///< burst escalation counters, by slot
   std::vector<std::int64_t> isi_last;  ///< burst ISI decoder: last arrival
   std::vector<std::uint32_t> isi_k;    ///< burst ISI decoder: run length
-  aligned_vector<std::uint32_t> umap;  ///< neuron -> accumulator slot
   aligned_vector<std::uint32_t> fired;  ///< fire-scan kernel output
-  bool transposed = false;  ///< cached syn.accum_layout().transposed
 
   /// Zeroed potential array of length `n` (recycles capacity).
   float* potentials(std::size_t n) {
@@ -82,13 +58,6 @@ struct StageState {
   std::uint32_t* fired_scratch(std::size_t n) {
     fired.resize(n);
     return fired.data();
-  }
-
-  /// Rebuilds umap for `syn` and caches the layout kind. Valid until the
-  /// next accum_map() call on this state.
-  const std::uint32_t* accum_map(const SynapseTopology& syn) {
-    transposed = syn.accum_layout().transposed;
-    return build_accum_map(syn, umap);
   }
 };
 

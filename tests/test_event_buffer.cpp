@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "coding/registry.h"
@@ -85,6 +87,93 @@ TEST(EventBuffer, PushValidatesBounds) {
   EXPECT_THROW(buf.push(4, 0), InvalidArgument);
   EXPECT_THROW(buf.push(-1, 0), InvalidArgument);
   EXPECT_THROW(buf.push(0, 2), InvalidArgument);
+}
+
+TEST(EventBuffer, PushStepMatchesPerIdPush) {
+  // In-order steps (one empty, one repeated), a close, then an earlier step
+  // after a later one: both buffers hold the same arrays and flags
+  // throughout. The sorted flag shows through close_step(), which needs
+  // time-ordered pushes.
+  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
+      in_order = {{0, {3, 1, 4}}, {2, {}}, {2, {1, 5, 9, 2}}, {5, {6}}};
+  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
+      later = {{5, {5, 3}}, {7, {0}}, {6, {8, 8}}};
+  EventBuffer bulk;
+  EventBuffer each;
+  bulk.reset(10, 8);
+  each.reset(10, 8);
+  const auto append = [&](const auto& steps) {
+    for (const auto& [t, ids] : steps) {
+      bulk.push_step(t, ids.data(), ids.size());
+      for (const std::uint32_t id : ids) {
+        each.push(t, id);
+      }
+      ASSERT_EQ(bulk.size(), each.size()) << "t=" << t;
+      for (std::size_t i = 0; i < each.size(); ++i) {
+        EXPECT_EQ(bulk.times()[i], each.times()[i]) << "t=" << t << " i=" << i;
+        EXPECT_EQ(bulk.neurons()[i], each.neurons()[i]) << "t=" << t;
+      }
+      EXPECT_EQ(bulk.finalized(), each.finalized());
+    }
+  };
+  append(in_order);
+  bulk.close_step();
+  each.close_step();
+  EXPECT_EQ(bulk.steps_closed(), each.steps_closed());
+  append(later);
+  EXPECT_THROW(bulk.close_step(), InvalidArgument);
+  EXPECT_THROW(each.close_step(), InvalidArgument);
+  EventSortScratch scratch;
+  bulk.finalize(scratch);
+  each.finalize(scratch);
+  EXPECT_EQ(events_of(bulk), events_of(each));
+}
+
+/// what() of the InvalidArgument `f` throws ("" when it does not throw).
+template <typename F>
+std::string invalid_argument_of(F&& f) {
+  try {
+    f();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EventBuffer, PushStepThrowsLikePush) {
+  // An out-of-range id, a closed step and a time outside the window raise
+  // the same InvalidArgument as per-id push(); push_step appends nothing.
+  const std::vector<std::uint32_t> ids = {1, 4, 2};
+  EventBuffer bulk;
+  EventBuffer each;
+  const auto expect_same_throw = [&](auto&& prepare, std::int32_t t) {
+    bulk.reset(4, 8);
+    each.reset(4, 8);
+    prepare(bulk);
+    prepare(each);
+    const std::size_t before = bulk.size();
+    const std::string want = invalid_argument_of([&] {
+      for (const std::uint32_t id : ids) {
+        each.push(t, id);
+      }
+    });
+    EXPECT_FALSE(want.empty()) << "t=" << t;
+    EXPECT_EQ(invalid_argument_of(
+                  [&] { bulk.push_step(t, ids.data(), ids.size()); }),
+              want);
+    EXPECT_EQ(bulk.size(), before) << "t=" << t;
+  };
+  const auto nothing = [](EventBuffer&) {};
+  expect_same_throw(nothing, 3);  // neuron 4 of 4
+  expect_same_throw(
+      [](EventBuffer& b) {
+        b.push(0, 1);
+        b.close_step();
+        b.close_step();
+      },
+      1);
+  expect_same_throw(nothing, 8);
+  expect_same_throw(nothing, -1);
 }
 
 TEST(EventBuffer, RasterRoundTripPreservesEverything) {

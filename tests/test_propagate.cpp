@@ -57,9 +57,10 @@ SpikeBatch random_batch(std::size_t in_size, std::size_t count,
   return batch;
 }
 
-/// Maps canonical postsynaptic index j to its accum_layout() slot.
+/// Maps canonical postsynaptic index j to its accum_layout() slot, spelled
+/// out from the layout contract rather than through AccumLayout::slot().
 std::size_t accum_slot(const AccumLayout& l, std::size_t j) {
-  return l.transposed ? (j % l.cols) * l.rows + j / l.cols : j;
+  return (j % l.cols) * l.rows + j / l.cols;
 }
 
 /// Core property: propagate == sum of accumulate == apply_dense(gather)
@@ -280,7 +281,7 @@ TEST(Propagate, AccumIsBitIdenticalUpToLayoutPermutation) {
   // the dense-drive threshold.
   ConvTopology conv(random_tensor(Shape{4, 3, 3, 3}, 50), 6, 6, 1, 1);
   const AccumLayout layout = conv.accum_layout();
-  EXPECT_TRUE(layout.transposed);
+  EXPECT_EQ(layout.rows, 4u);
   EXPECT_EQ(layout.rows * layout.cols, conv.out_size());
   for (const std::size_t count :
        {std::size_t{5}, conv.dense_drive_threshold(), conv.in_size()}) {
@@ -292,12 +293,14 @@ TEST(Propagate, AccumIsBitIdenticalUpToLayoutPermutation) {
     for (std::size_t j = 0; j < conv.out_size(); ++j) {
       EXPECT_EQ(canonical[j], accum[accum_slot(layout, j)])
           << "batch " << count << " out " << j;
+      EXPECT_EQ(layout.slot(j), accum_slot(layout, j)) << "out " << j;
     }
   }
 
   // Identity-layout topologies: propagate_accum is propagate verbatim.
   DenseTopology dense(random_tensor(Shape{9, 14}, 60));
-  EXPECT_FALSE(dense.accum_layout().transposed);
+  EXPECT_EQ(dense.accum_layout().rows, 1u);
+  EXPECT_EQ(dense.accum_layout().cols, dense.out_size());
   const SpikeBatch db = random_batch(14, 4, 61);
   std::vector<float> a(9, 0.0f), b(9, 0.0f);
   dense.propagate(db, a.data());

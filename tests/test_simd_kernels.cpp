@@ -1,12 +1,14 @@
 // Every-ISA equivalence matrix for the simd kernel layer (simd/kernels.h):
 // each runnable dispatch table is driven against the scalar reference on
-// randomized shapes with odd sizes and tail lanes. Scatter-shaped kernels
-// (dense_scatter, conv_taps, threshold_fire, burst_fire, axpy,
-// mask_compact) must match BIT-EXACTLY -- they preserve per-slot addition
-// order and use separate mul+add -- while dense_matvec reorders its
-// dot-product reduction and is held to the documented 1e-5 tolerance. Which tables are runnable is
-// governed by TSNN_CPUFLAGS, so the CI scalar-forced leg shrinks this
-// matrix to the reference alone and the native leg covers every variant.
+// randomized shapes with odd sizes and tail lanes, on every accumulator
+// layout shape the fire scans distinguish, and on the zoo's conv shapes.
+// Scatter-shaped kernels (dense_scatter, conv_taps, threshold_fire,
+// burst_fire, axpy, mask_compact) must match BIT-EXACTLY -- they preserve
+// per-slot addition order and use separate mul+add -- while dense_matvec
+// reorders its dot-product reduction and is held to the documented 1e-5
+// tolerance. Which tables are runnable is governed by TSNN_CPUFLAGS, so the
+// CI scalar-forced leg shrinks this matrix to the reference alone and the
+// native leg covers every variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,6 +132,8 @@ TEST_P(SimdEquivalence, DenseMatvecWithinTolerance) {
   }
 }
 
+// A random CSR table leaves the 3x3 geometry fields unset, so every table
+// must serve it through its general path.
 TEST_P(SimdEquivalence, ConvTapsBitExact) {
   Rng rng(0xc0ffee11u);
   for (const std::size_t oc : {1ul, 7ul, 8ul, 13ul, 32ul, 65ul}) {
@@ -184,127 +188,177 @@ TEST_P(SimdEquivalence, ConvTapsBitExact) {
   }
 }
 
+// Accumulator layouts the fire scans take (rows channels x cols positions,
+// slot s*rows + c): the identity (rows 1), rows that are and are not a
+// multiple of 4 (the 4-lane channel step; 6 is even but not), up to the
+// 64-channel limit of the vector tiles, and position counts below, at and
+// above the 8-position tile.
+constexpr std::size_t kLayoutRows[] = {1, 3, 4, 6, 8, 12, 16, 24, 64};
+constexpr std::size_t kLayoutCols[] = {1, 7, 8, 16, 64, 256};
+
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+
 TEST_P(SimdEquivalence, ThresholdFireBitExact) {
   Rng rng(0x7153a11u);
-  for (const std::size_t n : kFanOuts) {
-    for (const bool subtract : {false, true}) {
-      for (const bool mapped : {false, true}) {
-        // Potentials straddling the threshold, including exact hits.
-        auto u0 = random_floats(rng, n, 0.0f, 2.0f);
-        if (n > 2) {
-          u0[n / 2] = 1.0f;  // the >= edge must fire
+  for (const std::size_t rows : kLayoutRows) {
+    for (const std::size_t cols : kLayoutCols) {
+      for (const bool subtract : {false, true}) {
+        const std::size_t n = rows * cols;
+        // Potentials straddling the threshold, with an exact hit, a
+        // negative zero and a NaN that every scan must leave bit for bit.
+        auto u_ref = random_floats(rng, n, -0.5f, 1.5f);
+        u_ref[n / 2] = 1.0f;  // the >= edge must fire
+        if (n > 3) {
+          u_ref[n / 3] = -0.0f;
+          u_ref[n - 2] = std::nanf("");
         }
-        // A permuted indirection map exercises the gather path.
-        std::vector<std::uint32_t> umap(n);
-        for (std::size_t j = 0; j < n; ++j) {
-          umap[j] = static_cast<std::uint32_t>(n - 1 - j);
-        }
-
-        auto u_ref = u0;
-        auto u_got = u0;
+        auto u_got = u_ref;
         std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
         std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
 
         simd::ThresholdCtx ctx;
-        ctx.umap = mapped ? umap.data() : nullptr;
-        ctx.n = n;
+        ctx.rows = rows;
+        ctx.cols = cols;
         ctx.threshold = 1.0f;
         ctx.subtract = subtract;
+        for (int step = 0; step < 3; ++step) {
+          ctx.u = u_ref.data();
+          ctx.fired = fired_ref.data();
+          const std::size_t nref = simd::scalar_kernels().threshold_fire(ctx);
+          ctx.u = u_got.data();
+          ctx.fired = fired_got.data();
+          const std::size_t ngot = table().threshold_fire(ctx);
 
-        ctx.u = u_ref.data();
-        ctx.fired = fired_ref.data();
-        const std::size_t nref = simd::scalar_kernels().threshold_fire(ctx);
-        ctx.u = u_got.data();
-        ctx.fired = fired_got.data();
-        const std::size_t ngot = table().threshold_fire(ctx);
-
-        ASSERT_EQ(nref, ngot) << table().isa << " n=" << n
-                              << " subtract=" << subtract
-                              << " mapped=" << mapped;
-        for (std::size_t j = 0; j < nref; ++j) {
-          ASSERT_EQ(fired_ref[j], fired_got[j]) << table().isa << " n=" << n;
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(u_ref[j], u_got[j]) << table().isa << " n=" << n
-                                        << " subtract=" << subtract;
+          ASSERT_EQ(nref, ngot) << table().isa << " layout " << rows << "x"
+                                << cols << " subtract=" << subtract
+                                << " step=" << step;
+          for (std::size_t f = 0; f < nref; ++f) {
+            ASSERT_EQ(fired_ref[f], fired_got[f])
+                << table().isa << " layout " << rows << "x" << cols
+                << " f=" << f;
+          }
+          for (std::size_t j = 0; j < n; ++j) {
+            ASSERT_EQ(bits_of(u_ref[j]), bits_of(u_got[j]))
+                << table().isa << " layout " << rows << "x" << cols
+                << " subtract=" << subtract << " slot=" << j;
+          }
+          for (std::size_t j = 0; j < n; ++j) {  // recharge for the next scan
+            u_ref[j] += 0.375f;
+            u_got[j] += 0.375f;
+          }
         }
       }
     }
   }
 }
 
+// The layout contract worked by hand on a 4-channel x 8-position layout
+// (one vector tile): neuron j = c*8 + s sits at slot s*4 + c, and the fired
+// list is canonical and ascending although the slots fire in another order.
+TEST_P(SimdEquivalence, ThresholdFireWorkedLayout) {
+  constexpr std::size_t kRows = 4;
+  constexpr std::size_t kCols = 8;
+  const std::vector<std::uint32_t> fired_want = {1, 6, 8, 15, 16, 17, 26, 31};
+  std::vector<float> u(kRows * kCols, 0.5f);
+  for (const std::uint32_t j : fired_want) {
+    const std::size_t c = j / kCols;
+    u[(j % kCols) * kRows + c] = 1.0f + 0.25f * static_cast<float>(c);
+  }
+  std::vector<std::uint32_t> fired(u.size());
+  simd::ThresholdCtx ctx;
+  ctx.u = u.data();
+  ctx.rows = kRows;
+  ctx.cols = kCols;
+  ctx.threshold = 1.0f;
+  ctx.subtract = true;
+  ctx.fired = fired.data();
+  fired.resize(table().threshold_fire(ctx));
+  EXPECT_EQ(fired, fired_want) << table().isa;
+  for (std::size_t slot = 0; slot < u.size(); ++slot) {
+    const std::size_t c = slot % kRows;
+    const auto j = static_cast<std::uint32_t>(c * kCols + slot / kRows);
+    const bool fired_j = std::find(fired_want.begin(), fired_want.end(), j) !=
+                         fired_want.end();
+    EXPECT_EQ(u[slot], fired_j ? 0.25f * static_cast<float>(c) : 0.5f)
+        << table().isa << " slot=" << slot;
+  }
+}
+
 TEST_P(SimdEquivalence, BurstFireBitExact) {
   Rng rng(0xb0257u);
-  constexpr std::uint32_t kCap = 4;
-  std::vector<float> quanta(kCap + 1);
-  for (std::uint32_t e = 0; e <= kCap; ++e) {
-    quanta[e] = 0.4f * static_cast<float>(1u << e);
-  }
-  for (const std::size_t n : kFanOuts) {
-    for (const bool mapped : {false, true}) {
-      // Counters below, at and above the cap -- including one past 2^31,
-      // which a signed clamp would turn into a negative table index.
-      std::vector<std::uint32_t> k0(n);
-      for (auto& k : k0) {
-        k = static_cast<std::uint32_t>(rng.uniform_index(kCap + 3));
-      }
-      k0[0] = 0;
-      k0[n / 2] = kCap;
-      k0[n - 1] = 0x80000001u;
-      std::vector<std::uint32_t> umap(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        umap[j] = static_cast<std::uint32_t>(j);
-      }
-      for (std::size_t j = n; j > 1; --j) {  // a random permutation
-        std::swap(umap[j - 1], umap[rng.uniform_index(j)]);
-      }
-      const auto slot = [&](std::size_t j) { return mapped ? umap[j] : j; };
-      // Potentials straddling each neuron's quantum, with exact hits, and a
-      // negative zero that an unfired lane must keep bit for bit.
-      auto u0 = random_floats(rng, n, -quanta[kCap], 2.0f * quanta[kCap]);
-      u0[slot(n / 2)] = quanta[kCap];
-      u0[slot(n / 3)] = quanta[std::min(k0[n / 3], kCap)];
-      u0[slot(n / 4)] = -0.0f;
-
-      auto u_ref = u0;
-      auto u_got = u0;
-      auto k_ref = k0;
-      auto k_got = k0;
-      std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
-      std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
-
-      simd::BurstFireCtx ctx;
-      ctx.umap = mapped ? umap.data() : nullptr;
-      ctx.n = n;
-      ctx.quanta = quanta.data();
-      ctx.cap = kCap;
-      // Three scans in a row: counters escalate, reset and escalate again.
-      for (int step = 0; step < 3; ++step) {
-        ctx.u = u_ref.data();
-        ctx.k = k_ref.data();
-        ctx.fired = fired_ref.data();
-        const std::size_t nref = simd::scalar_kernels().burst_fire(ctx);
-        ctx.u = u_got.data();
-        ctx.k = k_got.data();
-        ctx.fired = fired_got.data();
-        const std::size_t ngot = table().burst_fire(ctx);
-
-        ASSERT_EQ(nref, ngot) << table().isa << " n=" << n
-                              << " mapped=" << mapped << " step=" << step;
-        for (std::size_t f = 0; f < nref; ++f) {
-          ASSERT_EQ(fired_ref[f], fired_got[f]) << table().isa << " n=" << n;
+  for (const std::uint32_t cap : {4u, 12u}) {
+    std::vector<float> quanta(cap + 1);
+    for (std::uint32_t e = 0; e <= cap; ++e) {
+      quanta[e] = 0.4f * static_cast<float>(1u << e);
+    }
+    for (const std::size_t rows : kLayoutRows) {
+      for (const std::size_t cols : kLayoutCols) {
+        const std::size_t n = rows * cols;
+        // Counters below, at and above the cap -- including one past 2^31,
+        // which a signed clamp would turn into a negative table index, and
+        // one at 2^32 - 1, whose increment wraps to 0.
+        std::vector<std::uint32_t> k_ref(n);
+        for (auto& k : k_ref) {
+          k = static_cast<std::uint32_t>(rng.uniform_index(cap + 3));
         }
+        k_ref[0] = 0;
+        k_ref[n / 2] = cap;
+        k_ref[n - 1] = 0x80000001u;
+        if (n > 3) {
+          k_ref[n / 3] = 0xffffffffu;
+        }
+        // Potentials straddling each neuron's quantum, with exact hits, and
+        // a negative zero that an unfired lane must keep bit for bit.
+        std::vector<float> u_ref(n);
         for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(u_ref[j]),
-                    std::bit_cast<std::uint32_t>(u_got[j]))
-              << table().isa << " n=" << n << " mapped=" << mapped
-              << " j=" << j;
-          ASSERT_EQ(k_ref[j], k_got[j]) << table().isa << " n=" << n
-                                        << " mapped=" << mapped << " j=" << j;
+          u_ref[j] = quanta[std::min(k_ref[j], cap)] *
+                     static_cast<float>(rng.uniform(-0.5, 1.5));
         }
-        for (std::size_t j = 0; j < n; ++j) {  // recharge for the next scan
-          u_ref[j] += 0.5f;
-          u_got[j] += 0.5f;
+        u_ref[n / 2] = quanta[cap];
+        u_ref[n / 4] = -0.0f;
+        if (n > 5) {
+          u_ref[n / 5] = quanta[std::min(k_ref[n / 5], cap)];
+        }
+        auto u_got = u_ref;
+        auto k_got = k_ref;
+        std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
+        std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
+
+        simd::BurstFireCtx ctx;
+        ctx.rows = rows;
+        ctx.cols = cols;
+        ctx.quanta = quanta.data();
+        ctx.cap = cap;
+        // Three scans in a row: counters escalate, reset and escalate again.
+        for (int step = 0; step < 3; ++step) {
+          ctx.u = u_ref.data();
+          ctx.k = k_ref.data();
+          ctx.fired = fired_ref.data();
+          const std::size_t nref = simd::scalar_kernels().burst_fire(ctx);
+          ctx.u = u_got.data();
+          ctx.k = k_got.data();
+          ctx.fired = fired_got.data();
+          const std::size_t ngot = table().burst_fire(ctx);
+
+          ASSERT_EQ(nref, ngot) << table().isa << " cap " << cap << " layout "
+                                << rows << "x" << cols << " step=" << step;
+          for (std::size_t f = 0; f < nref; ++f) {
+            ASSERT_EQ(fired_ref[f], fired_got[f])
+                << table().isa << " cap " << cap << " layout " << rows << "x"
+                << cols << " f=" << f;
+          }
+          for (std::size_t j = 0; j < n; ++j) {
+            ASSERT_EQ(bits_of(u_ref[j]), bits_of(u_got[j]))
+                << table().isa << " cap " << cap << " layout " << rows << "x"
+                << cols << " slot=" << j;
+            ASSERT_EQ(k_ref[j], k_got[j])
+                << table().isa << " cap " << cap << " layout " << rows << "x"
+                << cols << " slot=" << j;
+          }
+          for (std::size_t j = 0; j < n; ++j) {  // recharge for the next scan
+            u_ref[j] += 0.5f;
+            u_got[j] += 0.5f;
+          }
         }
       }
     }
@@ -313,39 +367,134 @@ TEST_P(SimdEquivalence, BurstFireBitExact) {
 
 // The scan's contract worked by hand, so it binds the scalar leaf too: an
 // exact hit fires (>=), counters at and above the cap read the top rung, an
-// unfired counter resets, and fired indices are canonical and ascending
-// whichever slots the umap sends them to.
+// unfired counter resets, and fired indices are canonical and ascending.
 TEST_P(SimdEquivalence, BurstFireWorkedExample) {
   const std::vector<float> quanta = {0.5f, 1.0f, 2.0f};  // cap 2
-  const std::vector<float> u_in = {0.5f, 0.25f, 3.0f, 1.5f, 1.0f};
-  const std::vector<std::uint32_t> k_in = {0, 0, 2, 7, 1};
-  const std::vector<float> u_want = {0.0f, 0.25f, 1.0f, 1.5f, 0.0f};
-  const std::vector<std::uint32_t> k_want = {1, 0, 3, 0, 2};
-  const std::vector<std::uint32_t> fired_want = {0, 2, 4};
-  const std::vector<std::uint32_t> umap = {3, 0, 4, 1, 2};
-  for (const bool mapped : {false, true}) {
-    std::vector<float> u(u_in.size());
-    for (std::size_t j = 0; j < u.size(); ++j) {
-      u[mapped ? umap[j] : j] = u_in[j];
-    }
-    std::vector<std::uint32_t> k = k_in;
-    std::vector<std::uint32_t> fired(u.size());
-    simd::BurstFireCtx ctx;
-    ctx.u = u.data();
-    ctx.umap = mapped ? umap.data() : nullptr;
-    ctx.k = k.data();
-    ctx.n = u.size();
-    ctx.quanta = quanta.data();
-    ctx.cap = 2;
-    ctx.fired = fired.data();
-    fired.resize(table().burst_fire(ctx));
-    EXPECT_EQ(fired, fired_want) << table().isa << " mapped=" << mapped;
-    EXPECT_EQ(k, k_want) << table().isa << " mapped=" << mapped;
-    for (std::size_t j = 0; j < u.size(); ++j) {
-      EXPECT_EQ(u[mapped ? umap[j] : j], u_want[j])
-          << table().isa << " mapped=" << mapped << " j=" << j;
+  std::vector<float> u = {0.5f, 0.25f, 3.0f, 1.5f, 1.0f};
+  std::vector<std::uint32_t> k = {0, 0, 2, 7, 1};
+  std::vector<std::uint32_t> fired(u.size());
+  simd::BurstFireCtx ctx;
+  ctx.u = u.data();
+  ctx.k = k.data();
+  ctx.rows = 1;
+  ctx.cols = u.size();
+  ctx.quanta = quanta.data();
+  ctx.cap = 2;
+  ctx.fired = fired.data();
+  fired.resize(table().burst_fire(ctx));
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{0, 2, 4})) << table().isa;
+  EXPECT_EQ(k, (std::vector<std::uint32_t>{1, 0, 3, 0, 2})) << table().isa;
+  EXPECT_EQ(u, (std::vector<float>{0.0f, 0.25f, 1.0f, 1.5f, 0.0f}))
+      << table().isa;
+}
+
+// Its transposed twin: 2 channels x 3 positions, so neuron j = c*3 + s sits
+// at slot s*2 + c and the arrays below are in slot order. Neurons j = 0..5
+// hold u {0.5, 0.25, 3.0, 1.5, 1.0, 0.75} and k {0, 0, 2, 7, 1, 0}; j 0, 2,
+// 4 and 5 fire, and the counters, indexed by slot like u, move with them.
+TEST_P(SimdEquivalence, BurstFireWorkedExampleTransposed) {
+  const std::vector<float> quanta = {0.5f, 1.0f, 2.0f};  // cap 2
+  std::vector<float> u = {0.5f, 1.5f, 0.25f, 1.0f, 3.0f, 0.75f};
+  std::vector<std::uint32_t> k = {0, 7, 0, 1, 2, 0};
+  std::vector<std::uint32_t> fired(u.size());
+  simd::BurstFireCtx ctx;
+  ctx.u = u.data();
+  ctx.k = k.data();
+  ctx.rows = 2;
+  ctx.cols = 3;
+  ctx.quanta = quanta.data();
+  ctx.cap = 2;
+  ctx.fired = fired.data();
+  fired.resize(table().burst_fire(ctx));
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{0, 2, 4, 5})) << table().isa;
+  EXPECT_EQ(k, (std::vector<std::uint32_t>{1, 0, 0, 2, 3, 1})) << table().isa;
+  EXPECT_EQ(u, (std::vector<float>{0.0f, 1.5f, 0.25f, 0.0f, 1.0f, 0.25f}))
+      << table().isa;
+}
+
+// ConvTopology::propagate_accum through this table against the scalar
+// table, slot for slot with ==. Covers every channel count a vector table
+// may specialize for the zoo's 3x3 / stride-1 / pad-1 layers, at every
+// input size the zoo's layers see and below (where no position is
+// interior), shapes that take the general path (an unlisted channel
+// count, a 5x5 kernel, stride 2, pad 0), and a rectangular input, where
+// swapping width and height would show.
+void expect_conv_accum_matches_scalar(const KernelDispatch& table,
+                                      std::size_t oc, std::size_t ic,
+                                      std::size_t h, std::size_t w,
+                                      std::size_t kernel, std::size_t stride,
+                                      std::size_t pad, Rng& rng) {
+  const auto weights =
+      random_floats(rng, oc * ic * kernel * kernel, -1.0f, 1.0f);
+  const snn::ConvTopology conv(Tensor{Shape{oc, ic, kernel, kernel}, weights},
+                               h, w, stride, pad);
+  const std::size_t hw = h * w;
+  const auto in = static_cast<std::uint32_t>(conv.in_size());
+  // Corner, edge and interior spikes of the first and last input channel,
+  // a descending run across a row boundary, duplicate ids (jitter produces
+  // both orders), then random ids.
+  std::vector<std::uint32_t> ids;
+  for (const std::size_t c : {std::size_t{0}, ic - 1}) {
+    for (const std::size_t sp :
+         {std::size_t{0}, w - 1, (h - 1) * w, hw - 1, w / 2,
+          (h - 1) * w + w / 2, (h / 2) * w, (h / 2) * w + w - 1,
+          (h / 2) * w + w / 2}) {
+      ids.push_back(static_cast<std::uint32_t>(c * hw + sp));
     }
   }
+  const std::uint32_t top = std::min(in - 1, static_cast<std::uint32_t>(w + 3));
+  for (std::uint32_t d = 0; d < 12 && d <= top; ++d) {
+    ids.push_back(top - d);
+  }
+  ids.push_back(ids[3]);
+  ids.push_back(ids[8]);
+  ids.push_back(ids[8]);
+  for (int r = 0; r < 16; ++r) {
+    ids.push_back(static_cast<std::uint32_t>(rng.uniform_index(in)));
+  }
+  // Stay on the sparse path the conv_taps kernel serves (the dense drive
+  // takes batches from 3/4 of the input up).
+  const std::size_t sparse_max =
+      std::max<std::size_t>(1, conv.dense_drive_threshold() - 1);
+  ids.resize(std::min(ids.size(), sparse_max));
+  snn::SpikeBatch batch;
+  for (const std::uint32_t id : ids) {
+    batch.add(id, static_cast<float>(rng.uniform(0.05, 2.0)));
+  }
+
+  const auto u0 = random_floats(rng, conv.out_size(), -0.5f, 0.5f);
+  auto u_ref = u0;
+  auto u_got = u0;
+  for (int rep = 0; rep < 2; ++rep) {  // a second batch onto the first
+    {
+      simd::ScopedKernelOverride scalar(simd::scalar_kernels());
+      conv.propagate_accum(batch, u_ref.data());
+    }
+    simd::ScopedKernelOverride pinned(table);
+    conv.propagate_accum(batch, u_got.data());
+  }
+  for (std::size_t j = 0; j < u_ref.size(); ++j) {
+    ASSERT_EQ(u_ref[j], u_got[j])
+        << table.isa << " oc=" << oc << " ic=" << ic << " in " << h << "x" << w
+        << " k=" << kernel << " stride=" << stride << " pad=" << pad
+        << " slot=" << j;
+  }
+}
+
+TEST_P(SimdEquivalence, ConvAccumBitExactOnZooShapes) {
+  Rng rng(0xc0a7u);
+  for (const std::size_t oc : {8ul, 12ul, 16ul, 24ul, 32ul, 64ul}) {
+    for (const std::size_t ic : {1ul, 3ul, 16ul}) {
+      for (const std::size_t hw : {16ul, 8ul, 4ul, 2ul, 1ul}) {
+        expect_conv_accum_matches_scalar(table(), oc, ic, hw, hw, 3, 1, 1, rng);
+      }
+    }
+  }
+  expect_conv_accum_matches_scalar(table(), 20, 3, 8, 8, 3, 1, 1, rng);
+  expect_conv_accum_matches_scalar(table(), 16, 3, 9, 9, 5, 1, 2, rng);
+  expect_conv_accum_matches_scalar(table(), 16, 3, 9, 9, 3, 2, 1, rng);
+  expect_conv_accum_matches_scalar(table(), 16, 3, 8, 8, 3, 1, 0, rng);
+  expect_conv_accum_matches_scalar(table(), 16, 3, 6, 10, 3, 1, 1, rng);
 }
 
 TEST_P(SimdEquivalence, AxpyBitExact) {
