@@ -4,10 +4,11 @@
 // snn::DecisionPolicy) over every coding on the S-MNIST zoo model and
 // reports, per (coding, margin) point, the accuracy and the mean readout
 // timesteps consumed before the decision -- the anytime latency/accuracy
-// frontier of ROADMAP item 2. Logit scales differ by orders of magnitude
-// across codings (rate potentials reach tens, TTFS stays below one), so the
-// level axis is the margin as a *fraction* of the coding's typical final
-// decision margin, probed from a few policy-off reference images. Fraction
+// frontier: how early each coding can decide at a given accuracy cost.
+// Logit scales differ by orders of magnitude across codings (rate
+// potentials reach tens, TTFS stays below one), so the level axis is the
+// margin as a *fraction* of the coding's typical final decision margin,
+// probed from a few policy-off reference images. Fraction
 // 0 is the policy-off reference row (full window); the temporal codings
 // (TTFS/TTAS) concentrate their evidence early, so their frontier reaches
 // well under half the window within ~1% of reference accuracy.

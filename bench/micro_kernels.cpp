@@ -9,10 +9,10 @@
 // The spike-propagation and fire-scan benches also register one variant per
 // runnable SIMD dispatch table (e.g. BM_DenseSpikePropagate<scalar> next to
 // BM_DenseSpikePropagate<avx2>), so one run measures the vector speedup
-// against the forced-scalar reference on identical inputs. The dense-drive
-// crossover shows up as the "dense_crossover" counter on every propagate
-// config, and the active ISA is stamped into the benchmark JSON context
-// ("isa").
+// against the forced-scalar reference on identical inputs. The dense and
+// conv propagate benches each time one full-density step (conv's takes its
+// canonical order). The active ISA is stamped into the benchmark JSON
+// context ("isa").
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -123,34 +123,19 @@ void BM_DenseSpikePropagate(benchmark::State& state) {
   snn::DenseTopology syn(random_tensor(Shape{n, n}, 11));
   const snn::SpikeBatch batch = make_batch(n, spikes, 12);
   std::vector<float> u(syn.out_size(), 0.0f);
-  syn.propagate(batch, u.data());  // build the transposed cache up front
+  syn.propagate_accum(batch, u.data());  // build the transposed cache
   for (auto _ : state) {
-    syn.propagate(batch, u.data());
+    syn.propagate_accum(batch, u.data());
     benchmark::DoNotOptimize(u.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(spikes * n));
-  state.counters["dense_crossover"] =
-      static_cast<double>(syn.dense_drive_threshold());
 }
-BENCHMARK(BM_DenseSpikePropagate)->Args({512, 64})->Args({512, 350});
-
-/// Dense-drive regime: batch at full density, served by one apply_dense.
-void BM_DenseSpikePropagateDenseDrive(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  snn::DenseTopology syn(random_tensor(Shape{n, n}, 11));
-  const snn::SpikeBatch batch = make_batch(n, n, 12);
-  std::vector<float> u(syn.out_size(), 0.0f);
-  for (auto _ : state) {
-    syn.propagate(batch, u.data());
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-  state.counters["dense_crossover"] =
-      static_cast<double>(syn.dense_drive_threshold());
+/// {layer size, spikes/step}: sparse, mid-density and full density.
+void dense_propagate_args(benchmark::internal::Benchmark* b) {
+  b->Args({512, 64})->Args({512, 350})->Args({512, 512});
 }
-BENCHMARK(BM_DenseSpikePropagateDenseDrive)->Arg(512);
+BENCHMARK(BM_DenseSpikePropagate)->Apply(dense_propagate_args);
 
 void BM_ConvSpikeAccumulate(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
@@ -182,7 +167,8 @@ BENCHMARK(BM_ConvSpikeAccumulate)
 /// {spatial, channel} accumulator through the dispatch table's conv_taps,
 /// on the zoo's 3x3 / stride-1 / pad-1 shapes ({channels, side, spikes}:
 /// conv1b-like layers with as many input as output channels, about 8% of
-/// the input spiking).
+/// the input spiking, plus one at full density, which takes the canonical
+/// order's gather).
 void BM_ConvSpikePropagate(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
   const auto hw = static_cast<std::size_t>(state.range(1));
@@ -198,12 +184,11 @@ void BM_ConvSpikePropagate(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(spikes * 9 * channels));
-  state.counters["dense_crossover"] =
-      static_cast<double>(syn.dense_drive_threshold());
 }
 void conv_propagate_args(benchmark::internal::Benchmark* b) {
   b->Args({12, 16, 256})
       ->Args({16, 16, 320})
+      ->Args({16, 16, 4096})
       ->Args({24, 8, 128})
       ->Args({32, 8, 160})
       ->Args({64, 4, 80});
@@ -215,7 +200,7 @@ void BM_PoolSpikePropagate(benchmark::State& state) {
   const snn::SpikeBatch batch = make_batch(syn.in_size(), 512, 15);
   std::vector<float> u(syn.out_size(), 0.0f);
   for (auto _ : state) {
-    syn.propagate(batch, u.data());
+    syn.propagate_accum(batch, u.data());
     benchmark::DoNotOptimize(u.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -480,12 +465,7 @@ void register_isa_variants() {
     };
     benchmark::RegisterBenchmark(("BM_DenseSpikePropagate" + suffix).c_str(),
                                  pinned(BM_DenseSpikePropagate))
-        ->Args({512, 64})
-        ->Args({512, 350});
-    benchmark::RegisterBenchmark(
-        ("BM_DenseSpikePropagateDenseDrive" + suffix).c_str(),
-        pinned(BM_DenseSpikePropagateDenseDrive))
-        ->Arg(512);
+        ->Apply(dense_propagate_args);
     benchmark::RegisterBenchmark(("BM_ConvSpikePropagate" + suffix).c_str(),
                                  pinned(BM_ConvSpikePropagate))
         ->Apply(conv_propagate_args);

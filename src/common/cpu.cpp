@@ -23,42 +23,17 @@ std::uint32_t detect_features() {
 }
 
 std::uint32_t parse_cpuflags(const std::string& flags) {
-  const std::string trimmed = str::trim(flags);
-  if (trimmed.empty()) {
+  const std::string value = str::trim(flags);
+  if (value.empty() || value == "native" || value == "avx2") {
     return ~0u;
   }
-  std::uint32_t mask = 0;
-  // Tokens are separated by '+', ',' or ' ' and case-insensitive.
-  std::string token;
-  const auto consume = [&mask, &token] {
-    if (token.empty()) {
-      return;
-    }
-    const std::string t = str::to_lower(token);
-    token.clear();
-    if (t == "scalar" || t == "none") {
-      return;  // contributes no bits
-    }
-    if (t == "native" || t == "all") {
-      mask = ~0u;
-    } else if (t == "avx2") {
-      mask |= kAvx2;
-    } else {
-      std::fprintf(stderr,
-                   "warning: TSNN_CPUFLAGS token '%s' not recognized "
-                   "(known: scalar, avx2, native)\n",
-                   t.c_str());
-    }
-  };
-  for (const char c : trimmed) {
-    if (c == '+' || c == ',' || c == ' ') {
-      consume();
-    } else {
-      token.push_back(c);
-    }
+  if (value != "scalar") {
+    std::fprintf(stderr,
+                 "warning: TSNN_CPUFLAGS value '%s' not recognized "
+                 "(known: scalar, avx2, native); using scalar\n",
+                 value.c_str());
   }
-  consume();
-  return mask;
+  return 0;
 }
 
 std::uint32_t allowed_features() {

@@ -7,12 +7,13 @@
 // set the mask does not allow.
 //
 //   TSNN_CPUFLAGS=scalar     force the scalar reference kernels
-//   TSNN_CPUFLAGS=avx2       allow AVX2
+//   TSNN_CPUFLAGS=avx2       allow the AVX2 table
 //   TSNN_CPUFLAGS=native     everything the host supports (default)
 //
-// Requesting a feature the host lacks is not an error -- the mask is an
-// upper bound, intersected with detection -- so CI legs can export one
-// value fleet-wide.
+// Any other value warns and forces the scalar kernels. Allowing a feature
+// the host lacks is not an error -- the mask is an upper bound,
+// intersected with detection -- so CI legs can export one value
+// fleet-wide.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +30,10 @@ enum Feature : std::uint32_t {
 /// Features of the executing host (cached after the first call).
 std::uint32_t detect_features();
 
-/// Parses a TSNN_CPUFLAGS-style string ("scalar", "avx2", "native", comma
-/// or plus separated) into a feature mask. Unknown tokens are ignored with
-/// a warning to stderr. Exposed for tests; "native" and the empty string
-/// map to ~0u (everything).
+/// Parses a TSNN_CPUFLAGS value, trimmed and taken as a whole, into a
+/// feature mask: "", "native" and "avx2" map to ~0u (everything), "scalar"
+/// to 0, and anything else to 0 with a warning to stderr. Exposed for
+/// tests.
 std::uint32_t parse_cpuflags(const std::string& flags);
 
 /// detect_features() intersected with the TSNN_CPUFLAGS mask -- the

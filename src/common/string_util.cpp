@@ -1,6 +1,5 @@
 #include "common/string_util.h"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -46,14 +45,6 @@ std::string trim(const std::string& s) {
     --end;
   }
   return s.substr(begin, end - begin);
-}
-
-std::string to_lower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
 }
 
 std::string sci(double value, int digits) {

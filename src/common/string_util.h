@@ -15,9 +15,6 @@ std::string join(const std::vector<std::string>& parts, const std::string& delim
 /// Strips leading/trailing ASCII whitespace.
 std::string trim(const std::string& s);
 
-/// Lower-cases ASCII characters.
-std::string to_lower(const std::string& s);
-
 /// Formats `value` in engineering/scientific style matching the paper's
 /// tables, e.g. 94800 -> "9.48E4".
 std::string sci(double value, int digits = 2);

@@ -2,27 +2,23 @@
 //
 // The five hot inner loops of the simulator -- dense fan-out scatter, conv
 // tap accumulate, the potential/threshold scan, burst coding's escalating
-// fire scan, and the in-place noise compaction -- plus the dense-drive
-// matvec and the axpy building block are
-// leaf functions behind a KernelDispatch table of function pointers, the
-// FFmpeg DSP-table idiom: callers marshal their state into a plain KernelCtx
-// view and invoke through kernels(), and the variant that runs (scalar
-// reference or AVX2) is chosen once at startup from cpu::allowed_features()
-// -- so adding an ISA means adding leaf functions, never touching the class
-// hierarchy.
+// fire scan, and the in-place noise compaction -- plus the axpy building
+// block are leaf functions behind a KernelDispatch table of function
+// pointers, the FFmpeg DSP-table idiom: callers marshal their state into a
+// plain KernelCtx view and invoke through kernels(), and the variant that
+// runs (scalar reference or AVX2) is chosen once at startup from
+// cpu::allowed_features() -- so adding an ISA means adding leaf functions,
+// never touching the class hierarchy.
 //
 // Exactness contract
 // ------------------
-// Every kernel except dense_matvec is BIT-EXACT against the scalar
-// reference: the vector variants keep each destination slot's addition
-// order (contributions land in batch order) and use separate multiply and
-// add (no FMA contraction), so golden pins cannot move when the dispatch
-// changes. dense_matvec vectorizes a dot-product reduction -- a different
-// summation order, agreeing with the reference to ~1e-5 relative; it backs
-// the dense-drive path, whose tolerance contract predates this layer (see
-// SynapseTopology::propagate).
-// The simd translation units are compiled with -ffp-contract=off so the
-// "scalar" semantics stay scalar under any -march.
+// Every kernel is BIT-EXACT against the scalar reference: the vector
+// variants keep each destination slot's addition order (contributions land
+// in batch order) and use separate multiply and add (no FMA contraction),
+// so golden pins cannot move when the dispatch changes. No kernel reduces
+// across lanes. The simd translation units are compiled with
+// -ffp-contract=off so the "scalar" semantics stay scalar under any
+// -march.
 //
 // Ctx buffers should honor kSimdAlign (common/aligned.h) -- the kernels use
 // unaligned loads, so alignment is a performance guarantee, not a
@@ -49,16 +45,6 @@ struct DenseScatterCtx {
   std::size_t count = 0;  ///< spikes in the batch
   std::size_t out = 0;    ///< fan-out length per spike
   float* u = nullptr;     ///< out accumulators
-};
-
-/// Dense matvec: y[j] += dot(w[j*in ..], x) for all j -- the dense-drive /
-/// apply_dense shape. Tolerance path (see file comment).
-struct DenseMatvecCtx {
-  const float* w = nullptr;  ///< {out, in} canonical weights
-  const float* x = nullptr;  ///< gathered dense input, length in
-  std::size_t in = 0;
-  std::size_t out = 0;
-  float* y = nullptr;
 };
 
 /// One valid kernel tap of a conv input spatial position: which output
@@ -143,7 +129,6 @@ struct KernelDispatch {
   std::uint32_t features = 0;  ///< cpu::Feature bits this table requires
 
   void (*dense_scatter)(const DenseScatterCtx&) = nullptr;
-  void (*dense_matvec)(const DenseMatvecCtx&) = nullptr;
   void (*conv_taps)(const ConvTapCtx&) = nullptr;
   std::size_t (*threshold_fire)(const ThresholdCtx&) = nullptr;
   std::size_t (*burst_fire)(const BurstFireCtx&) = nullptr;

@@ -3,10 +3,10 @@
 // when cpu::allowed_features() includes the bit, so no AVX2 instruction
 // executes on a host without it.
 //
-// Bit-exactness discipline (see simd/kernels.h): every kernel here except
-// dense_matvec vectorizes across independent destination slots -- the
-// fan-out dimension, or the neurons of a fire scan -- so each slot still
-// receives its contributions in batch order, as one mul and one add, and
+// Bit-exactness discipline (see simd/kernels.h): every kernel here
+// vectorizes across independent destination slots -- the fan-out
+// dimension, or the neurons of a fire scan -- so each slot still receives
+// its contributions in batch order, as one mul and one add, and
 // -ffp-contract=off keeps the compiler from contracting the scalar tails.
 #include "simd/kernels_internal.h"
 
@@ -72,38 +72,6 @@ void av_dense_scatter(const DenseScatterCtx& ctx) {
     for (; j < out; ++j) {
       ctx.u[j] += ctx.mag[i] * col[j];
     }
-  }
-}
-
-// -------------------------------------------------------- dense matvec ----
-
-float hsum(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  return _mm_cvtss_f32(s);
-}
-
-// Tolerance path: the dot product is reduced 8 lanes at a time, a different
-// summation order than the scalar reference. Separate mul and add: FMA
-// measured slower here (the only kernel it could apply to).
-void av_dense_matvec(const DenseMatvecCtx& ctx) {
-  for (std::size_t j = 0; j < ctx.out; ++j) {
-    const float* row = ctx.w + j * ctx.in;
-    __m256 acc = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 8 <= ctx.in; i += 8) {
-      const __m256 w = _mm256_loadu_ps(row + i);
-      const __m256 x = _mm256_loadu_ps(ctx.x + i);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(w, x));
-    }
-    float tail = 0.0f;
-    for (; i < ctx.in; ++i) {
-      tail += row[i] * ctx.x[i];
-    }
-    ctx.y[j] += hsum(acc) + tail;
   }
 }
 
@@ -509,7 +477,6 @@ const KernelDispatch kAvx2Table = [] {
   t.isa = "avx2";
   t.features = cpu::kAvx2;
   t.dense_scatter = av_dense_scatter;
-  t.dense_matvec = av_dense_matvec;
   t.conv_taps = av_conv_taps;
   t.threshold_fire = av_threshold_fire;
   t.burst_fire = av_burst_fire;

@@ -9,7 +9,6 @@
 namespace tsnn::simd {
 
 void sc_dense_scatter(const DenseScatterCtx& ctx);
-void sc_dense_matvec(const DenseMatvecCtx& ctx);
 void sc_conv_taps(const ConvTapCtx& ctx);
 std::size_t sc_threshold_fire(const ThresholdCtx& ctx);
 std::size_t sc_burst_fire(const BurstFireCtx& ctx);

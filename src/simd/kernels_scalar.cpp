@@ -1,8 +1,8 @@
-// Scalar reference kernels: the semantics every vector variant is measured
-// against (bit-exact for all but dense_matvec -- see simd/kernels.h). These
-// are the historical inner loops of topology.cpp / the coding schemes,
-// lifted verbatim; this TU is compiled with -ffp-contract=off so the
-// reference stays plain mul+add under any optimization flags.
+// Scalar reference kernels: the semantics every vector variant must match
+// bit for bit (see simd/kernels.h). These are the historical inner loops of
+// topology.cpp / the coding schemes, lifted verbatim; this TU is compiled
+// with -ffp-contract=off so the reference stays plain mul+add under any
+// optimization flags.
 #include "simd/kernels_internal.h"
 
 #include <algorithm>
@@ -16,17 +16,6 @@ void sc_dense_scatter(const DenseScatterCtx& ctx) {
     for (std::size_t j = 0; j < ctx.out; ++j) {
       ctx.u[j] += m * col[j];
     }
-  }
-}
-
-void sc_dense_matvec(const DenseMatvecCtx& ctx) {
-  for (std::size_t j = 0; j < ctx.out; ++j) {
-    const float* row = ctx.w + j * ctx.in;
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < ctx.in; ++i) {
-      acc += row[i] * ctx.x[i];
-    }
-    ctx.y[j] += acc;
   }
 }
 
@@ -110,7 +99,6 @@ const KernelDispatch kScalarTable = [] {
   t.isa = "scalar";
   t.features = 0;
   t.dense_scatter = sc_dense_scatter;
-  t.dense_matvec = sc_dense_matvec;
   t.conv_taps = sc_conv_taps;
   t.threshold_fire = sc_threshold_fire;
   t.burst_fire = sc_burst_fire;

@@ -8,13 +8,20 @@ namespace tsnn::snn {
 
 namespace {
 
-/// Thread-local gather scratch for the dense drive. Sized to the largest
-/// in_size() seen on this thread; zeroed per use (cost amortized by the
-/// density threshold that gates the dense path).
-aligned_vector<float>& dense_scratch(std::size_t n) {
-  thread_local aligned_vector<float> x;
-  x.assign(n, 0.0f);
-  return x;
+/// Thread-local gather scratch of ConvTopology's canonical order: per-neuron
+/// magnitude sums (zeroed per use) and the ids that carry one. Grow-only,
+/// so a warm thread allocates nothing; the zeroing is amortized by the
+/// density threshold that gates the canonical order.
+struct GatherScratch {
+  aligned_vector<float> sum;
+  aligned_vector<std::uint32_t> ids;
+};
+
+GatherScratch& gather_scratch(std::size_t n) {
+  thread_local GatherScratch g;
+  g.sum.assign(n, 0.0f);
+  g.ids.resize(n);
+  return g;
 }
 
 /// Bounds-validates a batch once up front so the kernel leaf functions
@@ -67,34 +74,6 @@ Tensor WeightBlock::tensor() const {
   return Tensor{view_shape_, std::vector<float>(view_, view_ + view_numel_)};
 }
 
-// ----------------------------------------------------------------- base ----
-
-void SynapseTopology::dense_drive(const SpikeBatch& batch, float* u) const {
-  aligned_vector<float>& x = dense_scratch(in_size());
-  const std::uint32_t* pre = batch.pre();
-  const float* mag = batch.magnitude();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    TSNN_CHECK_MSG(pre[i] < in_size(), "pre neuron out of range");
-    x[pre[i]] += mag[i];
-  }
-  apply_dense(x.data(), u);
-}
-
-void SynapseTopology::propagate(const SpikeBatch& batch, float* u) const {
-  if (batch.empty()) {
-    return;
-  }
-  if (batch.size() >= dense_drive_threshold()) {
-    dense_drive(batch, u);
-    return;
-  }
-  const std::uint32_t* pre = batch.pre();
-  const float* mag = batch.magnitude();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    accumulate(pre[i], mag[i], u);
-  }
-}
-
 // ---------------------------------------------------------------- Dense ----
 
 DenseTopology::DenseTopology(WeightBlock weight) : weight_(std::move(weight)) {
@@ -136,16 +115,13 @@ void DenseTopology::invalidate_cache() {
   cache_ready_.store(false, std::memory_order_release);
 }
 
-void DenseTopology::propagate(const SpikeBatch& batch, float* u) const {
+void DenseTopology::propagate_accum(const SpikeBatch& batch,
+                                    float* u) const {
   if (batch.empty()) {
     return;
   }
   const std::size_t out = weight_.dim(0);
   const std::size_t in = weight_.dim(1);
-  if (batch.size() >= dense_drive_threshold()) {
-    dense_drive(batch, u);
-    return;
-  }
   check_batch_bounds(batch, in);
   simd::DenseScatterCtx ctx;
   ctx.wt = transposed();
@@ -158,16 +134,17 @@ void DenseTopology::propagate(const SpikeBatch& batch, float* u) const {
 }
 
 void DenseTopology::apply_dense(const float* x, float* y) const {
-  // Tolerance path: dense_matvec may reorder the per-row reduction (see
-  // simd/kernels.h), which is within this entry point's documented ~1e-5
-  // agreement contract.
-  simd::DenseMatvecCtx ctx;
-  ctx.w = weight_.data();
-  ctx.x = x;
-  ctx.in = weight_.dim(1);
-  ctx.out = weight_.dim(0);
-  ctx.y = y;
-  simd::kernels().dense_matvec(ctx);
+  const std::size_t out = weight_.dim(0);
+  const std::size_t in = weight_.dim(1);
+  const float* w = weight_.data();
+  for (std::size_t j = 0; j < out; ++j) {
+    const float* row = w + j * in;
+    float acc = 0.0f;
+    for (std::size_t i = 0; i < in; ++i) {
+      acc += row[i] * x[i];
+    }
+    y[j] += acc;
+  }
 }
 
 void DenseTopology::scale_weights(float c) {
@@ -328,32 +305,44 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
   if (batch.empty()) {
     return;
   }
-  if (batch.size() >= dense_drive_threshold()) {
-    // Mirrors SynapseTopology::dense_drive, but through the transposed
-    // apply_dense twin so the accumulator layout stays consistent.
-    aligned_vector<float>& x = dense_scratch(in_size());
-    const std::uint32_t* pre = batch.pre();
-    const float* mag = batch.magnitude();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      TSNN_CHECK_MSG(pre[i] < in_size(), "pre neuron out of range");
-      x[pre[i]] += mag[i];
+  const std::uint32_t* pre = batch.pre();
+  const float* mag = batch.magnitude();
+  std::size_t count = batch.size();
+  if (count >= canonical_threshold()) {
+    // Canonical order: sum each neuron's magnitudes in batch order, then
+    // emit the neurons ascending, so each slot adds its products in
+    // (ic, ky, kx) order. A zero sum is skipped: it would add only a
+    // signed zero.
+    const std::size_t in = in_size();
+    GatherScratch& g = gather_scratch(in);
+    for (std::size_t i = 0; i < count; ++i) {
+      TSNN_CHECK_MSG(pre[i] < in,
+                     "pre neuron " << pre[i] << " out of range " << in);
+      g.sum[pre[i]] += mag[i];
     }
-    apply_dense_transposed(x.data(), u);
-    return;
+    count = 0;
+    for (std::size_t j = 0; j < in; ++j) {
+      if (g.sum[j] != 0.0f) {
+        g.ids[count] = static_cast<std::uint32_t>(j);
+        g.sum[count++] = g.sum[j];  // in place: count <= j
+      }
+    }
+    pre = g.ids.data();
+    mag = g.sum.data();
+  } else {
+    check_batch_bounds(batch, in_size());
   }
   // Each accumulator slot is touched at most once per spike, and spikes
-  // stay in batch order, so per-slot addition order matches per-spike
-  // accumulate() exactly (values are bit-identical up to the layout
-  // permutation) -- the conv_taps kernel contract in simd/kernels.h.
-  check_batch_bounds(batch, in_size());
+  // run in order, so per-slot addition order is spike order on every
+  // table -- the conv_taps kernel contract in simd/kernels.h.
   const PropagateCache& c = cache();
   simd::ConvTapCtx ctx;
   ctx.wt = c.weight_acc.data();
   ctx.tap_offset = c.tap_offset.data();
   ctx.taps = c.taps.data();
-  ctx.pre = batch.pre();
-  ctx.mag = batch.magnitude();
-  ctx.count = batch.size();
+  ctx.pre = pre;
+  ctx.mag = mag;
+  ctx.count = count;
   ctx.in_hw = in_h_ * in_w_;
   ctx.k2 = kernel_ * kernel_;
   ctx.oc = out_ch_;
@@ -418,45 +407,6 @@ void ConvTopology::apply_dense(const float* x, float* y) const {
                 continue;
               }
               yrow[ox] += wv * xrow[static_cast<std::size_t>(ix)];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-void ConvTopology::apply_dense_transposed(const float* x, float* y) const {
-  // Same loop nest and per-element arithmetic as apply_dense(); only the
-  // destination index is the transposed {spatial, channel} slot.
-  const float* w = weight_.data();
-  for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-    for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-      const float* xmap = x + ic * in_h_ * in_w_;
-      const float* wk = w + (oc * in_ch_ + ic) * kernel_ * kernel_;
-      for (std::size_t ky = 0; ky < kernel_; ++ky) {
-        for (std::size_t kx = 0; kx < kernel_; ++kx) {
-          const float wv = wk[ky * kernel_ + kx];
-          if (wv == 0.0f) {
-            continue;
-          }
-          for (std::size_t oy = 0; oy < out_h_; ++oy) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                static_cast<std::ptrdiff_t>(pad_);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h_)) {
-              continue;
-            }
-            const float* xrow = xmap + static_cast<std::size_t>(iy) * in_w_;
-            float* yrow = y + oy * out_w_ * out_ch_ + oc;
-            for (std::size_t ox = 0; ox < out_w_; ++ox) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w_)) {
-                continue;
-              }
-              yrow[ox * out_ch_] += wv * xrow[static_cast<std::size_t>(ix)];
             }
           }
         }
@@ -538,9 +488,9 @@ const std::uint32_t* PoolTopology::post_map() const {
   return post_.data();
 }
 
-void PoolTopology::propagate(const SpikeBatch& batch, float* u) const {
-  // Pool fan-out is O(1) per spike, so the per-spike scatter always beats
-  // the dense drive; batching removes the virtual dispatch and div/mod.
+void PoolTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
+  // Pool fan-out is O(1) per spike; batching removes the virtual dispatch
+  // and div/mod.
   const std::uint32_t* post = post_map();
   const float w = weight_;
   const std::uint32_t* pre = batch.pre();

@@ -8,11 +8,12 @@
 // count, not layer size).
 //
 // Two entry points exist: accumulate() applies a single spike and is the
-// readable reference implementation; propagate_accum() applies one
-// timestep's whole SpikeBatch at once through cache-resident kernels
-// (transposed weights for dense, precomputed tap tables for conv, a
-// pre->post map for pooling) and is what the coding schemes' hot loops
-// call. See docs/ARCHITECTURE.md "Hot path & batched propagation".
+// readable reference implementation; propagate_accum(), the one batched
+// entry point, applies one timestep's whole SpikeBatch at once through
+// cache-resident kernels (transposed weights for dense, precomputed tap
+// tables for conv, a pre->post map for pooling) and is what the coding
+// schemes' hot loops call. See docs/ARCHITECTURE.md "Hot path & batched
+// propagation".
 #pragma once
 
 #include <algorithm>
@@ -32,8 +33,8 @@ namespace tsnn::snn {
 
 /// All spikes of one simulation timestep, as parallel (pre, magnitude)
 /// arrays. Coding schemes assemble one batch per step and hand it to
-/// SynapseTopology::propagate(). Duplicate `pre` entries are allowed and
-/// their contributions sum.
+/// SynapseTopology::propagate_accum(). Duplicate `pre` entries are allowed
+/// and their contributions sum.
 class SpikeBatch {
  public:
   SpikeBatch() = default;
@@ -99,47 +100,28 @@ class SynapseTopology {
   virtual std::size_t out_size() const = 0;
 
   /// Adds `m`-scaled weights of presynaptic neuron `pre` into `u`
-  /// (length out_size()). Reference implementation of one spike; the hot
-  /// path goes through propagate().
+  /// (length out_size(), canonical layout). Reference implementation of one
+  /// spike; the hot path goes through propagate_accum().
   virtual void accumulate(std::size_t pre, float m, float* u) const = 0;
-
-  /// Batched entry point: applies every (pre, m) pair of `batch` into `u`
-  /// (length out_size()). Semantically equal to calling accumulate() per
-  /// spike; dense and pool topologies override it with cache-resident
-  /// kernels (conv's batched kernel is propagate_accum()). Batches at
-  /// or above dense_drive_threshold() may be gathered into a dense input
-  /// vector and served by one apply_dense() pass -- a different summation
-  /// order, so agreement with accumulate() is to float tolerance (~1e-5),
-  /// not bitwise, once the dense drive engages.
-  virtual void propagate(const SpikeBatch& batch, float* u) const;
 
   /// Layout of the accumulator that propagate_accum() writes into.
   virtual AccumLayout accum_layout() const { return {1, out_size()}; }
 
-  /// Hot-path variant of propagate(): adds into `u` laid out per
-  /// accum_layout(). Identical to propagate() up to that permutation --
-  /// each accumulator slot receives the same contributions in the same
-  /// order, so values are bit-identical slot for slot. The default (and
-  /// every identity-layout topology) forwards to propagate().
-  virtual void propagate_accum(const SpikeBatch& batch, float* u) const {
-    propagate(batch, u);
-  }
+  /// The batched entry point: applies every (pre, m) pair of `batch` into
+  /// `u` (out_size() floats laid out per accum_layout()). Slot for slot it
+  /// adds the same products in the same order as per-spike accumulate()
+  /// over the batch, on every kernel table, so the two agree bit for bit;
+  /// ConvTopology runs a batch of canonical_threshold() spikes or more in
+  /// ascending neuron order instead (see there).
+  virtual void propagate_accum(const SpikeBatch& batch, float* u) const = 0;
 
-  /// Spike count at which propagate() switches from per-spike scatter to
-  /// the dense drive: 3/4 of in_size(), at least 1. Scatter costs
-  /// O(spikes x fanout) while the dense pass costs O(in x fanout-ish)
-  /// regardless of spike count, so the crossover sits near full density.
-  std::size_t dense_drive_threshold() const {
-    return std::max<std::size_t>(1, in_size() * 3 / 4);
-  }
-
-  /// Dense reference: y += W x. Used by tests, the activation-transport
-  /// analysis, and the dense drive; must agree with accumulate() summed
-  /// over inputs.
+  /// Dense reference: y += W x. Used by tests and the activation-transport
+  /// analysis; must agree with accumulate() summed over inputs.
   virtual void apply_dense(const float* x, float* y) const = 0;
 
   /// Multiplies every weight by `c` (weight scaling, TTAS C_A folding).
-  /// Not safe concurrently with propagate() -- mutate before simulating.
+  /// Not safe concurrently with propagate_accum() -- mutate before
+  /// simulating.
   virtual void scale_weights(float c) = 0;
 
   /// Applies `f` to every distinct weight parameter (static parametric
@@ -149,11 +131,6 @@ class SynapseTopology {
 
   /// Deep copy.
   virtual std::unique_ptr<SynapseTopology> clone() const = 0;
-
- protected:
-  /// Gathers `batch` into a zeroed dense input vector (thread-local
-  /// scratch) and runs one apply_dense() pass into `u`.
-  void dense_drive(const SpikeBatch& batch, float* u) const;
 };
 
 /// Weight storage for a topology: either an owned Tensor or an immutable
@@ -204,7 +181,7 @@ class DenseTopology : public SynapseTopology {
   std::size_t in_size() const override { return weight_.dim(1); }
   std::size_t out_size() const override { return weight_.dim(0); }
   void accumulate(std::size_t pre, float m, float* u) const override;
-  void propagate(const SpikeBatch& batch, float* u) const override;
+  void propagate_accum(const SpikeBatch& batch, float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override;
   void map_weights(const std::function<float(float)>& f) override;
@@ -243,11 +220,22 @@ class ConvTopology : public SynapseTopology {
   AccumLayout accum_layout() const override {
     return AccumLayout{out_ch_, out_h_ * out_w_};
   }
+  /// A batch of at least canonical_threshold() spikes is summed per
+  /// neuron in batch order and run in ascending neuron order, so each slot
+  /// adds its contributions in canonical (ic, ky, kx) order -- the order
+  /// the pinned outputs were produced in. A smaller batch runs in batch
+  /// order. Either way it is one conv_taps call.
   void propagate_accum(const SpikeBatch& batch, float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override;
   void map_weights(const std::function<float(float)>& f) override;
   std::unique_ptr<SynapseTopology> clone() const override;
+
+  /// Spike count from which propagate_accum() takes the canonical order:
+  /// 3/4 of in_size(), at least 1.
+  std::size_t canonical_threshold() const {
+    return std::max<std::size_t>(1, in_size() * 3 / 4);
+  }
 
   std::size_t out_h() const { return out_h_; }
   std::size_t out_w() const { return out_w_; }
@@ -260,11 +248,6 @@ class ConvTopology : public SynapseTopology {
   const WeightBlock& weight_block() const { return weight_; }
 
  private:
-  /// apply_dense() twin writing y in the transposed {spatial, channel}
-  /// accumulator layout; per-element arithmetic and order are identical,
-  /// only the destination addresses differ (keeps the dense drive
-  /// bit-compatible with the canonical path inside propagate_accum()).
-  void apply_dense_transposed(const float* x, float* y) const;
   /// One valid kernel tap of an input spatial position -- the shared
   /// simd::ConvTap shape, so the tap tables feed the conv_taps kernel
   /// without repacking.
@@ -305,7 +288,7 @@ class PoolTopology : public SynapseTopology {
   std::size_t in_size() const override { return channels_ * in_h_ * in_w_; }
   std::size_t out_size() const override { return channels_ * out_h_ * out_w_; }
   void accumulate(std::size_t pre, float m, float* u) const override;
-  void propagate(const SpikeBatch& batch, float* u) const override;
+  void propagate_accum(const SpikeBatch& batch, float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override { weight_ *= c; }
   void map_weights(const std::function<float(float)>& f) override {

@@ -238,10 +238,6 @@ TEST(StringUtil, Trim) {
   EXPECT_EQ(str::trim("x"), "x");
 }
 
-TEST(StringUtil, ToLower) {
-  EXPECT_EQ(str::to_lower("AbC-9"), "abc-9");
-}
-
 TEST(StringUtil, SciFormatsLikePaperTables) {
   EXPECT_EQ(str::sci(94800.0), "9.48E4");
   EXPECT_EQ(str::sci(3050.0), "3.05E3");

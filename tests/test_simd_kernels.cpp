@@ -2,13 +2,11 @@
 // each runnable dispatch table is driven against the scalar reference on
 // randomized shapes with odd sizes and tail lanes, on every accumulator
 // layout shape the fire scans distinguish, and on the zoo's conv shapes.
-// Scatter-shaped kernels (dense_scatter, conv_taps, threshold_fire,
-// burst_fire, axpy, mask_compact) must match BIT-EXACTLY -- they preserve
-// per-slot addition order and use separate mul+add -- while dense_matvec
-// reorders its dot-product reduction and is held to the documented 1e-5
-// tolerance. Which tables are runnable is governed by TSNN_CPUFLAGS, so the
-// CI scalar-forced leg shrinks this matrix to the reference alone and the
-// native leg covers every variant.
+// Every kernel (dense_scatter, conv_taps, threshold_fire, burst_fire, axpy,
+// mask_compact) must match BIT-EXACTLY -- they preserve per-slot addition
+// order and use separate mul+add. Which tables are runnable is governed by
+// TSNN_CPUFLAGS, so the CI scalar-forced leg shrinks this matrix to the
+// reference alone and the native leg covers every variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,9 +47,6 @@ std::vector<float> random_floats(Rng& rng, std::size_t n, float lo, float hi) {
 class SimdEquivalence : public ::testing::TestWithParam<const KernelDispatch*> {
  protected:
   const KernelDispatch& table() const { return *GetParam(); }
-  static bool tolerance_isa(const KernelDispatch& t) {
-    return std::string(t.isa) != "scalar";
-  }
 };
 
 std::string table_name(
@@ -95,38 +90,6 @@ TEST_P(SimdEquivalence, DenseScatterBitExact) {
         ASSERT_EQ(u_ref[j], u_got[j])
             << table().isa << " out=" << out << " count=" << count
             << " j=" << j;
-      }
-    }
-  }
-}
-
-TEST_P(SimdEquivalence, DenseMatvecWithinTolerance) {
-  Rng rng(0xdeadf00du);
-  for (const std::size_t out : kFanOuts) {
-    for (const std::size_t in : {1ul, 9ul, 100ul, 257ul}) {
-      const auto w = random_floats(rng, out * in, -1.0f, 1.0f);
-      const auto x = random_floats(rng, in, -1.0f, 1.0f);
-      auto y_ref = random_floats(rng, out, -0.5f, 0.5f);
-      auto y_got = y_ref;
-
-      simd::DenseMatvecCtx ctx;
-      ctx.w = w.data();
-      ctx.x = x.data();
-      ctx.in = in;
-      ctx.out = out;
-
-      ctx.y = y_ref.data();
-      simd::scalar_kernels().dense_matvec(ctx);
-      ctx.y = y_got.data();
-      table().dense_matvec(ctx);
-
-      for (std::size_t j = 0; j < out; ++j) {
-        const float tol =
-            tolerance_isa(table())
-                ? 1e-5f + 1e-5f * std::fabs(y_ref[j])
-                : 0.0f;  // scalar vs scalar must be identical
-        ASSERT_NEAR(y_ref[j], y_got[j], tol)
-            << table().isa << " out=" << out << " in=" << in << " j=" << j;
       }
     }
   }
@@ -413,12 +376,13 @@ TEST_P(SimdEquivalence, BurstFireWorkedExampleTransposed) {
 }
 
 // ConvTopology::propagate_accum through this table against the scalar
-// table, slot for slot with ==. Covers every channel count a vector table
-// may specialize for the zoo's 3x3 / stride-1 / pad-1 layers, at every
-// input size the zoo's layers see and below (where no position is
-// interior), shapes that take the general path (an unlisted channel
-// count, a 5x5 kernel, stride 2, pad 0), and a rectangular input, where
-// swapping width and height would show.
+// table, slot for slot with ==, on a hand-picked batch and a full-density
+// batch with duplicates, which runs in canonical order. Covers every
+// channel count a vector table may specialize for the zoo's 3x3 /
+// stride-1 / pad-1 layers, at every input size the zoo's layers see and
+// below (where no position is interior), shapes that take the general path
+// (an unlisted channel count, a 5x5 kernel, stride 2, pad 0), and a
+// rectangular input, where swapping width and height would show.
 void expect_conv_accum_matches_scalar(const KernelDispatch& table,
                                       std::size_t oc, std::size_t ic,
                                       std::size_t h, std::size_t w,
@@ -452,32 +416,36 @@ void expect_conv_accum_matches_scalar(const KernelDispatch& table,
   for (int r = 0; r < 16; ++r) {
     ids.push_back(static_cast<std::uint32_t>(rng.uniform_index(in)));
   }
-  // Stay on the sparse path the conv_taps kernel serves (the dense drive
-  // takes batches from 3/4 of the input up).
-  const std::size_t sparse_max =
-      std::max<std::size_t>(1, conv.dense_drive_threshold() - 1);
-  ids.resize(std::min(ids.size(), sparse_max));
-  snn::SpikeBatch batch;
+  snn::SpikeBatch picked;
   for (const std::uint32_t id : ids) {
-    batch.add(id, static_cast<float>(rng.uniform(0.05, 2.0)));
+    picked.add(id, static_cast<float>(rng.uniform(0.05, 2.0)));
+  }
+  // Full density with duplicates: as many random ids as the input has
+  // neurons, past the canonical threshold on every shape.
+  snn::SpikeBatch dense;
+  for (std::uint32_t i = 0; i < in; ++i) {
+    dense.add(static_cast<std::uint32_t>(rng.uniform_index(in)),
+              static_cast<float>(rng.uniform(0.05, 2.0)));
   }
 
-  const auto u0 = random_floats(rng, conv.out_size(), -0.5f, 0.5f);
-  auto u_ref = u0;
-  auto u_got = u0;
-  for (int rep = 0; rep < 2; ++rep) {  // a second batch onto the first
-    {
-      simd::ScopedKernelOverride scalar(simd::scalar_kernels());
-      conv.propagate_accum(batch, u_ref.data());
+  for (const snn::SpikeBatch* batch : {&picked, &dense}) {
+    const auto u0 = random_floats(rng, conv.out_size(), -0.5f, 0.5f);
+    auto u_ref = u0;
+    auto u_got = u0;
+    for (int rep = 0; rep < 2; ++rep) {  // a second batch onto the first
+      {
+        simd::ScopedKernelOverride scalar(simd::scalar_kernels());
+        conv.propagate_accum(*batch, u_ref.data());
+      }
+      simd::ScopedKernelOverride pinned(table);
+      conv.propagate_accum(*batch, u_got.data());
     }
-    simd::ScopedKernelOverride pinned(table);
-    conv.propagate_accum(batch, u_got.data());
-  }
-  for (std::size_t j = 0; j < u_ref.size(); ++j) {
-    ASSERT_EQ(u_ref[j], u_got[j])
-        << table.isa << " oc=" << oc << " ic=" << ic << " in " << h << "x" << w
-        << " k=" << kernel << " stride=" << stride << " pad=" << pad
-        << " slot=" << j;
+    for (std::size_t j = 0; j < u_ref.size(); ++j) {
+      ASSERT_EQ(u_ref[j], u_got[j])
+          << table.isa << " oc=" << oc << " ic=" << ic << " in " << h << "x"
+          << w << " k=" << kernel << " stride=" << stride << " pad=" << pad
+          << " batch " << batch->size() << " slot=" << j;
+    }
   }
 }
 
@@ -585,29 +553,26 @@ TEST(SimdDispatch, ScopedOverrideSwapsAndRestores) {
   EXPECT_EQ(simd::active_isa(), before);
 }
 
-TEST(SimdDispatch, PolicyCrossoverMath) {
-  // The scatter -> dense-drive crossover: 3/4 of in_size, at least 1.
-  const auto threshold = [](std::size_t in) {
-    return snn::DenseTopology(Tensor{Shape{1, in}}).dense_drive_threshold();
-  };
-  EXPECT_EQ(threshold(512), 384u);
-  EXPECT_EQ(threshold(4), 3u);
-  EXPECT_EQ(threshold(1), 1u);  // clamped to >= 1
-}
-
 // --------------------------------------------------------------------------
 // CPU flag parsing (pure function, independent of the host).
 
 TEST(CpuFlags, ParseCpuflags) {
+  // The trimmed value as a whole: unset, native and avx2 allow the vector
+  // table; scalar forces the reference table.
   EXPECT_EQ(cpu::parse_cpuflags(""), ~0u);
+  EXPECT_EQ(cpu::parse_cpuflags("  "), ~0u);
   EXPECT_EQ(cpu::parse_cpuflags("native"), ~0u);
+  EXPECT_EQ(cpu::parse_cpuflags("avx2"), ~0u);
+  EXPECT_EQ(cpu::parse_cpuflags(" avx2\n"), ~0u);
   EXPECT_EQ(cpu::parse_cpuflags("scalar"), 0u);
+  // Anything else warns and forces the reference table: there are no
+  // separators, no case folding, and no other names.
+  EXPECT_EQ(cpu::parse_cpuflags("scalar,avx2"), 0u);
+  EXPECT_EQ(cpu::parse_cpuflags("avx2+fma"), 0u);
+  EXPECT_EQ(cpu::parse_cpuflags("AVX2"), 0u);
+  EXPECT_EQ(cpu::parse_cpuflags("all"), 0u);
   EXPECT_EQ(cpu::parse_cpuflags("none"), 0u);
-  EXPECT_EQ(cpu::parse_cpuflags("avx2"), cpu::kAvx2);
-  // "fma" is no token (no kernel uses it): it warns and adds no bits.
-  EXPECT_EQ(cpu::parse_cpuflags("avx2+fma"), cpu::kAvx2);
-  EXPECT_EQ(cpu::parse_cpuflags("  AVX2 "), cpu::kAvx2);
-  EXPECT_EQ(cpu::parse_cpuflags("bogus"), 0u);  // warns, contributes no bits
+  EXPECT_EQ(cpu::parse_cpuflags("bogus"), 0u);
 }
 
 // --------------------------------------------------------------------------

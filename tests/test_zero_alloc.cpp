@@ -31,14 +31,38 @@ void* counted_alloc(std::size_t size) {
   throw std::bad_alloc();
 }
 
+// aligned_vector (common/aligned.h) allocates through the aligned forms.
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace tsnn::snn {
 namespace {
