@@ -210,17 +210,19 @@ Server spawn_server(const Options& opt) {
 }
 
 /// Blocks until the server prints its "ready" line (loading zoo models can
-/// take a while on a cold artifact cache).
-void await_ready(Server& s) {
+/// take a while on a cold artifact cache). False, reported on stderr, when
+/// the server's output ends first: it exited during startup.
+bool await_ready(Server& s) {
   char line[256];
   while (std::fgets(line, sizeof line, s.stdout_f) != nullptr) {
     if (std::strncmp(line, "ready ", 6) == 0) {
-      return;
+      return true;
     }
     TSNN_CHECK_MSG(std::strncmp(line, "model ", 6) == 0,
                    "unexpected server startup line");
   }
-  TSNN_CHECK_MSG(false, "server exited before becoming ready");
+  std::fprintf(stderr, "error: server exited before becoming ready\n");
+  return false;
 }
 
 void send_line(int fd, const std::string& line) {
@@ -373,6 +375,11 @@ int main(int argc, char** argv) {
       opt.threads = count();
     } else if (arg == "--max-batch") {
       opt.max_batch = count();
+      if (opt.max_batch == 0) {
+        std::fprintf(stderr, "%s: --max-batch must be >= 1\n", argv[0]);
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--deadline-us") {
       opt.deadline_us = static_cast<long long>(count());
     } else if (arg == "--queue") {
@@ -406,7 +413,9 @@ int main(int argc, char** argv) {
   std::printf("spawning %s (threads=%zu max-batch=%zu deadline-us=%lld)\n",
               opt.server.c_str(), opt.threads, opt.max_batch, opt.deadline_us);
   Server server = spawn_server(opt);
-  await_ready(server);
+  if (!await_ready(server)) {
+    return 1;
+  }
   std::printf("server ready; driving %zu requests (%zu warmup, mode=%s)\n",
               total, opt.warmup, opt.mode.c_str());
 
@@ -472,7 +481,9 @@ int main(int argc, char** argv) {
     vopt.mode = "open";
     std::printf("verify: replaying trace with threads=1 max-batch=1\n");
     Server vserver = spawn_server(vopt);
-    await_ready(vserver);
+    if (!await_ready(vserver)) {
+      return 1;
+    }
     std::vector<Completion> replay(total);
     run_trace(vserver, schedule, vopt, /*paced=*/false, replay);
     shutdown_server(vserver);

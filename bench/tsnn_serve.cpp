@@ -32,6 +32,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -85,9 +86,7 @@ class LineSink final : public InferenceServer::CompletionSink {
 
   void on_complete(const InferenceServer::Response& resp) override {
     char line[160];
-    if (resp.cancelled) {
-      std::snprintf(line, sizeof line, "err %" PRIu64 " cancelled\n", resp.id);
-    } else if (resp.error) {
+    if (resp.error) {
       std::snprintf(line, sizeof line, "err %" PRIu64 " execution_failed\n",
                     resp.id);
     } else {
@@ -144,6 +143,11 @@ int main(int argc, char** argv) {
       serve.num_threads = count();
     } else if (arg == "--max-batch") {
       serve.max_batch = count();
+      if (serve.max_batch == 0) {
+        std::fprintf(stderr, "%s: --max-batch must be >= 1\n", argv[0]);
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--deadline-us") {
       serve.batch_deadline = std::chrono::microseconds(count());
     } else if (arg == "--queue") {
@@ -172,6 +176,22 @@ int main(int argc, char** argv) {
   }
 
   OutputQueue out(1024);
+  // Declared before the server: ~InferenceServer drains in-flight requests,
+  // which point at the sink and the schemes.
+  LineSink sink(&out);
+  // Coding schemes are created lazily per label, on the submission thread
+  // only -- workers see them through const pointers.
+  std::map<std::string, tsnn::snn::CodingSchemePtr> schemes;
+  // Built before the writer thread starts, so a refused configuration (an
+  // oversized --queue) exits through this one line.
+  std::optional<InferenceServer> server;
+  try {
+    server.emplace(serve);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: cannot start the server: %s\n", e.what());
+    return 2;
+  }
+
   std::thread writer([&out] {
     std::string line;
     while (out.pop(line)) {
@@ -180,94 +200,84 @@ int main(int argc, char** argv) {
     }
   });
 
-  {
-    // Declared before the server: ~InferenceServer drains in-flight
-    // requests, which point at the sink and the schemes.
-    LineSink sink(&out);
-    // Coding schemes are created lazily per label, on the submission thread
-    // only -- workers see them through const pointers.
-    std::map<std::string, tsnn::snn::CodingSchemePtr> schemes;
-    InferenceServer server(serve);
-
-    for (const auto& [name, w] : workloads) {
-      char line[96];
-      std::snprintf(line, sizeof line, "model %s %zu\n", name.c_str(),
-                    w.test_images.size());
-      out.push(std::string(line));
-    }
-    out.push("ready " + std::to_string(workloads.size()) + "\n");
-
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (line.empty()) {
-        continue;
-      }
-      if (line == "quit") {
-        break;
-      }
-      if (line == "stats") {
-        const InferenceServer::Stats s = server.stats();
-        char buf[224];
-        std::snprintf(buf, sizeof buf,
-                      "stats submitted=%" PRIu64 " completed=%" PRIu64
-                      " errors=%" PRIu64 " batches=%" PRIu64
-                      " mean_batch=%.2f max_batch=%zu max_queue_depth=%zu\n",
-                      s.submitted, s.completed, s.errors, s.batches,
-                      s.mean_batch(), s.max_batch, s.max_queue_depth);
-        out.push(std::string(buf));
-        continue;
-      }
-      std::istringstream in(line);
-      std::uint64_t id = 0;
-      std::string model_name;
-      std::string coding;
-      std::size_t image = 0;
-      std::uint64_t seed = 0;
-      if (!(in >> id >> model_name >> coding >> image >> seed)) {
-        out.push("err 0 bad_request_line\n");
-        continue;
-      }
-      const auto it = workloads.find(model_name);
-      if (it == workloads.end()) {
-        out.push("err " + std::to_string(id) + " unknown_model\n");
-        continue;
-      }
-      const tsnn::core::ZooWorkload& w = it->second;
-      if (image >= w.test_images.size()) {
-        out.push("err " + std::to_string(id) + " image_out_of_range\n");
-        continue;
-      }
-      auto scheme = schemes.find(coding);
-      if (scheme == schemes.end()) {
-        try {
-          const tsnn::core::MethodSpec spec =
-              tsnn::core::parse_method_label(coding);
-          scheme = schemes
-                       .emplace(coding, tsnn::coding::make_scheme(spec.coding,
-                                                                  spec.params))
-                       .first;
-        } catch (const std::exception&) {
-          out.push("err " + std::to_string(id) + " unknown_coding\n");
-          continue;
-        }
-      }
-
-      InferenceServer::Request req;
-      req.id = id;
-      req.sink = &sink;
-      req.work.sim.model = &w.conversion.model;
-      req.work.sim.scheme = scheme->second.get();
-      req.work.image = &w.test_images[image];
-      req.work.seed = seed;
-      req.work.stream = 0;
-      if (!server.submit(req)) {  // blocking admission = backpressure
-        out.push("err " + std::to_string(id) + " server_closed\n");
-      }
-    }
-    // Scope exit: ~InferenceServer drains every admitted request, so each
-    // pending completion still reaches the output queue below.
+  for (const auto& [name, w] : workloads) {
+    char line[96];
+    std::snprintf(line, sizeof line, "model %s %zu\n", name.c_str(),
+                  w.test_images.size());
+    out.push(std::string(line));
   }
+  out.push("ready " + std::to_string(workloads.size()) + "\n");
 
+  std::string line;
+  while (std::getline(std::cin, line)) {
+    if (line.empty()) {
+      continue;
+    }
+    if (line == "quit") {
+      break;
+    }
+    if (line == "stats") {
+      const InferenceServer::Stats s = server->stats();
+      char buf[224];
+      std::snprintf(buf, sizeof buf,
+                    "stats submitted=%" PRIu64 " completed=%" PRIu64
+                    " errors=%" PRIu64 " batches=%" PRIu64
+                    " mean_batch=%.2f max_batch=%zu max_queue_depth=%zu\n",
+                    s.submitted, s.completed, s.errors, s.batches,
+                    s.mean_batch(), s.max_batch, s.max_queue_depth);
+      out.push(std::string(buf));
+      continue;
+    }
+    std::istringstream in(line);
+    std::uint64_t id = 0;
+    std::string model_name;
+    std::string coding;
+    std::size_t image = 0;
+    std::uint64_t seed = 0;
+    if (!(in >> id >> model_name >> coding >> image >> seed)) {
+      out.push("err 0 bad_request_line\n");
+      continue;
+    }
+    const auto it = workloads.find(model_name);
+    if (it == workloads.end()) {
+      out.push("err " + std::to_string(id) + " unknown_model\n");
+      continue;
+    }
+    const tsnn::core::ZooWorkload& w = it->second;
+    if (image >= w.test_images.size()) {
+      out.push("err " + std::to_string(id) + " image_out_of_range\n");
+      continue;
+    }
+    auto scheme = schemes.find(coding);
+    if (scheme == schemes.end()) {
+      try {
+        const tsnn::core::MethodSpec spec =
+            tsnn::core::parse_method_label(coding);
+        scheme = schemes
+                     .emplace(coding, tsnn::coding::make_scheme(spec.coding,
+                                                                spec.params))
+                     .first;
+      } catch (const std::exception&) {
+        out.push("err " + std::to_string(id) + " unknown_coding\n");
+        continue;
+      }
+    }
+
+    InferenceServer::Request req;
+    req.id = id;
+    req.sink = &sink;
+    req.work.sim.model = &w.conversion.model;
+    req.work.sim.scheme = scheme->second.get();
+    req.work.image = &w.test_images[image];
+    req.work.seed = seed;
+    req.work.stream = 0;
+    if (!server->submit(req)) {  // blocking admission = backpressure
+      out.push("err " + std::to_string(id) + " server_closed\n");
+    }
+  }
+  // Executes every admitted request, so each pending completion reaches
+  // the output queue before it closes.
+  server->shutdown();
   out.close();
   writer.join();
   return 0;

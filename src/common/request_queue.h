@@ -2,23 +2,19 @@
 // producers and the execution pool.
 //
 // Shape follows FFmpeg's libavutil/threadmessage producer/consumer queue:
-// a fixed-capacity ring with blocking and nonblocking push/pop on both
-// sides, plus explicit close/drain semantics so shutdown is a protocol,
-// not a race. The bound is the backpressure mechanism: when consumers fall
-// behind, push() blocks (and try_push() reports kFull), so an open-loop
-// producer is throttled to the service rate instead of growing an
-// unbounded backlog.
+// a fixed-capacity ring with blocking push and pop, plus explicit close
+// semantics so shutdown is a protocol, not a race. The bound is the
+// backpressure mechanism: when consumers fall behind, push() blocks, so an
+// open-loop producer is throttled to the service rate instead of growing
+// an unbounded backlog.
 //
 // Lifecycle contract:
-//   - push/try_push admit items while the queue is open; after close()
-//     they fail (kClosed / false) and the item is NOT enqueued.
-//   - pop/pop_batch/try_pop keep draining items that were admitted before
-//     close() -- close is "no new work", never "drop queued work". A
-//     blocking pop returns false (pop_batch returns 0) only when the queue
-//     is closed AND empty: the consumer's signal to exit its loop.
-//   - flush() discards queued items (returning how many); for consumers
-//     that must observe every admitted item (e.g. to complete it with a
-//     "cancelled" status), drain with try_pop instead.
+//   - push admits items while the queue is open; after close() it fails
+//     and the item is NOT enqueued.
+//   - pop/pop_batch keep draining items that were admitted before close()
+//     -- close is "no new work", never "drop queued work". pop returns
+//     false (pop_batch returns 0) only when the queue is closed AND empty:
+//     the consumer's signal to exit its loop.
 //
 // pop_batch() is the micro-batch former of core::InferenceServer: it
 // blocks for the first item, then takes up to `max` items, optionally
@@ -45,13 +41,6 @@ namespace tsnn {
 template <typename T>
 class RequestQueue {
  public:
-  /// Outcome of a nonblocking push.
-  enum class PushStatus {
-    kOk,      ///< item enqueued
-    kFull,    ///< queue at capacity -- back off and retry (backpressure)
-    kClosed,  ///< queue closed -- no retry will ever succeed
-  };
-
   /// A queue holding at most `capacity` items (must be > 0). Storage is
   /// allocated once, here.
   explicit RequestQueue(std::size_t capacity) : ring_(check_capacity(capacity)) {}
@@ -75,43 +64,9 @@ class RequestQueue {
     return true;
   }
 
-  /// Nonblocking push. On kOk, `item` is moved from; on kFull/kClosed it
-  /// is left untouched so the caller can retry or dispose of it.
-  PushStatus try_push(T& item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) {
-        return PushStatus::kClosed;
-      }
-      if (count_ == ring_.size()) {
-        return PushStatus::kFull;
-      }
-      enqueue_locked(std::move(item));
-    }
-    not_empty_.notify_one();
-    return PushStatus::kOk;
-  }
-
   /// Blocking pop: waits for an item. True with `out` filled; false only
   /// when the queue is closed and fully drained.
   bool pop(T& out) { return pop_batch(&out, 1, std::chrono::microseconds{0}) == 1; }
-
-  /// Nonblocking pop: true with `out` filled, false when currently empty
-  /// (regardless of closed state).
-  bool try_pop(T& out) {
-    bool popped = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (count_ > 0) {
-        out = dequeue_locked();
-        popped = true;
-      }
-    }
-    if (popped) {
-      not_full_.notify_all();
-    }
-    return popped;
-  }
 
   /// Micro-batch pop: blocks until at least one item is available (or the
   /// queue is closed), takes up to `max` items into `out[0..)`, and -- when
@@ -168,39 +123,6 @@ class RequestQueue {
     }
     not_empty_.notify_all();
     not_full_.notify_all();
-  }
-
-  /// Discards every queued item (destroying them) and returns how many
-  /// were dropped. Consumers that must observe each admitted item should
-  /// drain with try_pop instead.
-  std::size_t flush() {
-    std::size_t dropped = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      dropped = count_;
-      while (count_ > 0) {
-        (void)dequeue_locked();
-      }
-    }
-    if (dropped > 0) {
-      not_full_.notify_all();
-    }
-    return dropped;
-  }
-
-  /// Items currently queued (racy by nature; diagnostic only).
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
-  }
-
-  /// The fixed capacity the queue was built with.
-  std::size_t capacity() const { return ring_.size(); }
-
-  /// True once close() was called.
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
   }
 
   /// High-water mark of the queued depth -- how close the admission queue

@@ -88,16 +88,10 @@ void ThreadPool::wait() {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_for_async(n, fn);
-  wait();
-}
-
-void ThreadPool::parallel_for_async(std::size_t n,
-                                    const std::function<void(std::size_t)>& fn) {
   TSNN_CHECK_MSG(fn != nullptr, "cannot broadcast a null callable");
   check_not_worker(
-      "parallel_for[_async] nested inside a worker of the same pool -- the "
-      "worker executing fn can never retire the broadcast it is part of");
+      "parallel_for nested inside a worker of the same pool -- the worker "
+      "executing fn can never retire the broadcast it is part of");
   if (n == 0) {
     return;
   }
@@ -106,8 +100,8 @@ void ThreadPool::parallel_for_async(std::size_t n,
     TSNN_CHECK_MSG(!stop_, "parallel_for on a stopped ThreadPool");
     if (pf_fn_ != nullptr) {
       fatal_misuse(
-          "parallel_for_async while a previous broadcast is still in flight "
-          "-- call wait() before starting another broadcast");
+          "parallel_for while another broadcast is still in flight -- the "
+          "pool runs one broadcast at a time");
     }
     pf_fn_ = &fn;
     pf_n_ = n;
@@ -116,6 +110,7 @@ void ThreadPool::parallel_for_async(std::size_t n,
     ++pending_;  // the broadcast counts as one logical task for wait()
   }
   task_ready_.notify_all();
+  wait();
 }
 
 void ThreadPool::run_broadcast_items() {

@@ -15,29 +15,22 @@
 // parallel_for is a *broadcast*, not n submit()s: the workers share one
 // atomic index counter and pull indices until the range is exhausted, so a
 // parallel_for performs no per-index heap allocation and no per-index mutex
-// hop -- the steady-state requirement of the sweep engine
-// (core/experiment.h), which runs many parallel_fors over one persistent
-// pool and pins zero allocations across them (tests/test_zero_alloc.cpp).
-// Indices are handed out in increasing order; with one worker the execution
-// order is exactly 0..n-1.
-//
-// parallel_for_async() starts the same broadcast without blocking, so the
-// calling thread can consume results incrementally (the sweep engine streams
-// completed sweep cells while later cells are still running); wait() then
-// blocks until the broadcast -- and any queued tasks -- finished. The
-// callable must outlive the broadcast: it is borrowed by reference, not
-// copied.
+// hop -- the steady-state requirement of snn::evaluate (snn/simulator.h),
+// which runs one broadcast per batch over a persistent pool and pins zero
+// allocations across them (tests/test_zero_alloc.cpp). Indices are handed
+// out in increasing order; with one worker the execution order is exactly
+// 0..n-1. parallel_for returns only after its broadcast has retired, so the
+// callable it borrows by reference never outlives the call.
 //
 // Misuse is fatal, not undefined: the pool runs ONE broadcast at a time, and
 // the contract violations that would otherwise deadlock or corrupt the
 // borrowed-callable protocol abort the process with a diagnostic instead
 // (tests/test_thread_pool.cpp pins them as death tests):
-//   - parallel_for / parallel_for_async / wait called from inside a worker
-//     of the SAME pool (nesting a broadcast inside fn would self-deadlock:
-//     the worker executing fn can never retire the broadcast it is part of);
-//   - parallel_for_async while a previous broadcast is still in flight
-//     (i.e. without an intervening wait()): the first callable is borrowed
-//     by reference, so "fire and forget twice" has no safe meaning;
+//   - parallel_for / wait called from inside a worker of the SAME pool
+//     (nesting a broadcast inside fn would self-deadlock: the worker
+//     executing fn can never retire the broadcast it is part of);
+//   - parallel_for while another thread's broadcast on the same pool is
+//     still in flight (the pool holds one borrowed callable);
 //   - destroying the pool from inside one of its own workers (the
 //     destructor joins every worker, including the caller).
 // Calling into a *different* pool from a worker remains legal.
@@ -62,14 +55,14 @@ class ThreadPool {
   explicit ThreadPool(std::size_t num_threads = 0);
 
   /// Destruction-while-work-pending is well-defined: the destructor is a
-  /// graceful drain. It blocks until every submitted task and any in-flight
-  /// parallel_for_async broadcast has finished, then joins the workers --
-  /// no queued work is ever dropped (core::InferenceServer::shutdown relies
-  /// on this to complete every admitted request). Exceptions still pending
-  /// at destruction are dropped -- call wait() to observe them. Destroying
-  /// the pool from inside one of its own workers is misuse and aborts with
-  /// a diagnostic (the destructor would join the calling thread); see the
-  /// misuse contract above.
+  /// graceful drain. It blocks until every submitted task has finished,
+  /// then joins the workers -- no queued work is ever dropped
+  /// (core::InferenceServer::shutdown relies on this to complete every
+  /// admitted request). Exceptions still pending at destruction are
+  /// dropped -- call wait() to observe them. Destroying the pool from
+  /// inside one of its own workers is misuse and aborts with a diagnostic
+  /// (the destructor would join the calling thread); see the misuse
+  /// contract above.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -87,17 +80,12 @@ class ThreadPool {
   void wait();
 
   /// Runs fn(i) for i in [0, n) across the pool (allocation-free atomic
-  /// index broadcast) and blocks until all are done; rethrows the first
-  /// exception. Every index runs even if an earlier one threw. Fatal if
-  /// called from a worker of this pool (see the misuse contract above).
+  /// index broadcast) and blocks until all are done -- and, like wait(),
+  /// until every submitted task is; rethrows the first exception. Every
+  /// index runs even if an earlier one threw. Fatal if called from a worker
+  /// of this pool or while another broadcast is in flight (see the misuse
+  /// contract above).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Starts the broadcast without blocking; pair with wait(). `fn` is
-  /// borrowed -- it must stay alive and callable until wait() returns.
-  /// Fatal if called from a worker of this pool or while a previous
-  /// broadcast is still in flight (see the misuse contract above).
-  void parallel_for_async(std::size_t n,
-                          const std::function<void(std::size_t)>& fn);
 
   /// Maps a requested thread count to an actual one: 0 -> hardware
   /// concurrency (at least 1), otherwise the request itself.

@@ -894,9 +894,6 @@ std::vector<ScenarioResult> ScenarioEngine::run(
     ScenarioResult& result = results[cm.scenario];
     result.rows.push_back(cm.row);
     result.images_simulated += cells[c].images->size();
-    if (options_.on_row) {
-      options_.on_row(cm.scenario, cm.row);
-    }
     if (options_.on_cell) {
       options_.on_cell(c, cm.scenario, cm.row);
     }

@@ -197,7 +197,7 @@ struct ScenarioWorkload {
 /// test slices layered on top -- so consecutive suites over the same
 /// datasets pay conversion once. Results carry the
 /// run_grid() determinism guarantee: rows are bit-identical at any thread
-/// count and stream to `on_row` in grid order while later cells run.
+/// count and stream to `on_cell` in grid order while later cells run.
 class ScenarioEngine {
  public:
   struct Options {
@@ -213,9 +213,7 @@ class ScenarioEngine {
                                    std::size_t images)>
         workload_provider;
     /// Streamed once per completed cell, in grid order, from the calling
-    /// thread.
-    std::function<void(std::size_t scenario, const ScenarioRow&)> on_row;
-    /// Like on_row but with the global cell index (the plan()/checkpoint
+    /// thread, with the global cell index (the plan()/checkpoint
     /// coordinate). Fires for every emitted row, including resume-injected
     /// ones.
     std::function<void(std::size_t cell, std::size_t scenario,

@@ -1,7 +1,6 @@
 #include "core/serve.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "common/error.h"
@@ -9,46 +8,6 @@
 #include "snn/workspace.h"
 
 namespace tsnn::core {
-
-namespace {
-
-double micros_between(InferenceServer::Clock::time_point a,
-                      InferenceServer::Clock::time_point b) {
-  return std::chrono::duration<double, std::micro>(b - a).count();
-}
-
-/// Self-deleting sink behind submit_future(): copies the response into the
-/// promise and frees itself -- the one allocating completion path,
-/// deliberately kept out of the sink-based hot clients.
-class PromiseSink final : public InferenceServer::CompletionSink {
- public:
-  std::promise<InferenceServer::OwnedResponse> promise;
-
-  void on_complete(const InferenceServer::Response& r) override {
-    try {
-      if (r.error) {
-        promise.set_exception(r.error);
-      } else if (r.cancelled) {
-        promise.set_exception(std::make_exception_ptr(std::runtime_error(
-            "inference request cancelled at server shutdown")));
-      } else {
-        InferenceServer::OwnedResponse owned;
-        owned.id = r.id;
-        owned.result = *r.result;
-        owned.queue_micros = micros_between(r.submit_time, r.start_time);
-        owned.run_micros = micros_between(r.start_time, r.done_time);
-        owned.batch_size = r.batch_size;
-        promise.set_value(std::move(owned));
-      }
-    } catch (...) {
-      // set_exception/set_value only throw on protocol misuse (promise
-      // already satisfied), which cannot happen here.
-    }
-    delete this;
-  }
-};
-
-}  // namespace
 
 InferenceServer::InferenceServer(const ServeOptions& options)
     : opts_(options) {
@@ -74,92 +33,32 @@ InferenceServer::InferenceServer(const ServeOptions& options)
   }
 }
 
-InferenceServer::~InferenceServer() { shutdown(Drain::kExecute); }
+InferenceServer::~InferenceServer() { shutdown(); }
 
 bool InferenceServer::submit(const Request& req) {
   TSNN_CHECK_MSG(req.sink != nullptr, "serve request needs a completion sink");
   {
+    // Counted before the push: a worker may pop and complete the request
+    // before push() returns, and a stats() snapshot must never show more
+    // requests completed than submitted.
     std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) {
-      return false;
-    }
-    // Counted before the push so drain()'s "completed caught up with
-    // submitted" predicate can never be true while an admission is still
-    // in flight.
     ++stats_.submitted;
   }
   Request stamped = req;
   stamped.submit_time = Clock::now();
   if (!queue_->push(std::move(stamped))) {
     std::lock_guard<std::mutex> lock(mutex_);
-    --stats_.submitted;  // shutdown raced us; the request was not admitted
+    --stats_.submitted;  // the queue is closed; the request was not admitted
     return false;
   }
   return true;
 }
 
-RequestQueue<InferenceServer::Request>::PushStatus InferenceServer::try_submit(
-    const Request& req) {
-  using PushStatus = RequestQueue<Request>::PushStatus;
-  TSNN_CHECK_MSG(req.sink != nullptr, "serve request needs a completion sink");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) {
-      return PushStatus::kClosed;
-    }
-    ++stats_.submitted;
-  }
-  Request stamped = req;
-  stamped.submit_time = Clock::now();
-  const PushStatus status = queue_->try_push(stamped);
-  if (status != PushStatus::kOk) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --stats_.submitted;
-  }
-  return status;
-}
-
-std::future<InferenceServer::OwnedResponse> InferenceServer::submit_future(
-    std::uint64_t id, const snn::ClassifyRequest& work) {
-  auto* sink = new PromiseSink;
-  std::future<OwnedResponse> future = sink->promise.get_future();
-  Request req;
-  req.id = id;
-  req.work = work;
-  req.sink = sink;
-  if (!submit(req)) {
-    sink->promise.set_exception(std::make_exception_ptr(
-        std::runtime_error("inference server is shut down")));
-    delete sink;
-  }
-  return future;
-}
-
-void InferenceServer::drain() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock,
-                 [&] { return stats_.completed >= stats_.submitted; });
-}
-
-void InferenceServer::shutdown(Drain mode) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
+void InferenceServer::shutdown() {
   queue_->close();
-  if (mode == Drain::kDiscard) {
-    // Cancel whatever the pull loops have not grabbed yet. A loop may race
-    // us to individual items -- those execute normally; either way every
-    // admitted request completes exactly once (both sides pop under the
-    // queue lock).
-    Request req;
-    while (queue_->try_pop(req)) {
-      complete_cancelled(req);
-    }
-  }
   // Serialize the join itself so concurrent shutdowns are safe.
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
-  if (stopped_) {
+  if (pool_ == nullptr) {
     return;
   }
   if (owned_pool_.has_value()) {
@@ -168,7 +67,6 @@ void InferenceServer::shutdown(Drain mode) {
     pool_->wait();  // borrowed: wait for our pull-loop tasks to retire
   }
   pool_ = nullptr;
-  stopped_ = true;
 }
 
 InferenceServer::Stats InferenceServer::stats() const {
@@ -176,27 +74,6 @@ InferenceServer::Stats InferenceServer::stats() const {
   Stats out = stats_;
   out.max_queue_depth = queue_->max_depth();
   return out;
-}
-
-void InferenceServer::complete_cancelled(Request& req) {
-  Response resp;
-  resp.id = req.id;
-  resp.cancelled = true;
-  resp.submit_time = req.submit_time;
-  resp.start_time = Clock::now();
-  resp.done_time = resp.start_time;
-  try {
-    req.sink->on_complete(resp);
-  } catch (...) {
-    TSNN_LOG(kWarn) << "serve completion sink threw on a cancelled "
-                          "request; ignored";
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.completed;
-    ++stats_.cancelled;
-  }
-  all_done_.notify_all();
 }
 
 void InferenceServer::serve_loop() {
@@ -239,7 +116,8 @@ void InferenceServer::serve_loop() {
         req.sink->on_complete(resp);
       } catch (...) {
         // Sinks must not throw (see CompletionSink); swallow defensively
-        // so the accounting (and with it drain/shutdown) stays sound.
+        // so a throwing sink cannot end this pull loop and strand the
+        // requests still queued behind it.
         TSNN_LOG(kWarn) << "serve completion sink threw; ignored";
       }
       {
@@ -249,7 +127,6 @@ void InferenceServer::serve_loop() {
           ++stats_.errors;
         }
       }
-      all_done_.notify_all();
     }
   }
 }

@@ -17,7 +17,8 @@
 // batch boundaries, queue depth, arrival jitter, pool size, and
 // completion order NEVER influence any result -- a replayed request trace
 // is bit-reproducible under every serving configuration
-// (tests/test_serve.cpp pins batch {1,4,max} x threads {1,8}).
+// (tests/test_serve.cpp replays one trace at batch 1, 4 and 16, threads 1,
+// 2 and 8, and deadline 0 or 2 ms).
 //
 // Clients:
 //   - core::run_grid compiles its (cell, image) grid into a request
@@ -37,20 +38,16 @@
 // pool from a sink.
 //
 // Shutdown is a protocol, not a race (satellite of the ThreadPool
-// destruction contract): shutdown(Drain::kExecute) -- also the destructor
-// -- closes admission, lets the pull loops drain every admitted request,
-// and joins/releases the pool; shutdown(Drain::kDiscard) completes queued-
-// but-unstarted requests with `cancelled = true` instead of executing
-// them. In both modes every admitted request's sink is called exactly
-// once; a request rejected by submit() (false / kClosed) was NOT admitted
+// destruction contract): shutdown() -- also the destructor -- closes
+// admission, lets the pull loops execute every admitted request, and
+// joins/releases the pool, so every admitted request's sink is called
+// exactly once; a request rejected by submit() (false) was NOT admitted
 // and its sink will never be called.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <future>
 #include <mutex>
 #include <optional>
 
@@ -67,7 +64,7 @@ namespace tsnn::core {
 struct ServeOptions {
   /// Bounded admission queue depth; 0 = auto (4 micro-batches per worker,
   /// at least 64). The bound is the backpressure mechanism: submit()
-  /// blocks and try_submit() reports kFull when the service is saturated.
+  /// blocks while the service is saturated.
   std::size_t queue_capacity = 0;
   /// Micro-batch size cap per worker pull (>= 1).
   std::size_t max_batch = 8;
@@ -88,13 +85,11 @@ class InferenceServer {
   /// Completion record, handed to the request's sink on the worker thread
   /// that executed it. `result` points into the worker's reused storage
   /// and is valid ONLY for the duration of the on_complete call -- copy
-  /// what you keep. Exactly one of {result, error, cancelled} describes
-  /// the outcome.
+  /// what you keep. Exactly one of {result, error} describes the outcome.
   struct Response {
     std::uint64_t id = 0;
-    const snn::SimResult* result = nullptr;  ///< null on error / cancelled
+    const snn::SimResult* result = nullptr;  ///< null on error
     std::exception_ptr error;  ///< set when execution threw
-    bool cancelled = false;    ///< discarded by shutdown(Drain::kDiscard)
     Clock::time_point submit_time;  ///< admission into the queue
     Clock::time_point start_time;   ///< popped into a micro-batch
     Clock::time_point done_time;    ///< execution finished
@@ -123,32 +118,15 @@ class InferenceServer {
     std::uint64_t id = 0;
     snn::ClassifyRequest work;
     CompletionSink* sink = nullptr;  ///< required
-    /// Stamped by submit()/try_submit() at admission; callers leave it
-    /// default-constructed.
+    /// Stamped by submit() at admission; callers leave it default-constructed.
     Clock::time_point submit_time{};
-  };
-
-  /// Fate of queued-but-unstarted requests at shutdown.
-  enum class Drain {
-    kExecute,  ///< graceful: execute everything admitted, then stop
-    kDiscard,  ///< complete queued requests with cancelled = true instead
-  };
-
-  /// Owning SimResult variant of Response for the future-based API.
-  struct OwnedResponse {
-    std::uint64_t id = 0;
-    snn::SimResult result;
-    double queue_micros = 0.0;  ///< admission -> micro-batch start
-    double run_micros = 0.0;    ///< micro-batch start -> done
-    std::size_t batch_size = 0;
   };
 
   /// Serving counters (monotonic over the server's lifetime).
   struct Stats {
     std::uint64_t submitted = 0;  ///< admitted into the queue
-    std::uint64_t completed = 0;  ///< executed (ok or error) or cancelled
+    std::uint64_t completed = 0;  ///< executed (ok or error)
     std::uint64_t errors = 0;     ///< completed with an execution error
-    std::uint64_t cancelled = 0;  ///< completed as cancelled (kDiscard)
     std::uint64_t batches = 0;    ///< micro-batches dispatched
     std::size_t max_batch = 0;    ///< largest micro-batch observed
     std::size_t max_queue_depth = 0;  ///< admission-queue high-water mark
@@ -156,7 +134,7 @@ class InferenceServer {
     /// Mean micro-batch size (0 when no batch ran yet).
     double mean_batch() const {
       return batches == 0 ? 0.0
-                          : static_cast<double>(completed - cancelled) /
+                          : static_cast<double>(completed) /
                                 static_cast<double>(batches);
     }
   };
@@ -165,7 +143,7 @@ class InferenceServer {
   /// every worker with a pull loop.
   explicit InferenceServer(const ServeOptions& options = {});
 
-  /// Graceful shutdown: shutdown(Drain::kExecute).
+  /// Graceful shutdown: shutdown().
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;
@@ -176,49 +154,24 @@ class InferenceServer {
   /// admitted and its sink will never be called.
   bool submit(const Request& req);
 
-  /// Nonblocking admission; kFull asks the caller to back off, kClosed
-  /// means shutdown began. The request is only admitted on kOk.
-  RequestQueue<Request>::PushStatus try_submit(const Request& req);
-
-  /// Future-based convenience (allocates a promise per request; the hot
-  /// clients use sinks). The future throws the execution error, or
-  /// std::runtime_error on cancellation/rejection.
-  std::future<OwnedResponse> submit_future(std::uint64_t id,
-                                           const snn::ClassifyRequest& work);
-
-  /// Blocks until every admitted request has completed (in any sense).
-  /// Admission stays open -- this is a checkpoint, not a shutdown.
-  void drain() const;
-
-  /// Stops the service: closes admission, resolves queued requests per
-  /// `mode`, waits for in-flight work, and joins/releases the pool.
-  /// Idempotent; the first caller's mode wins.
-  void shutdown(Drain mode = Drain::kExecute);
+  /// Stops the service: closes admission, executes every admitted request,
+  /// and joins/releases the pool. Idempotent.
+  void shutdown();
 
   Stats stats() const;
 
-  /// Number of executing workers.
-  std::size_t threads() const { return pool_ == nullptr ? 0 : pool_->size(); }
-
-  /// The resolved options (with queue_capacity auto replaced).
-  const ServeOptions& options() const { return opts_; }
-
  private:
   void serve_loop();
-  void complete_cancelled(Request& req);
 
   ServeOptions opts_;
   std::optional<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
+  ThreadPool* pool_ = nullptr;  ///< null once shutdown() released it
   std::optional<RequestQueue<Request>> queue_;
 
-  mutable std::mutex mutex_;  ///< guards the counters + shutdown flags
-  mutable std::condition_variable all_done_;  ///< completed caught up
+  mutable std::mutex mutex_;  ///< guards stats_
   Stats stats_;
-  bool closed_ = false;  ///< shutdown began (admission refused)
 
   std::mutex shutdown_mutex_;  ///< serializes the pool join in shutdown()
-  bool stopped_ = false;       ///< pull loops exited, pool released
 };
 
 }  // namespace tsnn::core

@@ -436,8 +436,10 @@ TEST(ScenarioEngine, RowsStreamInGridOrder) {
   const Fixture f;
   ScenarioSpec spec = tiny_spec("noise = jitter:sweep\nlevels = 0, 1, 2\n");
   ScenarioEngine::Options options = f.options(4);
+  std::vector<std::size_t> cells;
   std::vector<std::pair<std::size_t, std::string>> streamed;
-  options.on_row = [&](std::size_t s, const ScenarioRow& row) {
+  options.on_cell = [&](std::size_t c, std::size_t s, const ScenarioRow& row) {
+    cells.push_back(c);
     streamed.emplace_back(s, row.method + "@" +
                                  std::to_string(row.level));
   };
@@ -445,6 +447,7 @@ TEST(ScenarioEngine, RowsStreamInGridOrder) {
   const ScenarioResult result = engine.run_one(spec);
   ASSERT_EQ(streamed.size(), result.rows.size());
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
+    EXPECT_EQ(cells[i], i);  // global cell indices run 0..n-1
     EXPECT_EQ(streamed[i].first, 0u);
     EXPECT_EQ(streamed[i].second,
               result.rows[i].method + "@" +

@@ -9,7 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <future>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -81,23 +81,48 @@ struct Trace {
   }
 };
 
+/// Copies each completion into the slot its id names. Each slot has one
+/// writer; read the slots only after shutdown(), which joins the workers.
+class SlotSink : public InferenceServer::CompletionSink {
+ public:
+  explicit SlotSink(std::size_t n) : results(n), completions(n, 0) {}
+
+  void on_complete(const InferenceServer::Response& resp) override {
+    ++completions[resp.id];
+    if (resp.result != nullptr) {
+      results[resp.id] = *resp.result;
+    }
+  }
+
+  std::vector<snn::SimResult> results;
+  std::vector<int> completions;  ///< sink calls per id
+};
+
+/// Submits request i of the trace under id i.
+void submit_trace(InferenceServer& server, const Trace& trace,
+                  InferenceServer::CompletionSink* sink) {
+  InferenceServer::Request req;
+  req.sink = sink;
+  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+    req.id = i;
+    req.work = trace.requests[i];
+    ASSERT_TRUE(server.submit(req));
+  }
+}
+
 /// Runs the whole trace through a server with the given configuration and
-/// returns the owned per-request results, indexed by request id.
+/// returns the per-request results, indexed by request id.
 std::vector<snn::SimResult> run_trace(const Trace& trace,
                                       const ServeOptions& options) {
+  SlotSink sink(trace.requests.size());
   InferenceServer server(options);
-  std::vector<std::future<InferenceServer::OwnedResponse>> futures;
-  futures.reserve(trace.requests.size());
-  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-    futures.push_back(server.submit_future(i, trace.requests[i]));
+  submit_trace(server, trace, &sink);
+  server.shutdown();
+  EXPECT_EQ(server.stats().errors, 0u);
+  for (std::size_t i = 0; i < sink.completions.size(); ++i) {
+    EXPECT_EQ(sink.completions[i], 1) << "request " << i;
   }
-  std::vector<snn::SimResult> results(trace.requests.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    InferenceServer::OwnedResponse resp = futures[i].get();
-    EXPECT_EQ(resp.id, i);
-    results[resp.id] = std::move(resp.result);
-  }
-  return results;
+  return std::move(sink.results);
 }
 
 void expect_bit_identical(const snn::SimResult& a, const snn::SimResult& b,
@@ -132,9 +157,9 @@ TEST(InferenceServer, MatchesDirectExecution) {
 }
 
 TEST(InferenceServer, TraceReplayBitIdenticalAcrossConfigurations) {
-  // The acceptance pin: batch {1,4,16} x threads {1,8} x deadline {0,2ms}
-  // all reproduce the same per-request bits, regardless of how requests
-  // interleave into micro-batches.
+  // The acceptance pin: batch 1, 4 and 16, threads 1, 2 and 8, and
+  // deadline 0 or 2 ms all reproduce the same per-request bits, regardless
+  // of how requests interleave into micro-batches.
   const Trace trace(24);
   ServeOptions baseline;
   baseline.num_threads = 1;
@@ -168,11 +193,7 @@ class GateSink : public InferenceServer::CompletionSink {
   void on_complete(const InferenceServer::Response& resp) override {
     std::unique_lock<std::mutex> lock(mutex_);
     ++entered_;
-    if (resp.cancelled) {
-      ++cancelled_;
-    } else if (resp.error) {
-      ++errored_;
-    } else {
+    if (resp.result != nullptr) {
       ++executed_;
     }
     entered_cv_.notify_all();
@@ -196,10 +217,6 @@ class GateSink : public InferenceServer::CompletionSink {
     std::lock_guard<std::mutex> lock(mutex_);
     return executed_;
   }
-  std::size_t cancelled() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cancelled_;
-  }
 
  private:
   std::mutex mutex_;
@@ -207,63 +224,50 @@ class GateSink : public InferenceServer::CompletionSink {
   std::condition_variable release_cv_;
   std::size_t entered_ = 0;
   std::size_t executed_ = 0;
-  std::size_t cancelled_ = 0;
-  std::size_t errored_ = 0;
   bool released_ = false;
 };
 
-/// Non-blocking tally sink for requests whose completion must not wedge
-/// the caller (e.g. the shutdown(kDiscard) cancel loop, which runs sinks
-/// on the shutting-down thread).
-class CountingSink : public InferenceServer::CompletionSink {
- public:
-  void on_complete(const InferenceServer::Response& resp) override {
-    if (resp.cancelled) {
-      ++cancelled_;
-    } else {
-      ++executed_;
-    }
-  }
-
-  std::size_t executed() const { return executed_.load(); }
-  std::size_t cancelled() const { return cancelled_.load(); }
-
- private:
-  std::atomic<std::size_t> executed_{0};
-  std::atomic<std::size_t> cancelled_{0};
-};
-
-TEST(InferenceServer, TrySubmitReportsFullUnderBackpressure) {
+TEST(InferenceServer, SubmitBlocksWhileTheQueueIsFull) {
+  // Blocking admission is the backpressure run_grid's producer relies on:
+  // with the only worker wedged and the queue full, submit() must wait for
+  // a slot rather than refuse or overrun the ring.
   const Trace trace(1);
   ServeOptions options;
   options.num_threads = 1;
   options.max_batch = 1;
   options.queue_capacity = 1;
-  InferenceServer server(options);
   GateSink gate;
+  InferenceServer server(options);
 
   InferenceServer::Request req;
   req.work = trace.requests[0];
   req.sink = &gate;
-
   // Request 0 wedges the single worker inside its sink...
   req.id = 0;
   ASSERT_TRUE(server.submit(req));
   gate.await_entered(1);
-  // ...request 1 fills the capacity-1 queue...
+  // ...and request 1 fills the capacity-1 queue.
   req.id = 1;
   ASSERT_TRUE(server.submit(req));
-  // ...so admission is saturated: try_submit must report kFull, not block.
-  req.id = 2;
-  using Push = RequestQueue<InferenceServer::Request>::PushStatus;
-  EXPECT_EQ(server.try_submit(req), Push::kFull);
 
+  InferenceServer::Request third = req;
+  third.id = 2;
+  std::atomic<bool> returned{false};
+  std::atomic<bool> admitted{false};
+  std::thread producer([&] {
+    admitted = server.submit(third);
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load());  // still blocked on the full queue
   gate.release();
-  server.drain();
-  EXPECT_EQ(gate.executed(), 2u);  // the kFull request was never admitted
+  producer.join();
+  EXPECT_TRUE(admitted.load());
+  server.shutdown();
+  EXPECT_EQ(gate.executed(), 3u);
   const InferenceServer::Stats stats = server.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.completed, 3u);
 }
 
 TEST(InferenceServer, ShutdownExecuteDrainsQueued) {
@@ -286,52 +290,11 @@ TEST(InferenceServer, ShutdownExecuteDrainsQueued) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     gate.release();
   });
-  server.shutdown(InferenceServer::Drain::kExecute);
+  server.shutdown();
   releaser.join();
   EXPECT_EQ(gate.executed(), 8u);  // graceful: nothing dropped
-  EXPECT_EQ(gate.cancelled(), 0u);
   const InferenceServer::Stats stats = server.stats();
   EXPECT_EQ(stats.completed, 8u);
-}
-
-TEST(InferenceServer, ShutdownDiscardCancelsQueued) {
-  const Trace trace(1);
-  ServeOptions options;
-  options.num_threads = 1;
-  options.max_batch = 1;
-  InferenceServer server(options);
-  GateSink gate;
-
-  InferenceServer::Request req;
-  req.work = trace.requests[0];
-  req.sink = &gate;
-  req.id = 0;
-  ASSERT_TRUE(server.submit(req));
-  gate.await_entered(1);  // the worker is wedged: nothing else can start
-  // The queued requests use a non-blocking sink: the discard flush runs
-  // sinks on this thread, and a wedge there would hand the worker a window
-  // to race the flush for queued items once the gate opens.
-  CountingSink queued;
-  req.sink = &queued;
-  for (std::uint64_t i = 1; i < 8; ++i) {
-    req.id = i;
-    ASSERT_TRUE(server.submit(req));
-  }
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    gate.release();
-  });
-  server.shutdown(InferenceServer::Drain::kDiscard);
-  releaser.join();
-  // Exactly the wedged request executed; the 7 queued ones completed as
-  // cancelled -- every admitted request's sink was called exactly once.
-  EXPECT_EQ(gate.executed(), 1u);
-  EXPECT_EQ(gate.cancelled(), 0u);
-  EXPECT_EQ(queued.executed(), 0u);
-  EXPECT_EQ(queued.cancelled(), 7u);
-  const InferenceServer::Stats stats = server.stats();
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.cancelled, 7u);
 }
 
 TEST(InferenceServer, SubmitAfterShutdownIsRejected) {
@@ -346,25 +309,38 @@ TEST(InferenceServer, SubmitAfterShutdownIsRejected) {
   req.work = trace.requests[0];
   req.sink = &gate;
   EXPECT_FALSE(server.submit(req));
-  using Push = RequestQueue<InferenceServer::Request>::PushStatus;
-  EXPECT_EQ(server.try_submit(req), Push::kClosed);
-  auto future = server.submit_future(1, trace.requests[0]);
-  EXPECT_THROW(future.get(), std::runtime_error);
   EXPECT_EQ(server.stats().submitted, 0u);
 }
 
-TEST(InferenceServer, ExecutionErrorReachesTheFuture) {
+TEST(InferenceServer, ExecutionErrorReachesTheSink) {
+  // Task errors travel to the sink as an exception_ptr; they never escape
+  // the worker.
+  struct ErrorSink : InferenceServer::CompletionSink {
+    std::uint64_t id = 0;
+    bool had_result = true;
+    std::exception_ptr error;
+    void on_complete(const InferenceServer::Response& resp) override {
+      id = resp.id;
+      had_result = resp.result != nullptr;
+      error = resp.error;
+    }
+  };
   const Trace trace(1);
   ServeOptions options;
   options.num_threads = 1;
+  ErrorSink sink;
   InferenceServer server(options);
-  snn::ClassifyRequest bad = trace.requests[0];
-  bad.image = nullptr;  // execute_request refuses imageless requests
-  auto future = server.submit_future(7, bad);
-  EXPECT_THROW(future.get(), Error);
-  // The future resolves from the sink, which runs just before the counter
-  // update; drain() is the barrier that orders the stats read after it.
-  server.drain();
+  InferenceServer::Request req;
+  req.id = 7;
+  req.work = trace.requests[0];
+  req.work.image = nullptr;  // execute_request refuses imageless requests
+  req.sink = &sink;
+  ASSERT_TRUE(server.submit(req));
+  server.shutdown();  // the barrier that orders the reads below
+  EXPECT_EQ(sink.id, 7u);
+  EXPECT_FALSE(sink.had_result);
+  ASSERT_TRUE(sink.error);
+  EXPECT_THROW(std::rethrow_exception(sink.error), Error);
   EXPECT_EQ(server.stats().errors, 1u);
 }
 
@@ -373,18 +349,17 @@ TEST(InferenceServer, BorrowedPoolIsReleasedUsable) {
   // shutdown the pool must be fully usable for ordinary broadcasts again.
   const Trace trace(8);
   ThreadPool pool(2);
+  SlotSink sink(trace.requests.size());
   {
     ServeOptions options;
     options.pool = &pool;
     options.max_batch = 2;
     InferenceServer server(options);
-    std::vector<std::future<InferenceServer::OwnedResponse>> futures;
-    for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-      futures.push_back(server.submit_future(i, trace.requests[i]));
-    }
-    for (auto& f : futures) {
-      f.get();
-    }
+    submit_trace(server, trace, &sink);
+    server.shutdown();
+  }
+  for (std::size_t i = 0; i < sink.completions.size(); ++i) {
+    EXPECT_EQ(sink.completions[i], 1) << "request " << i;
   }
   std::atomic<int> counter{0};
   const std::function<void(std::size_t)> fn = [&counter](std::size_t) {
@@ -401,8 +376,8 @@ TEST(InferenceServer, StatsCountBatches) {
   options.max_batch = 4;
   // A wedged first request lets the remaining 15 queue up, so later pulls
   // actually form multi-request batches.
-  InferenceServer server(options);
   GateSink gate;
+  InferenceServer server(options);
   InferenceServer::Request req;
   req.sink = &gate;
   for (std::uint64_t i = 0; i < 16; ++i) {
@@ -412,7 +387,7 @@ TEST(InferenceServer, StatsCountBatches) {
   }
   gate.await_entered(1);
   gate.release();
-  server.drain();
+  server.shutdown();
   const InferenceServer::Stats stats = server.stats();
   EXPECT_EQ(stats.submitted, 16u);
   EXPECT_EQ(stats.completed, 16u);

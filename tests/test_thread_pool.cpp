@@ -3,7 +3,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -108,8 +111,7 @@ TEST(ThreadPool, ParallelForZeroIsANoOp) {
 
 TEST(ThreadPool, ParallelForSingleWorkerRunsInIndexOrder) {
   // The broadcast hands indices out from one atomic counter; with a single
-  // worker that degenerates to exactly 0..n-1 -- the property the sweep
-  // engine's serial/parallel equivalence leans on.
+  // worker that degenerates to exactly 0..n-1.
   ThreadPool pool(1);
   std::vector<std::size_t> order;
   const std::function<void(std::size_t)> fn = [&order](std::size_t i) {
@@ -123,7 +125,7 @@ TEST(ThreadPool, ParallelForSingleWorkerRunsInIndexOrder) {
 }
 
 TEST(ThreadPool, ParallelForIsReusableBackToBack) {
-  // Consecutive broadcasts over one pool -- the sweep engine's steady state.
+  // Consecutive broadcasts over one pool -- snn::evaluate's steady state.
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   const std::function<void(std::size_t)> fn = [&counter](std::size_t) {
@@ -133,36 +135,6 @@ TEST(ThreadPool, ParallelForIsReusableBackToBack) {
     pool.parallel_for(37, fn);
   }
   EXPECT_EQ(counter.load(), 370);
-}
-
-TEST(ThreadPool, ParallelForAsyncCompletesOnWait) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  const std::function<void(std::size_t)> fn = [&hits](std::size_t i) {
-    ++hits[i];
-  };
-  pool.parallel_for_async(hits.size(), fn);
-  pool.wait();
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForAsyncLetsCallerConsumeIncrementally) {
-  // The caller observes completions while the broadcast is still running --
-  // the streaming pattern of the sweep engine's row emitter.
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  const std::function<void(std::size_t)> fn = [&completed](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ++completed;
-  };
-  pool.parallel_for_async(20, fn);
-  while (completed.load() < 20) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  pool.wait();
-  EXPECT_EQ(completed.load(), 20);
 }
 
 TEST(ThreadPool, ParallelForRunsEveryIndexDespiteException) {
@@ -180,10 +152,10 @@ TEST(ThreadPool, ParallelForRunsEveryIndexDespiteException) {
 
 // ---------------------------------------------------------------------------
 // Misuse guards: the contract violations that would otherwise deadlock
-// (nesting a broadcast inside a worker of the same pool, starting a second
-// broadcast while the first still borrows its callable) abort with a
-// diagnostic instead of hanging. Death tests fork, so the "threadsafe"
-// style is required with live pool threads.
+// (nesting a broadcast inside a worker of the same pool, starting a
+// broadcast while another thread's broadcast still borrows its callable)
+// abort with a diagnostic instead of hanging. Death tests fork, so the
+// "threadsafe" style is required with live pool threads.
 
 void nested_parallel_for_from_worker() {
   ThreadPool pool(2);
@@ -200,17 +172,24 @@ void wait_from_worker() {
   pool.wait();
 }
 
-void double_parallel_for_async() {
+void concurrent_parallel_for() {
   ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  const std::function<void(std::size_t)> slow = [&](std::size_t) {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+  std::atomic<bool> started{false};
+  const std::function<void(std::size_t)> hold = [&](std::size_t) {
+    started.store(true);
+    std::this_thread::sleep_for(std::chrono::seconds(30));
+    // Reached only if the guard below did not fire, leaving the main thread
+    // queued behind this broadcast forever: a clean exit turns that hang
+    // into a failed death test.
+    std::_Exit(0);
   };
-  pool.parallel_for_async(64, slow);
+  std::thread a([&] { pool.parallel_for(1, hold); });
+  while (!started.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const std::function<void(std::size_t)> second = [](std::size_t) {};
-  pool.parallel_for_async(1, second);  // must abort, not block or deadlock
+  pool.parallel_for(1, second);  // must abort, not block or deadlock
+  a.join();
 }
 
 TEST(ThreadPoolDeath, NestedParallelForFromWorkerAborts) {
@@ -223,10 +202,10 @@ TEST(ThreadPoolDeath, WaitFromWorkerAborts) {
   EXPECT_DEATH(wait_from_worker(), "called from inside a worker");
 }
 
-TEST(ThreadPoolDeath, SecondBroadcastWithoutWaitAborts) {
+TEST(ThreadPoolDeath, ConcurrentBroadcastAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(double_parallel_for_async(),
-               "previous broadcast is still in flight");
+  EXPECT_DEATH(concurrent_parallel_for(),
+               "another broadcast is still in flight");
 }
 
 TEST(ThreadPool, CrossPoolNestingRemainsLegal) {
@@ -260,26 +239,6 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
     // No wait(): destruction must still run everything before joining.
   }
   EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPool, DestructorDrainsInFlightBroadcast) {
-  // Destruction-while-work-pending is a graceful drain, not a cancel --
-  // the contract InferenceServer::shutdown leans on. The callable and the
-  // result slots outlive the pool (declared first), as the async-broadcast
-  // contract requires.
-  std::vector<std::atomic<int>> hits(64);
-  const std::function<void(std::size_t)> fn = [&hits](std::size_t i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    ++hits[i];
-  };
-  {
-    ThreadPool pool(3);
-    pool.parallel_for_async(hits.size(), fn);
-    // No wait(): the destructor is the drain.
-  }
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
 }
 
 void destroy_pool_from_own_worker() {
