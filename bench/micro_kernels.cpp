@@ -6,10 +6,12 @@
 // figure benches (event-driven cost ~ spikes x fanout, which is why TTFS
 // simulations are ~10x cheaper than rate simulations).
 //
-// The spike-propagation and fire-scan benches also register one variant per
-// runnable SIMD dispatch table (e.g. BM_DenseSpikePropagate<scalar> next to
-// BM_DenseSpikePropagate<avx2>), so one run measures the vector speedup
-// against the forced-scalar reference on identical inputs. The dense and
+// The spike-propagation, fire-scan and noise benches also register one
+// variant per runnable SIMD dispatch table (e.g.
+// BM_DenseSpikePropagate<scalar> next to BM_DenseSpikePropagate<avx2>), so
+// one run measures the vector speedup against the forced-scalar reference
+// on identical inputs. The noise benches time apply_inplace, the path the
+// simulator runs, on prepared TTAS(5) trains. The dense and
 // conv propagate benches each time one full-density step (conv's takes its
 // canonical order). The active ISA is stamped into the benchmark JSON
 // context ("isa").
@@ -23,11 +25,14 @@
 #include "coding/registry.h"
 #include "common/aligned.h"
 #include "common/rng.h"
+#include "core/ttas.h"
 #include "dnn/conv2d.h"
-#include "noise/noise.h"
+#include "noise/deletion.h"
+#include "noise/jitter.h"
 #include "simd/kernels.h"
 #include "snn/simulator.h"
 #include "snn/topology.h"
+#include "snn/workspace.h"
 #include "tensor/tensor_ops.h"
 
 namespace {
@@ -370,18 +375,6 @@ void fire_scan_args(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_ThresholdFire)->Apply(fire_scan_args);
 BENCHMARK(BM_BurstFire)->Apply(fire_scan_args);
 
-void BM_DeletionNoise(benchmark::State& state) {
-  const auto scheme = coding::make_scheme(snn::Coding::kRate);
-  const snn::SpikeRaster raster = scheme->encode(random_activations(768, 7));
-  const auto noise = noise::make_deletion(0.5);
-  Rng rng(8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(noise->apply(raster, rng));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(raster.total_spikes()));
-}
-BENCHMARK(BM_DeletionNoise);
 
 /// Whole-image simulation with the policy off (arg 0, stage by stage) vs a
 /// never-firing margin policy (arg 1, the lockstep wavefront) on a small
@@ -430,21 +423,60 @@ void BM_SteppedOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_SteppedOverhead)->Arg(0)->Arg(1);
 
-void BM_JitterNoise(benchmark::State& state) {
-  const auto scheme = coding::make_scheme(snn::Coding::kRate);
-  const snn::SpikeRaster raster = scheme->encode(random_activations(768, 9));
-  const auto noise = noise::make_jitter(2.0);
-  Rng rng(10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(noise->apply(raster, rng));
+/// Prepared input trains for the noise benches: TTAS(5) encodings of
+/// random activations shaped like an s-cifar10 image (3x16x16), each
+/// finalized in its own EventBuffer.
+struct NoiseTrains {
+  static constexpr std::size_t kTrains = 8;
+  std::vector<snn::EventBuffer> trains;
+
+  NoiseTrains() {
+    const auto scheme = core::make_ttas(5);
+    snn::SimWorkspace ws;
+    for (std::size_t i = 0; i < kTrains; ++i) {
+      snn::EventBuffer buf;
+      scheme->encode_into(random_activations(3 * 16 * 16, 40 + i), ws, buf);
+      trains.push_back(std::move(buf));
+    }
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(raster.total_spikes()));
+};
+
+/// The simulator's noise hot path: apply_inplace on a warm EventBuffer and
+/// scratch. Each iteration restores the next prepared train (the copy is
+/// part of the time) and corrupts it in place.
+void run_noise_inplace(benchmark::State& state, const snn::NoiseModel& noise) {
+  static const NoiseTrains prepared;
+  snn::EventBuffer buf = prepared.trains[0];
+  snn::EventSortScratch scratch;
+  Rng rng(8);
+  noise.apply_inplace(buf, scratch, rng);
+  std::int64_t events = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    buf = prepared.trains[next];
+    events += static_cast<std::int64_t>(buf.size());
+    next = (next + 1) % NoiseTrains::kTrains;
+    noise.apply_inplace(buf, scratch, rng);
+    benchmark::DoNotOptimize(buf.neurons());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(events);
+}
+
+void BM_DeletionNoise(benchmark::State& state) {
+  run_noise_inplace(state, noise::DeletionNoise(0.5));
+}
+BENCHMARK(BM_DeletionNoise);
+
+/// Jitter at sigma 2, the middle of the temporal grid's levels: the
+/// batched Gaussian shift draw (gauss_shifts) plus the re-bucket.
+void BM_JitterNoise(benchmark::State& state) {
+  run_noise_inplace(state, noise::JitterNoise(2.0));
 }
 BENCHMARK(BM_JitterNoise);
 
-/// Registers one copy of the spike-propagation and fire-scan benches per
-/// runnable dispatch table, each pinned via ScopedKernelOverride for the
+/// Registers one copy of the spike-propagation, fire-scan and noise benches
+/// per runnable dispatch table, each pinned via ScopedKernelOverride for the
 /// duration of its run -- BM_DenseSpikePropagate<scalar>/512/350 next to
 /// BM_DenseSpikePropagate<avx2>/512/350 is the vector-vs-reference
 /// speedup on identical work. Only registered when more than one table is
@@ -475,6 +507,10 @@ void register_isa_variants() {
     benchmark::RegisterBenchmark(("BM_BurstFire" + suffix).c_str(),
                                  pinned(BM_BurstFire))
         ->Apply(fire_scan_args);
+    benchmark::RegisterBenchmark(("BM_DeletionNoise" + suffix).c_str(),
+                                 pinned(BM_DeletionNoise));
+    benchmark::RegisterBenchmark(("BM_JitterNoise" + suffix).c_str(),
+                                 pinned(BM_JitterNoise));
   }
 }
 

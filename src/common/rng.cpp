@@ -71,17 +71,23 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(uniform_index(span));
 }
 
+void Rng::box_muller_uniforms(double& u1, double& u2) {
+  // Avoid log(0) by nudging u1 away from zero.
+  u1 = uniform();
+  if (u1 < 1e-300) {
+    u1 = 1e-300;
+  }
+  u2 = uniform();
+}
+
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  // Box-Muller; avoid log(0) by nudging u1 away from zero.
-  double u1 = uniform();
-  if (u1 < 1e-300) {
-    u1 = 1e-300;
-  }
-  const double u2 = uniform();
+  double u1 = 0.0;
+  double u2 = 0.0;
+  box_muller_uniforms(u1, u2);
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * std::numbers::pi * u2;
   cached_normal_ = radius * std::sin(theta);
@@ -92,6 +98,23 @@ double Rng::normal() {
 double Rng::normal(double mean, double stddev) {
   TSNN_CHECK_MSG(stddev >= 0.0, "normal stddev must be non-negative");
   return mean + stddev * normal();
+}
+
+bool Rng::take_cached_normal(double& z) {
+  if (!has_cached_normal_) {
+    return false;
+  }
+  has_cached_normal_ = false;
+  z = cached_normal_;
+  return true;
+}
+
+void Rng::uniform_pairs(std::size_t pairs, double* out) {
+  TSNN_CHECK_MSG(!has_cached_normal_,
+                 "uniform_pairs with a cached normal; take it first");
+  for (std::size_t i = 0; i < pairs; ++i) {
+    box_muller_uniforms(out[2 * i], out[2 * i + 1]);
+  }
 }
 
 bool Rng::bernoulli(double p) {

@@ -4,7 +4,9 @@
 // injection) draw from tsnn::Rng so that experiments are reproducible from a
 // single seed. Rng wraps xoshiro256** -- fast, high-quality, and independent
 // of the standard library's unspecified distributions (we implement our own
-// uniform/normal/bernoulli so results are bit-identical across platforms).
+// uniform/normal/bernoulli so results are bit-identical across platforms --
+// for normal(), across platforms with the same libm: Box-Muller calls the
+// platform's log, sin and cos).
 //
 // Stream seeding contract
 // -----------------------
@@ -22,6 +24,7 @@
 // ordering, or which other images are evaluated alongside it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -57,11 +60,31 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Standard normal via Box-Muller (deterministic, platform-independent).
+  /// Standard normal via Box-Muller: each pair of uniforms (u1, u2) gives
+  /// r cos(theta), returned, and r sin(theta), cached for the next call.
+  /// Deterministic for a given libm.
   double normal();
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
+
+  // Batched normals. A caller that draws n normals in one batch, with the
+  // same stream effect as n normal() calls, goes: take_cached_normal() for
+  // the first value; uniform_pairs() for the next (n - taken) / 2 pairs,
+  // transformed as normal() would (r cos theta first, then r sin theta);
+  // and, for an odd remainder, one normal() call, which leaves the last
+  // pair's exact sine cached as n normal() calls would. An empty batch
+  // touches nothing, a cached value included.
+
+  /// Moves a cached normal() value into `z` and returns true; false (z
+  /// untouched) if nothing is cached.
+  bool take_cached_normal(double& z);
+
+  /// Writes the uniforms of the next `pairs` Box-Muller pairs to out[0 ..
+  /// 2 * pairs), (u1, u2) interleaved, u1 already nudged to >= 1e-300:
+  /// exactly what `pairs` cache-missing normal() calls consume, in order.
+  /// Requires an empty cache (take_cached_normal() first).
+  void uniform_pairs(std::size_t pairs, double* out);
 
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p);
@@ -87,6 +110,9 @@ class Rng {
   }
 
  private:
+  /// The uniforms of one Box-Muller pair, u1 kept off log(0).
+  void box_muller_uniforms(double& u1, double& u2);
+
   std::uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

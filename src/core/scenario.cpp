@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <utility>
@@ -27,12 +28,14 @@ namespace {
                         what);
 }
 
+/// A finite decimal: strtod's "inf", "nan" and overflowing values such as
+/// 1e999 are rejected here, naming the line, like any other bad number.
 double parse_double(const std::string& s, std::size_t line,
                     const char* what) {
   const std::string t = str::trim(s);
   char* end = nullptr;
   const double v = std::strtod(t.c_str(), &end);
-  if (t.empty() || end != t.c_str() + t.size()) {
+  if (t.empty() || end != t.c_str() + t.size() || !std::isfinite(v)) {
     parse_error(line, std::string("bad ") + what + " '" + t + "'");
   }
   return v;

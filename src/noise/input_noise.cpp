@@ -1,6 +1,7 @@
 #include "noise/input_noise.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.h"
@@ -21,7 +22,9 @@ Tensor salt_pepper_input_noise(const Tensor& image, double rate, Rng& rng) {
 }
 
 GaussianInputNoise::GaussianInputNoise(double sigma) : sigma_(sigma) {
-  TSNN_CHECK_MSG(sigma >= 0.0, "input noise sigma must be non-negative");
+  TSNN_CHECK_MSG(std::isfinite(sigma) && sigma >= 0.0,
+                 "input noise sigma must be finite and non-negative, got "
+                     << sigma);
 }
 
 void GaussianInputNoise::apply_into(const Tensor& in, Tensor& out,

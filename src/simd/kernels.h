@@ -1,14 +1,14 @@
 // Runtime-dispatched SIMD kernel layer.
 //
-// The five hot inner loops of the simulator -- dense fan-out scatter, conv
+// The six hot inner loops of the simulator -- dense fan-out scatter, conv
 // tap accumulate, the potential/threshold scan, burst coding's escalating
-// fire scan, and the in-place noise compaction -- plus the axpy building
-// block are leaf functions behind a KernelDispatch table of function
-// pointers, the FFmpeg DSP-table idiom: callers marshal their state into a
-// plain KernelCtx view and invoke through kernels(), and the variant that
-// runs (scalar reference or AVX2) is chosen once at startup from
-// cpu::allowed_features() -- so adding an ISA means adding leaf functions,
-// never touching the class hierarchy.
+// fire scan, the in-place noise compaction, and jitter's Gaussian shift
+// draw (gauss_shifts) -- plus the axpy building block are leaf functions
+// behind a KernelDispatch table of function pointers, the FFmpeg DSP-table
+// idiom: callers marshal their state into a plain KernelCtx view and invoke
+// through kernels(), and the variant that runs (scalar reference or AVX2)
+// is chosen once at startup from cpu::allowed_features() -- so adding an
+// ISA means adding leaf functions, never touching the class hierarchy.
 //
 // Exactness contract
 // ------------------
@@ -18,13 +18,17 @@
 // so golden pins cannot move when the dispatch changes. No kernel reduces
 // across lanes. The simd translation units are compiled with
 // -ffp-contract=off so the "scalar" semantics stay scalar under any
-// -march.
+// -march. gauss_shifts outputs integers: a vector leaf may approximate its
+// transcendentals internally, within a stated error bound, provided it
+// recomputes with the scalar leaf's libm expressions every value that lies
+// within that bound of a rounding boundary -- the integers stay exact.
 //
 // Ctx buffers should honor kSimdAlign (common/aligned.h) -- the kernels use
 // unaligned loads, so alignment is a performance guarantee, not a
 // correctness requirement.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -119,6 +123,35 @@ struct BurstFireCtx {
   std::uint32_t* fired = nullptr;
 };
 
+/// Box-Muller jitter shifts. Pair i of the uniforms, (u1, u2) = (u[2i],
+/// u[2i+1]) with u1 in [1e-300, 1) and u2 in [0, 1), gives
+///   r = sqrt(-2 ln u1),  theta = 2 pi u2,
+///   out[2i]     = round_shift(0.0 + sigma * (r * cos theta), limit),
+///   out[2i + 1] = round_shift(0.0 + sigma * (r * sin theta), limit)
+/// -- the shifts two consecutive cache-missing Rng::normal(0, sigma) calls
+/// give, in that order. The scalar leaf evaluates exactly those libm
+/// expressions.
+struct GaussShiftCtx {
+  const double* u = nullptr;     ///< 2 * pairs uniforms, (u1, u2) interleaved
+  std::size_t pairs = 0;
+  double sigma = 0.0;            ///< finite, >= 0
+  std::int32_t limit = 0;        ///< saturation bound, >= 0
+  std::int32_t* out = nullptr;   ///< 2 * pairs shifts
+};
+
+/// The one rounding every jitter shift takes: lround(v) saturated to
+/// [-limit, limit]. Unlike a bare std::lround, it is defined for every
+/// non-NaN v (x86-64's lround returns LONG_MIN once |v| >= 2^63).
+inline std::int32_t round_shift(double v, std::int32_t limit) {
+  if (v >= limit) {
+    return limit;
+  }
+  if (v <= -limit) {
+    return -limit;
+  }
+  return static_cast<std::int32_t>(std::lround(v));
+}
+
 // ------------------------------------------------------- dispatch table ----
 
 /// Function-pointer table of one ISA variant. All pointers are always
@@ -140,6 +173,7 @@ struct KernelDispatch {
   std::size_t (*mask_compact)(const std::uint32_t* src,
                               const std::uint8_t* keep, std::size_t n,
                               std::uint32_t* dst) = nullptr;
+  void (*gauss_shifts)(const GaussShiftCtx&) = nullptr;
 };
 
 /// The active table: the highest-priority registered table whose features

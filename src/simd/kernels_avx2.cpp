@@ -8,6 +8,8 @@
 // dimension, or the neurons of a fire scan -- so each slot still receives
 // its contributions in batch order, as one mul and one add, and
 // -ffp-contract=off keeps the compiler from contracting the scalar tails.
+// gauss_shifts, whose outputs are integers, approximates and then verifies
+// (its section below states the error bound).
 #include "simd/kernels_internal.h"
 
 #if defined(TSNN_SIMD_AVX2) && defined(__AVX2__)
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <numbers>
 
 #include "common/cpu.h"
 
@@ -470,6 +473,188 @@ std::size_t av_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
   return k;
 }
 
+// -------------------------------------------------------- gauss shifts ----
+//
+// Box-Muller through hand-written double-precision polynomials, four pairs
+// per step, approximate-then-verify (the bounded-error design of vector
+// math libraries such as SLEEF, https://sleef.org; none of its code):
+//
+//   ln u1  u1 = 2^e * m with m in [sqrt(1/2), sqrt(2)) -- u1 >= 1e-300 is a
+//          normal double, so e and m come straight from its bits -- and
+//          ln m = 2 atanh(s), s = (m - 1) / (m + 1), |s| < 0.1716, summed
+//          through s^19. The dropped tail is below 3e-17 of ln m.
+//   theta  2 pi u2 is reduced by quadrant on u2 itself: q = round(4 u2) and
+//          f = u2 - q / 4 are exact, and x = 2 pi f lies in [-pi/4, pi/4].
+//          sin x and cos x are Taylor sums through x^15 and x^16; the
+//          dropped tails are below 5e-17.
+//
+// Error bound. Against the scalar leaf's v = sigma * (r * cos theta) (and
+// likewise sin), the approximation v' obeys |v - v'| <= 1e-14 * sigma * r.
+// The angle's error is absolute (reducing q against pi's double and the
+// reference's own rounding of 2 pi u2, about 1e-15), the radius's error is
+// relative (a few ulps), and libm adds an ulp: every term scales with
+// sigma * r, not with |v|, which is small near a zero of cos or sin while
+// the angle error is not. A pair with either value within
+// kGaussMargin * (1 + sigma * r) of a half-integer -- 1e5 times the bound;
+// the 1 covers the ulp the fraction test itself may round away -- is
+// recomputed with libm (sc_gauss_pair). Every other value rounds to the
+// integer libm's would, so the shifts are exact.
+
+constexpr double kGaussMargin = 1e-9;
+
+inline __m256d horner(__m256d x, __m256d acc, double c) {
+  return _mm256_add_pd(_mm256_mul_pd(acc, x), _mm256_set1_pd(c));
+}
+
+// Lanes of v within `margin` of a half-integer (all-ones), else zero. The
+// fraction v - floor(v) is exact, or off by an ulp of 1 for v in (-1/2, 0).
+inline __m256d near_half(__m256d v, __m256d margin) {
+  const __m256d frac = _mm256_sub_pd(v, _mm256_floor_pd(v));
+  const __m256d d = _mm256_andnot_pd(_mm256_set1_pd(-0.0),
+                                     _mm256_sub_pd(frac, _mm256_set1_pd(0.5)));
+  return _mm256_cmp_pd(d, margin, _CMP_LE_OQ);
+}
+
+// round_shift of four values whose distance from every half-integer
+// exceeds the approximation error: clamp to +-limit, round to nearest
+// (ties cannot occur, so nearest-even agrees with lround), truncate.
+inline __m128i round_clamped(__m256d v, __m256d limit) {
+  const __m256d c = _mm256_min_pd(_mm256_max_pd(v, _mm256_sub_pd(
+                                                       _mm256_setzero_pd(), limit)),
+                                  limit);
+  return _mm256_cvttpd_epi32(
+      _mm256_round_pd(c, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+}
+
+// The shifts of the four pairs at u[0..8) into out[0..8). Returns the lane
+// mask of pairs the caller must recompute with libm.
+inline unsigned gauss_block(const double* u, __m256d sigma, __m256d limit,
+                            std::int32_t* out) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d a = _mm256_loadu_pd(u);
+  const __m256d b = _mm256_loadu_pd(u + 4);
+  const __m256d u1 = _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0xD8);
+  const __m256d u2 = _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0xD8);
+
+  // r = sqrt(-2 ln u1).
+  const __m256i bits = _mm256_castpd_si256(u1);
+  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
+      _mm256_set1_epi64x(0x3FF0000000000000LL)));
+  const __m256d high = _mm256_cmp_pd(m, _mm256_set1_pd(std::numbers::sqrt2),
+                                     _CMP_GE_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, _mm256_set1_pd(0.5)), high);
+  // e = biased exponent - 1023 (+1 where m was halved), exact: the
+  // exponent field ORed into 2^52's bits reads as 2^52 + field.
+  const __m256d biased = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(0x4330000000000000LL)));
+  const __m256d e = _mm256_add_pd(
+      _mm256_sub_pd(biased, _mm256_set1_pd(0x1p52 + 1023.0)),
+      _mm256_and_pd(high, one));
+  const __m256d s =
+      _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+  const __m256d s2 = _mm256_mul_pd(s, s);
+  __m256d p = _mm256_set1_pd(1.0 / 19);
+  p = horner(s2, p, 1.0 / 17);
+  p = horner(s2, p, 1.0 / 15);
+  p = horner(s2, p, 1.0 / 13);
+  p = horner(s2, p, 1.0 / 11);
+  p = horner(s2, p, 1.0 / 9);
+  p = horner(s2, p, 1.0 / 7);
+  p = horner(s2, p, 1.0 / 5);
+  p = horner(s2, p, 1.0 / 3);
+  p = horner(s2, p, 1.0);
+  const __m256d ln_u1 =
+      _mm256_add_pd(_mm256_mul_pd(e, _mm256_set1_pd(std::numbers::ln2)),
+                    _mm256_mul_pd(_mm256_add_pd(s, s), p));
+  const __m256d r =
+      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln_u1));
+
+  // sin and cos of x = 2 pi (u2 - q / 4).
+  const __m256d q = _mm256_round_pd(
+      _mm256_mul_pd(u2, _mm256_set1_pd(4.0)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  const __m256d x = _mm256_mul_pd(
+      _mm256_sub_pd(u2, _mm256_mul_pd(q, _mm256_set1_pd(0.25))),
+      _mm256_set1_pd(2.0 * std::numbers::pi));
+  const __m256d x2 = _mm256_mul_pd(x, x);
+  __m256d ps = _mm256_set1_pd(-1.0 / 1307674368000.0);
+  ps = horner(x2, ps, 1.0 / 6227020800.0);
+  ps = horner(x2, ps, -1.0 / 39916800.0);
+  ps = horner(x2, ps, 1.0 / 362880.0);
+  ps = horner(x2, ps, -1.0 / 5040.0);
+  ps = horner(x2, ps, 1.0 / 120.0);
+  ps = horner(x2, ps, -1.0 / 6.0);
+  ps = horner(x2, ps, 1.0);
+  const __m256d sin_x = _mm256_mul_pd(x, ps);
+  __m256d pc = _mm256_set1_pd(1.0 / 20922789888000.0);
+  pc = horner(x2, pc, -1.0 / 87178291200.0);
+  pc = horner(x2, pc, 1.0 / 479001600.0);
+  pc = horner(x2, pc, -1.0 / 3628800.0);
+  pc = horner(x2, pc, 1.0 / 40320.0);
+  pc = horner(x2, pc, -1.0 / 720.0);
+  pc = horner(x2, pc, 1.0 / 24.0);
+  pc = horner(x2, pc, -1.0 / 2.0);
+  const __m256d cos_x = horner(x2, pc, 1.0);
+  // theta = q pi/2 + x: odd quadrants swap sin and cos; cos theta is
+  // negated in quadrants 1 and 2 (bit 1 of q + 1), sin theta in 2 and 3
+  // (bit 1 of q). q = 4 is quadrant 0.
+  const __m256i qi = _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(q));
+  const __m256d odd = _mm256_castsi256_pd(_mm256_slli_epi64(qi, 63));
+  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
+  const __m256d cos_sign = _mm256_castsi256_pd(_mm256_and_si256(
+      _mm256_slli_epi64(_mm256_add_epi64(qi, _mm256_set1_epi64x(1)), 62), sign));
+  const __m256d sin_sign =
+      _mm256_castsi256_pd(_mm256_and_si256(_mm256_slli_epi64(qi, 62), sign));
+  const __m256d cos_t =
+      _mm256_xor_pd(_mm256_blendv_pd(cos_x, sin_x, odd), cos_sign);
+  const __m256d sin_t =
+      _mm256_xor_pd(_mm256_blendv_pd(sin_x, cos_x, odd), sin_sign);
+
+  const __m256d vc = _mm256_mul_pd(sigma, _mm256_mul_pd(r, cos_t));
+  const __m256d vs = _mm256_mul_pd(sigma, _mm256_mul_pd(r, sin_t));
+  const __m256d margin = _mm256_mul_pd(
+      _mm256_set1_pd(kGaussMargin), _mm256_add_pd(one, _mm256_mul_pd(sigma, r)));
+  const __m128i ic = round_clamped(vc, limit);
+  const __m128i is = round_clamped(vs, limit);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm_unpacklo_epi32(ic, is));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4),
+                   _mm_unpackhi_epi32(ic, is));
+  return static_cast<unsigned>(_mm256_movemask_pd(
+      _mm256_or_pd(near_half(vc, margin), near_half(vs, margin))));
+}
+
+// Recomputes the flagged pairs of the block at pair `first` with libm.
+inline void recompute_pairs(unsigned near, const GaussShiftCtx& ctx,
+                            std::size_t first) {
+  for (; near != 0; near &= near - 1) {
+    const std::size_t i = first + static_cast<std::size_t>(__builtin_ctz(near));
+    sc_gauss_pair(ctx.u[2 * i], ctx.u[2 * i + 1], ctx.sigma, ctx.limit,
+                  ctx.out + 2 * i);
+  }
+}
+
+void av_gauss_shifts(const GaussShiftCtx& ctx) {
+  const __m256d sigma = _mm256_set1_pd(ctx.sigma);
+  const __m256d limit = _mm256_set1_pd(static_cast<double>(ctx.limit));
+  std::size_t i = 0;
+  for (; i + 4 <= ctx.pairs; i += 4) {
+    recompute_pairs(gauss_block(ctx.u + 2 * i, sigma, limit, ctx.out + 2 * i),
+                    ctx, i);
+  }
+  if (i < ctx.pairs) {
+    // The last partial block runs padded with (1/2, 1/2) pairs; only the
+    // real pairs' shifts and recomputes are kept.
+    const std::size_t rest = ctx.pairs - i;
+    alignas(32) double u[8] = {0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5};
+    alignas(16) std::int32_t out[8];
+    std::memcpy(u, ctx.u + 2 * i, 2 * rest * sizeof(double));
+    const unsigned near = gauss_block(u, sigma, limit, out);
+    std::memcpy(ctx.out + 2 * i, out, 2 * rest * sizeof(std::int32_t));
+    recompute_pairs(near & ((1u << rest) - 1), ctx, i);
+  }
+}
+
 }  // namespace
 
 const KernelDispatch kAvx2Table = [] {
@@ -482,6 +667,7 @@ const KernelDispatch kAvx2Table = [] {
   t.burst_fire = av_burst_fire;
   t.axpy = av_axpy;
   t.mask_compact = av_mask_compact;
+  t.gauss_shifts = av_gauss_shifts;
   return t;
 }();
 

@@ -15,6 +15,11 @@ std::size_t sc_burst_fire(const BurstFireCtx& ctx);
 void sc_axpy(float* y, const float* x, float a, std::size_t n);
 std::size_t sc_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
                             std::size_t n, std::uint32_t* dst);
+void sc_gauss_shifts(const GaussShiftCtx& ctx);
+/// One pair of sc_gauss_shifts: out[0..2) from (u1, u2), in libm -- the
+/// vector leaves' exact recompute.
+void sc_gauss_pair(double u1, double u2, double sigma, std::int32_t limit,
+                   std::int32_t* out);
 
 extern const KernelDispatch kScalarTable;
 

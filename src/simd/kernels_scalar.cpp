@@ -6,6 +6,8 @@
 #include "simd/kernels_internal.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 
 namespace tsnn::simd {
 
@@ -94,6 +96,23 @@ std::size_t sc_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
   return k;
 }
 
+// Rng::normal's Box-Muller expressions, verbatim, followed by
+// Rng::normal(0.0, sigma)'s scaling.
+void sc_gauss_pair(double u1, double u2, double sigma, std::int32_t limit,
+                   std::int32_t* out) {
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * std::numbers::pi * u2;
+  out[0] = round_shift(0.0 + sigma * (radius * std::cos(theta)), limit);
+  out[1] = round_shift(0.0 + sigma * (radius * std::sin(theta)), limit);
+}
+
+void sc_gauss_shifts(const GaussShiftCtx& ctx) {
+  for (std::size_t i = 0; i < ctx.pairs; ++i) {
+    sc_gauss_pair(ctx.u[2 * i], ctx.u[2 * i + 1], ctx.sigma, ctx.limit,
+                  ctx.out + 2 * i);
+  }
+}
+
 const KernelDispatch kScalarTable = [] {
   KernelDispatch t;
   t.isa = "scalar";
@@ -104,6 +123,7 @@ const KernelDispatch kScalarTable = [] {
   t.burst_fire = sc_burst_fire;
   t.axpy = sc_axpy;
   t.mask_compact = sc_mask_compact;
+  t.gauss_shifts = sc_gauss_shifts;
   return t;
 }();
 

@@ -43,6 +43,25 @@ void EventBuffer::finalize(EventSortScratch& scratch) {
   for (const std::int32_t t : times_) {
     ++offsets_[static_cast<std::size_t>(t) + 1];
   }
+  bucket_counted(scratch);
+}
+
+void EventBuffer::shift_times(const std::int32_t* shifts,
+                              EventSortScratch& scratch) {
+  check_finalized();
+  const auto last = static_cast<std::int64_t>(window_) - 1;
+  offsets_.assign(window_ + 1, 0);
+  for (std::size_t i = 0; i < times_.size(); ++i) {
+    const auto t = static_cast<std::int32_t>(
+        std::clamp<std::int64_t>(std::int64_t{times_[i]} + shifts[i], 0, last));
+    times_[i] = t;
+    ++offsets_[static_cast<std::size_t>(t) + 1];
+  }
+  sorted_ = false;
+  bucket_counted(scratch);
+}
+
+void EventBuffer::bucket_counted(EventSortScratch& scratch) {
   for (std::size_t t = 0; t < window_; ++t) {
     offsets_[t + 1] += offsets_[t];
   }

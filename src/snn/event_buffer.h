@@ -15,10 +15,10 @@
 // stable counting sort re-buckets into caller-provided scratch.
 // Consumers read per-step spans (step_begin/step_count) or the flat
 // arrays. Noise models mutate the buffer in place: remove_if_not()
-// compacts the stream and remap_times() re-buckets after rewriting times,
-// both visiting events in time-major order so RNG draw order matches the
-// historical SpikeRaster implementations exactly (fixed seeds reproduce
-// bit-identical corruption).
+// compacts the stream and shift_times() moves every event by a per-event
+// shift and re-buckets, both indexing events in time-major order so RNG
+// draw order matches the historical SpikeRaster implementations exactly
+// (fixed seeds reproduce bit-identical corruption).
 //
 // SpikeRaster (spike.h) remains the conversion/reporting type for tests,
 // spike_stats, and figure-style analyses; assign_from()/to_raster()
@@ -35,15 +35,18 @@
 namespace tsnn::snn {
 
 /// Reusable scratch for EventBuffer::finalize's stable counting sort and
-/// assign_from, plus the noise models' keep-mask staging. Owned by
-/// SimWorkspace so re-bucketing allocates nothing once warm; must not be
-/// shared across threads. The scatter destinations are aligned_vectors
-/// because finalize() swaps them into the buffer's own (aligned) storage.
+/// assign_from, plus the noise models' staging: deletion's keep mask and
+/// jitter's uniforms and shifts. Owned by SimWorkspace so re-bucketing
+/// allocates nothing once warm; must not be shared across threads. The
+/// scatter destinations are aligned_vectors because finalize() swaps them
+/// into the buffer's own (aligned) storage. The staging vectors only grow.
 struct EventSortScratch {
   std::vector<std::uint32_t> cursor;       ///< per-step scatter cursors
   aligned_vector<std::int32_t> times;      ///< scatter destination, swapped in
   aligned_vector<std::uint32_t> neurons;   ///< scatter destination, swapped in
   aligned_vector<std::uint8_t> keep;       ///< remove_by_mask() staging
+  aligned_vector<double> uniforms;         ///< jitter's Box-Muller uniforms
+  aligned_vector<std::int32_t> shifts;     ///< shift_times() staging
 };
 
 /// Flat spike train: SoA (time, neuron) events with per-step CSR offsets.
@@ -165,25 +168,13 @@ class EventBuffer {
   /// through the dispatch table's mask_compact kernel. Stays finalized.
   void remove_by_mask(const std::uint8_t* keep);
 
-  /// In-place time rewrite: every event's time becomes
-  /// `fn(time, neuron)` (must land in [0, window)), visiting events in
-  /// time-major order, then re-buckets. Events that map to the same step
-  /// keep their visit order (stable), matching the historical jitter
-  /// semantics of appending to raster buckets in draw order.
-  template <typename Fn>
-  void remap_times(Fn&& fn, EventSortScratch& scratch) {
-    check_finalized();
-    for (std::size_t i = 0; i < times_.size(); ++i) {
-      times_[i] = fn(times_[i], neurons_[i]);
-      TSNN_CHECK_MSG(times_[i] >= 0 &&
-                         static_cast<std::size_t>(times_[i]) < window_,
-                     "remapped time " << times_[i] << " outside window "
-                                      << window_);
-    }
-    sorted_ = false;
-    finalized_ = false;
-    finalize(scratch);
-  }
+  /// In-place time shift: event i of the finalized time-major stream
+  /// (size() entries) moves to step clamp(t_i + shifts[i], 0, window - 1),
+  /// then the buffer re-buckets. Events that land in the same step keep
+  /// their stream order (stable), matching the historical jitter semantics
+  /// of appending to raster buckets in draw order. One pass clamps and
+  /// counts, one scatter re-buckets. Stays finalized.
+  void shift_times(const std::int32_t* shifts, EventSortScratch& scratch);
 
   /// Conversion bridges to the reporting type.
   void assign_from(const SpikeRaster& raster, EventSortScratch& scratch);
@@ -204,6 +195,10 @@ class EventBuffer {
     TSNN_CHECK_MSG(neuron < num_neurons_,
                    "neuron " << neuron << " out of range " << num_neurons_);
   }
+  /// Finishes a finalize: turns the per-step counts in offsets_[t + 1]
+  /// into the CSR table and, unless the events are time-ordered already,
+  /// scatters them stably into step order.
+  void bucket_counted(EventSortScratch& scratch);
   void check_step_readable(std::size_t t) const {
     TSNN_CHECK_MSG(finalized_ || t < closed_,
                    "EventBuffer step " << t << " not finalized or closed");

@@ -216,7 +216,7 @@ TEST(EventBuffer, RemoveIfNotCompactsAndRebuildsOffsets) {
   EXPECT_EQ(back.total_spikes(), buf.size());
 }
 
-TEST(EventBuffer, RemapTimesRebucketsStably) {
+TEST(EventBuffer, ShiftTimesRebucketsStably) {
   EventBuffer buf;
   EventSortScratch scratch;
   buf.reset(4, 8);
@@ -224,13 +224,36 @@ TEST(EventBuffer, RemapTimesRebucketsStably) {
   buf.push(2, 1);
   buf.push(6, 2);
   buf.finalize(scratch);
-  // Map everything onto step 3; visit order must be preserved within it.
-  buf.remap_times([](std::int32_t, std::uint32_t) { return 3; }, scratch);
+  // Shift everything onto step 3; stream order must be preserved within it.
+  const std::int32_t shifts[] = {1, 1, -3};
+  buf.shift_times(shifts, scratch);
+  ASSERT_TRUE(buf.finalized());
   ASSERT_EQ(buf.step_count(3), 3u);
   EXPECT_EQ(buf.step_begin(3)[0], 0u);
   EXPECT_EQ(buf.step_begin(3)[1], 1u);
   EXPECT_EQ(buf.step_begin(3)[2], 2u);
   EXPECT_EQ(buf.size(), 3u);
+}
+
+TEST(EventBuffer, ShiftTimesClampsIntoWindow) {
+  EventBuffer buf;
+  EventSortScratch scratch;
+  buf.reset(3, 5);
+  buf.push(1, 0);
+  buf.push(2, 1);
+  buf.push(3, 2);
+  buf.finalize(scratch);
+  // The extreme int32 shifts must clamp, not overflow.
+  const std::int32_t shifts[] = {INT32_MIN, INT32_MAX, 0};
+  buf.shift_times(shifts, scratch);
+  ASSERT_EQ(buf.step_count(0), 1u);
+  EXPECT_EQ(buf.step_begin(0)[0], 0u);
+  ASSERT_EQ(buf.step_count(3), 1u);
+  EXPECT_EQ(buf.step_begin(3)[0], 2u);
+  ASSERT_EQ(buf.step_count(4), 1u);
+  EXPECT_EQ(buf.step_begin(4)[0], 1u);
+  EXPECT_EQ(buf.times()[0], 0);
+  EXPECT_EQ(buf.times()[2], 4);
 }
 
 // ---------------------------------------------------------------------------

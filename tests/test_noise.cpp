@@ -2,13 +2,20 @@
 // jitter, composition, and device profiles.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "common/aligned.h"
 #include "common/error.h"
 #include "noise/deletion.h"
 #include "noise/device_profile.h"
 #include "noise/jitter.h"
 #include "noise/noise.h"
+#include "simd/kernels.h"
 #include "snn/event_buffer.h"
 
 namespace tsnn::noise {
@@ -196,6 +203,111 @@ TEST(Jitter, ZeroSigmaIsIdentity) {
 
 TEST(Jitter, RejectsNegativeSigma) {
   EXPECT_THROW(JitterNoise(-1.0), InvalidArgument);
+}
+
+TEST(Jitter, RejectsNonFiniteSigma) {
+  EXPECT_THROW(JitterNoise(std::numeric_limits<double>::infinity()),
+               InvalidArgument);
+  EXPECT_THROW(JitterNoise(std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgument);
+}
+
+// Every shift of a sigma this large saturates, so 64 spikes at mid-window
+// must split between the two edge steps. A bare std::lround returns
+// LONG_MIN once |sigma * z| >= 2^63 (x86-64), which sent every spike to
+// step 0.
+TEST(Jitter, HugeSigmaSplitsBetweenBothEnds) {
+  const std::size_t window = 16;
+  snn::SpikeRaster in(64, window);
+  for (std::uint32_t n = 0; n < 64; ++n) {
+    in.add(8, n);
+  }
+  const JitterNoise noise(1e300);
+  Rng rng_raster(5);
+  const snn::SpikeRaster via_raster = noise.apply(in, rng_raster);
+  EXPECT_EQ(via_raster.at(0).size() + via_raster.at(window - 1).size(), 64u);
+  EXPECT_GT(via_raster.at(0).size(), 0u);
+  EXPECT_GT(via_raster.at(window - 1).size(), 0u);
+  for (const simd::KernelDispatch* table : simd::runnable_tables()) {
+    const simd::ScopedKernelOverride pin(*table);
+    snn::EventBuffer buf;
+    snn::EventSortScratch scratch;
+    buf.assign_from(in, scratch);
+    Rng rng(5);
+    noise.apply_inplace(buf, scratch, rng);
+    EXPECT_EQ(buf.step_count(0) + buf.step_count(window - 1), 64u) << table->isa;
+    EXPECT_EQ(buf.to_raster().to_events(), via_raster.to_events())
+        << table->isa;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The batched draw against the per-call reference: shifts, and the stream
+// afterwards (cache presence, cached value, next raw draw), on every table.
+
+void expect_same_stream(Rng& got, Rng& want, const std::string& where) {
+  double z_got = 0.0;
+  double z_want = 0.0;
+  const bool cached_got = got.take_cached_normal(z_got);
+  const bool cached_want = want.take_cached_normal(z_want);
+  ASSERT_EQ(cached_got, cached_want) << where;
+  if (cached_want) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(z_got),
+              std::bit_cast<std::uint64_t>(z_want))
+        << where;
+  }
+  EXPECT_EQ(got(), want()) << where;
+}
+
+TEST(JitterBatchedDraw, MatchesPerCallNormalsOnEveryTable) {
+  const std::int32_t limit = 1 << 30;  // no saturation at these sigmas
+  aligned_vector<double> uniforms;
+  std::vector<std::int32_t> got;
+  for (const simd::KernelDispatch* table : simd::runnable_tables()) {
+    const simd::ScopedKernelOverride pin(*table);
+    for (const double sigma : {0.5, 1.0, 2.0, 3.0, 50.0, 1e4}) {
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        for (const std::size_t n : {0u, 1u, 7u, 8u, 4001u}) {
+          for (const bool precached : {false, true}) {
+            const std::string where =
+                std::string(table->isa) + " sigma " + std::to_string(sigma) +
+                " seed " + std::to_string(seed) + " n " + std::to_string(n) +
+                (precached ? " precached" : "");
+            Rng batched(seed);
+            Rng reference(seed);
+            if (precached) {
+              batched.normal();
+              reference.normal();
+            }
+            got.assign(n, -7);
+            draw_jitter_shifts(batched, sigma, limit, n, got.data(), uniforms);
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+              const long want = std::lround(reference.normal(0.0, sigma));
+              mismatches += got[i] != want ? 1 : 0;
+            }
+            EXPECT_EQ(mismatches, 0u) << where;
+            expect_same_stream(batched, reference, where);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(JitterBatchedDraw, EmptyTrainWithCachedNormalDrawsNothing) {
+  const JitterNoise noise(2.0);
+  snn::EventBuffer buf;
+  snn::EventSortScratch scratch;
+  buf.reset(4, 10);
+  buf.finalize(scratch);
+  Rng rng(61);
+  Rng untouched(61);
+  rng.normal();
+  untouched.normal();
+  noise.apply_inplace(buf, scratch, rng);
+  EXPECT_TRUE(buf.empty());
+  expect_same_stream(rng, untouched, "empty train");
 }
 
 TEST(Composite, AppliesInOrder) {

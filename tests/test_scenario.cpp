@@ -3,6 +3,9 @@
 // reference at 1/2/8 threads and on external pools.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "coding/registry.h"
 #include "common/error.h"
 #include "common/rng.h"
@@ -224,6 +227,31 @@ TEST(ScenarioSpecParse, ErrorPaths) {
   EXPECT_THROW(parse_scenarios("   \n# only comments\n"), InvalidArgument);
 }
 
+
+// strtod accepts "inf", "nan" and overflowing decimals such as 1e999. A
+// spec must reject them at parse, naming the line: an infinite level used
+// to run as a sweep row, and a NaN one reached JitterNoise's constructor.
+TEST(ScenarioSpecParse, RejectsNonFiniteNumbersNamingTheLine) {
+  const std::string head = "name = x\ndatasets = s-mnist\nmethods = ttfs\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {"noise = jitter:sweep\nlevels = inf\n", "line 5:"},
+      {"noise = jitter:sweep\nlevels = nan\n", "line 5:"},
+      {"noise = jitter:sweep\nlevels = 0, 1e999\n", "line 5:"},
+      {"noise = input:sweep\nlevels = inf\n", "line 5:"},
+      {"noise = jitter:1e999\n", "line 4:"},
+      {"noise = deletion:0.1, jitter:-inf\n", "line 4:"},
+  };
+  for (const auto& [body, line] : cases) {
+    try {
+      ScenarioSpec::parse(head + body);
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario spec " + line),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
 TEST(ScenarioSpecParse, MethodLabelsInvertHelperLabels) {
   expect_methods_equal({parse_method_label("rate+WS")},
                        {baseline_method(Coding::kRate, true)});

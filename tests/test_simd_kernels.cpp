@@ -3,9 +3,11 @@
 // randomized shapes with odd sizes and tail lanes, on every accumulator
 // layout shape the fire scans distinguish, and on the zoo's conv shapes.
 // Every kernel (dense_scatter, conv_taps, threshold_fire, burst_fire, axpy,
-// mask_compact) must match BIT-EXACTLY -- they preserve per-slot addition
-// order and use separate mul+add. Which tables are runnable is governed by
-// TSNN_CPUFLAGS, so the CI scalar-forced leg shrinks this matrix to the
+// mask_compact, gauss_shifts) must match BIT-EXACTLY -- they preserve
+// per-slot addition order and use separate mul+add, and gauss_shifts
+// recomputes with libm whatever its approximation cannot round safely.
+// Which tables are runnable is governed by TSNN_CPUFLAGS, so the CI
+// scalar-forced leg shrinks this matrix to the
 // reference alone and the native leg covers every variant.
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <string>
 #include <utility>
 #include <vector>
@@ -509,6 +512,117 @@ TEST_P(SimdEquivalence, MaskCompactExactAndInPlace) {
     ASSERT_EQ(kref, kin) << table().isa << " n=" << n;
     for (std::size_t i = 0; i < kref; ++i) {
       ASSERT_EQ(ref[i], inplace[i]) << table().isa << " n=" << n;
+    }
+  }
+}
+
+// gauss_shifts of the pairs in `u` through `table`.
+std::vector<std::int32_t> gauss_shifts(const KernelDispatch& table,
+                                       const std::vector<double>& u,
+                                       double sigma, std::int32_t limit) {
+  std::vector<std::int32_t> out(u.size(), -7);
+  simd::GaussShiftCtx ctx;
+  ctx.u = u.data();
+  ctx.pairs = u.size() / 2;
+  ctx.sigma = sigma;
+  ctx.limit = limit;
+  ctx.out = out.data();
+  table.gauss_shifts(ctx);
+  return out;
+}
+
+void expect_gauss_shifts_exact(const KernelDispatch& table,
+                               const std::vector<double>& u, double sigma,
+                               std::int32_t limit) {
+  const std::vector<std::int32_t> want =
+      gauss_shifts(simd::scalar_kernels(), u, sigma, limit);
+  const std::vector<std::int32_t> got = gauss_shifts(table, u, sigma, limit);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i])
+        << table.isa << " sigma " << sigma << " limit " << limit << " pair "
+        << i / 2 << " (u1 " << u[i & ~std::size_t{1}] << ", u2 "
+        << u[i | 1] << ")";
+  }
+}
+
+TEST_P(SimdEquivalence, GaussShiftsBitExact) {
+  Rng rng(0x9a55u);
+  for (const std::size_t pairs : {0ul, 1ul, 3ul, 4ul, 5ul, 13ul, 4096ul}) {
+    std::vector<double> u(2 * pairs);
+    rng.uniform_pairs(pairs, u.data());
+    for (const double sigma :
+         {0.0, 0.5, 1.0, 2.0, 3.0, 50.0, 1e4, 1e17, 1e300}) {
+      for (const std::int32_t limit : {0, 15, 1 << 30}) {
+        expect_gauss_shifts_exact(table(), u, sigma, limit);
+      }
+    }
+  }
+}
+
+// u2 at and next to the quadrant boundaries 0, 1/4, 1/2, 3/4 (and 1), and
+// to the odd eighths where a vector leaf's quadrant reduction may switch;
+// u1 at the 1e-300 clamp, at the top of [0, 1), and on both sides of the
+// powers of two and of the sqrt(2) mantissa split.
+TEST_P(SimdEquivalence, GaussShiftsAtReductionBoundaries) {
+  const double ulp = 0x1p-53;  // Rng::uniform()'s grid
+  std::vector<double> u2s;
+  for (int eighth = 0; eighth <= 8; ++eighth) {
+    for (int k = -2; k <= 2; ++k) {
+      const double v = eighth / 8.0 + k * ulp;
+      if (v >= 0.0 && v < 1.0) {
+        u2s.push_back(v);
+      }
+    }
+  }
+  std::vector<double> u1s = {1e-300, ulp, 1e-9, 0.25, 1.0 - ulp, 1.0 - 2 * ulp};
+  for (const double edge : {0.5, std::numbers::sqrt2 / 2, std::numbers::sqrt2 / 4,
+                            std::numbers::sqrt2 / 1024}) {
+    u1s.push_back(std::nextafter(edge, 0.0));
+    u1s.push_back(edge);
+    u1s.push_back(std::nextafter(edge, 1.0));
+  }
+  std::vector<double> u;
+  for (const double u1 : u1s) {
+    for (const double u2 : u2s) {
+      u.push_back(u1);
+      u.push_back(u2);
+    }
+  }
+  for (const double sigma : {1.0, 2.5, 3.0, 1e4, 1e300}) {
+    for (const std::int32_t limit : {15, 1 << 30}) {
+      expect_gauss_shifts_exact(table(), u, sigma, limit);
+    }
+  }
+}
+
+// Constructed in-margin pairs: u1 = 1/2 gives r = sqrt(-2 ln 1/2), and
+// sigma = (k + 1/2) / r puts sigma * r * cos(theta) within an ulp of the
+// half-integer +-(k + 1/2) at u2 = 0 and 1/2, where rounding any
+// approximation to nearest could land on either side. A vector leaf must
+// recompute these pairs with libm -- alone in a block, filling one, and
+// in the padded tail block.
+TEST_P(SimdEquivalence, GaussShiftsRecomputeInsideTheMargin) {
+  const double r = std::sqrt(-2.0 * std::log(0.5));
+  Rng rng(0x4a11u);
+  for (int k = 0; k <= 5; ++k) {
+    const double sigma = (k + 0.5) / r;
+    ASSERT_NEAR(0.0 + sigma * (r * std::cos(0.0)), k + 0.5, 1e-14);
+    for (const double u2 : {0.0, 0.5}) {
+      for (const std::size_t pairs : {1ul, 4ul, 7ul}) {
+        std::vector<double> all(2 * pairs);
+        for (std::size_t i = 0; i < pairs; ++i) {
+          all[2 * i] = 0.5;
+          all[2 * i + 1] = u2;
+        }
+        expect_gauss_shifts_exact(table(), all, sigma, 1 << 30);
+        for (std::size_t lane = 0; lane < pairs; ++lane) {
+          std::vector<double> one(2 * pairs);
+          rng.uniform_pairs(pairs, one.data());
+          one[2 * lane] = 0.5;
+          one[2 * lane + 1] = u2;
+          expect_gauss_shifts_exact(table(), one, sigma, 1 << 30);
+        }
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 // on the converted model and external input noise on images.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "coding/registry.h"
 #include "common/error.h"
 #include "noise/input_noise.h"
@@ -89,6 +91,25 @@ TEST(StaticNoise, RejectsInvalidConfig) {
   bad.weight_sigma = 0.0;
   bad.stuck_at_zero = 1.5;
   EXPECT_THROW(with_static_noise(tiny_model(), bad), InvalidArgument);
+}
+
+TEST(StaticNoise, RejectsNonFiniteSigmas) {
+  const double inf = std::numeric_limits<double>::infinity();
+  StaticNoiseConfig bad;
+  bad.weight_sigma = inf;
+  EXPECT_THROW(with_static_noise(tiny_model(), bad), InvalidArgument);
+  bad.weight_sigma = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(with_static_noise(tiny_model(), bad), InvalidArgument);
+  Rng rng(3);
+  const snn::CodingParams base = coding::default_params(snn::Coding::kRate);
+  EXPECT_THROW(with_threshold_noise(base, inf, rng), InvalidArgument);
+}
+
+TEST(InputNoise, GaussianRejectsNonFiniteSigma) {
+  EXPECT_THROW(GaussianInputNoise(std::numeric_limits<double>::infinity()),
+               InvalidArgument);
+  EXPECT_THROW(GaussianInputNoise(std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgument);
 }
 
 TEST(ThresholdNoise, PerturbsMultiplicatively) {
