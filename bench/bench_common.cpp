@@ -107,6 +107,10 @@ void init(int argc, char** argv) {
     }
   };
   from_env("TSNN_BENCH_IMAGES", /*allow_negative=*/false, knobs().images);
+  if (knobs().images == 0) {
+    std::fprintf(stderr, "%s: TSNN_BENCH_IMAGES must be >= 1\n", prog);
+    usage(prog, 2);
+  }
   // Any 64-bit pattern is a valid seed; negative values just wrap.
   from_env("TSNN_BENCH_SEED", /*allow_negative=*/true, knobs().seed);
   from_env("TSNN_BENCH_THREADS", /*allow_negative=*/false, knobs().threads);
@@ -118,6 +122,10 @@ void init(int argc, char** argv) {
     } else if (std::strcmp(arg, "--images") == 0) {
       knobs().images =
           parse_int_arg(prog, arg, value, /*allow_negative=*/false);
+      if (knobs().images == 0) {
+        std::fprintf(stderr, "%s: --images must be >= 1\n", prog);
+        usage(prog, 2);
+      }
       ++i;
     } else if (std::strcmp(arg, "--seed") == 0) {
       knobs().seed = parse_int_arg(prog, arg, value, /*allow_negative=*/true);

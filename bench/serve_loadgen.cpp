@@ -386,6 +386,11 @@ int main(int argc, char** argv) {
       opt.queue = count();
     } else if (arg == "--images") {
       opt.images = count();
+      if (opt.images == 0) {
+        std::fprintf(stderr, "%s: --images must be >= 1\n", argv[0]);
+        usage(argv[0]);
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
       usage(argv[0]);

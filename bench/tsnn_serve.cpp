@@ -139,6 +139,11 @@ int main(int argc, char** argv) {
       models_flag = value();
     } else if (arg == "--images") {
       images = count();
+      if (images == 0) {
+        std::fprintf(stderr, "%s: --images must be >= 1\n", argv[0]);
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--threads") {
       serve.num_threads = count();
     } else if (arg == "--max-batch") {

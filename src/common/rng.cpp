@@ -22,6 +22,12 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// The two halves of one Box-Muller transform; normal() and
+/// discard_normals() share them so a discarded pair caches the exact sine
+/// normal() would have.
+double box_muller_radius(double u1) { return std::sqrt(-2.0 * std::log(u1)); }
+double box_muller_theta(double u2) { return 2.0 * std::numbers::pi * u2; }
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -88,8 +94,8 @@ double Rng::normal() {
   double u1 = 0.0;
   double u2 = 0.0;
   box_muller_uniforms(u1, u2);
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
+  const double radius = box_muller_radius(u1);
+  const double theta = box_muller_theta(u2);
   cached_normal_ = radius * std::sin(theta);
   has_cached_normal_ = true;
   return radius * std::cos(theta);
@@ -114,6 +120,27 @@ void Rng::uniform_pairs(std::size_t pairs, double* out) {
                  "uniform_pairs with a cached normal; take it first");
   for (std::size_t i = 0; i < pairs; ++i) {
     box_muller_uniforms(out[2 * i], out[2 * i + 1]);
+  }
+}
+
+void Rng::discard_normals(std::size_t n) {
+  if (n == 0) {
+    return;
+  }
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  // A full pair is two raw draws (box_muller_uniforms' nudge consumes none).
+  for (std::size_t i = 0; i < n / 2 * 2; ++i) {
+    (*this)();
+  }
+  if (n % 2 == 1) {
+    double u1 = 0.0;
+    double u2 = 0.0;
+    box_muller_uniforms(u1, u2);
+    cached_normal_ = box_muller_radius(u1) * std::sin(box_muller_theta(u2));
+    has_cached_normal_ = true;
   }
 }
 

@@ -74,7 +74,8 @@ class Rng {
   // transformed as normal() would (r cos theta first, then r sin theta);
   // and, for an odd remainder, one normal() call, which leaves the last
   // pair's exact sine cached as n normal() calls would. An empty batch
-  // touches nothing, a cached value included.
+  // touches nothing, a cached value included. A caller that needs none of
+  // the values calls discard_normals(n) instead.
 
   /// Moves a cached normal() value into `z` and returns true; false (z
   /// untouched) if nothing is cached.
@@ -85,6 +86,13 @@ class Rng {
   /// exactly what `pairs` cache-missing normal() calls consume, in order.
   /// Requires an empty cache (take_cached_normal() first).
   void uniform_pairs(std::size_t pairs, double* out);
+
+  /// Leaves the generator exactly as `n` normal() calls would -- cache
+  /// flag, cached value and raw state -- without computing the values: a
+  /// cached normal counts as the first, each full pair is two raw draws,
+  /// and an odd remainder draws one more pair and caches its sine, the only
+  /// libm work. n = 0 touches nothing.
+  void discard_normals(std::size_t n);
 
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p);

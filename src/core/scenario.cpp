@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <utility>
 
 #include "coding/registry.h"
@@ -573,32 +572,39 @@ ZooWorkload load_zoo_workload(DatasetKind kind, std::size_t max_images) {
   const Stopwatch watch;
   ZooWorkload w;
   w.kind = kind;
-  const data::DatasetPair data = make_dataset(kind);
-  ConvertedModel converted = get_or_convert(kind, data);
-  w.dnn_accuracy = converted.dnn_test_accuracy;
-  w.conversion = std::move(converted.conversion);
-  w.from_artifact_cache = converted.loaded_from_cache;
+  std::optional<ConvertedModel> converted = load_converted(kind);
+  data::Dataset test;
+  if (converted) {
+    test = make_dataset(kind, {.train = 0, .test = max_images}).test;
+  } else {
+    data::DatasetPair data = make_dataset(kind);
+    converted = convert_and_cache(kind, data);
+    test = std::move(data.test);
+  }
+  w.dnn_accuracy = converted->dnn_test_accuracy;
+  w.conversion = std::move(converted->conversion);
+  w.from_artifact_cache = converted->loaded_from_cache;
 
-  const std::size_t n = std::min(max_images, data.test.size());
-  w.test_images.assign(
-      data.test.images.begin(),
-      data.test.images.begin() + static_cast<std::ptrdiff_t>(n));
-  w.test_labels.assign(
-      data.test.labels.begin(),
-      data.test.labels.begin() + static_cast<std::ptrdiff_t>(n));
+  const std::size_t n = std::min(max_images, test.size());
+  test.images.resize(n);
+  test.labels.resize(n);
+  w.test_images = std::move(test.images);
+  w.test_labels = std::move(test.labels);
   w.prep_seconds = watch.elapsed();
   return w;
 }
 
-/// Engine-cached workload: the converted zoo bundle (full test split) plus
-/// its scaled-clone cache, both surviving across run() calls. Conversion
-/// is independent of how many images a scenario evaluates, so specs with
-/// different image counts share one conversion and one clone cache and
-/// only the test-set *slices* are materialized per count.
+/// Engine-cached workload: the converted zoo bundle with the longest test
+/// prefix any compiled suite has asked for, plus its scaled-clone cache,
+/// both surviving across run() calls. Conversion is independent of how
+/// many images a scenario evaluates, so specs with different image counts
+/// share one conversion and one clone cache, and shorter counts get their
+/// own prefix *slices* of the cached prefix.
 struct ScenarioEngine::CachedWorkload {
-  ZooWorkload data;  ///< full test split
+  ZooWorkload data;          ///< test prefix of min(prepared, split) images
+  std::size_t prepared = 0;  ///< largest image count asked for so far
   std::unique_ptr<ScaledModelCache> scaled;
-  /// images-count -> (images, labels) prefix slice of the test split.
+  /// images-count -> (images, labels) prefix slice of the cached prefix.
   std::map<std::size_t,
            std::pair<std::vector<Tensor>, std::vector<std::size_t>>>
       slices;
@@ -612,7 +618,8 @@ ScenarioEngine::ScenarioEngine(Options options)
 ScenarioEngine::~ScenarioEngine() = default;
 
 ScenarioWorkload ScenarioEngine::resolve_workload(const std::string& dataset,
-                                                  std::size_t images) {
+                                                  std::size_t images,
+                                                  std::size_t prepare) {
   if (options_.workload_provider) {
     ScenarioWorkload provided = options_.workload_provider(dataset, images);
     if (provided.model != nullptr) {
@@ -630,8 +637,8 @@ ScenarioWorkload ScenarioEngine::resolve_workload(const std::string& dataset,
   auto it = workloads_.find(dataset);
   if (it == workloads_.end()) {
     auto cached = std::make_unique<CachedWorkload>();
-    cached->data = load_zoo_workload(
-        kind, std::numeric_limits<std::size_t>::max());
+    cached->data = load_zoo_workload(kind, prepare);
+    cached->prepared = prepare;
     zoo_prep_.seconds += cached->data.prep_seconds;
     ++zoo_prep_.loads;
     if (cached->data.from_artifact_cache) {
@@ -642,6 +649,20 @@ ScenarioWorkload ScenarioEngine::resolve_workload(const std::string& dataset,
     it = workloads_.emplace(dataset, std::move(cached)).first;
   }
   CachedWorkload& cw = *it->second;
+  if (cw.prepared < prepare) {
+    // An earlier run() prepared fewer images: append the longer prefix's
+    // tail in place, keeping the model and its clone cache. No cell holds a
+    // view of these vectors now -- compile() asks for its largest count
+    // before its first view, and an earlier run's cells are gone.
+    const Stopwatch watch;
+    data::Dataset test = make_dataset(kind, {.train = 0, .test = prepare}).test;
+    for (std::size_t i = cw.data.test_images.size(); i < test.size(); ++i) {
+      cw.data.test_images.push_back(std::move(test.images[i]));
+      cw.data.test_labels.push_back(test.labels[i]);
+    }
+    cw.prepared = prepare;
+    zoo_prep_.seconds += watch.elapsed();
+  }
   ScenarioWorkload view;
   view.model = &cw.data.conversion.model;
   const std::size_t n = std::min(images, cw.data.test_images.size());
@@ -804,6 +825,20 @@ std::unique_ptr<ScenarioEngine::Compiled> ScenarioEngine::compile(
   std::vector<EvalCell>& cells = out->cells;
   std::vector<Compiled::CellMeta>& meta = out->meta;
 
+  const auto images_of = [&](const ScenarioSpec& spec) {
+    return spec.images != 0 ? spec.images : options_.default_images;
+  };
+  // Each zoo dataset is prepared at the largest image count any spec asks
+  // of it, before its first view is taken: growing the cached prefix after
+  // a cell holds a view would change the images that cell evaluates.
+  std::map<std::string, std::size_t> prepare;
+  for (const ScenarioSpec& spec : suite) {
+    for (const std::string& dataset : spec.datasets) {
+      std::size_t& n = prepare[dataset];
+      n = std::max(n, images_of(spec));
+    }
+  }
+
   for (std::size_t s = 0; s < suite.size(); ++s) {
     const ScenarioSpec& spec = suite[s];
     ScenarioResult result;
@@ -812,8 +847,7 @@ std::unique_ptr<ScenarioEngine::Compiled> ScenarioEngine::compile(
     result.num_datasets = spec.datasets.size();
     results.push_back(std::move(result));
 
-    const std::size_t images =
-        spec.images != 0 ? spec.images : options_.default_images;
+    const std::size_t images = images_of(spec);
     const std::uint64_t seed =
         spec.has_seed ? spec.seed : options_.default_seed;
     const std::size_t swept = spec.swept_layer();
@@ -844,7 +878,8 @@ std::unique_ptr<ScenarioEngine::Compiled> ScenarioEngine::compile(
     }
 
     for (const std::string& dataset : spec.datasets) {
-      const ScenarioWorkload w = resolve_workload(dataset, images);
+      const ScenarioWorkload w =
+          resolve_workload(dataset, images, prepare.at(dataset));
       ScaledModelCache& cache = cache_for(w.model);
       for (std::size_t m = 0; m < spec.methods.size(); ++m) {
         const MethodSpec& method = spec.methods[m];

@@ -133,15 +133,20 @@ struct ZooWorkload {
   std::vector<Tensor> test_images;
   std::vector<std::size_t> test_labels;
   bool from_artifact_cache = false;  ///< conversion served from a TSNZ file
-  double prep_seconds = 0.0;         ///< wall time spent preparing (train/
-                                     ///< load + convert + dataset + slicing)
+  /// Wall time spent preparing: on a hit, the artifact load plus rendering
+  /// the kept test prefix; on a miss, the whole dataset plus training or
+  /// loading the DNN and converting.
+  double prep_seconds = 0.0;
 };
 
 /// Loads the zoo workload for `kind` through the TSNZ artifact cache
-/// (core::get_or_convert): an artifact hit skips training, conversion, and
-/// DNN evaluation; a miss trains/loads the source DNN, converts with the
-/// standard 100-image calibration slice, and repairs the cache. Keeps the
-/// first `max_images` test samples either way.
+/// (core::load_converted, then core::convert_and_cache on a miss): an
+/// artifact hit skips training, conversion and DNN evaluation, and renders
+/// no train image and only the first `max_images` test images; a miss
+/// generates the full dataset, trains/loads the source DNN, converts with
+/// the standard 100-image calibration slice, and repairs the cache. Keeps
+/// the first `max_images` test samples either way, pixel-identical between
+/// the two.
 ZooWorkload load_zoo_workload(DatasetKind kind, std::size_t max_images);
 
 /// One completed scenario grid cell.
@@ -193,11 +198,13 @@ struct ScenarioWorkload {
 /// Compiles scenario suites onto the grid scheduler and runs them.
 ///
 /// The engine caches zoo workloads (and their weight-scaled model clones)
-/// across run() calls -- one conversion per dataset, with per-image-count
-/// test slices layered on top -- so consecutive suites over the same
-/// datasets pay conversion once. Results carry the
-/// run_grid() determinism guarantee: rows are bit-identical at any thread
-/// count and stream to `on_cell` in grid order while later cells run.
+/// across run() calls -- one conversion per dataset, holding the longest
+/// test prefix any suite has asked for (each compile loads or grows it to
+/// the suite's largest image count for that dataset), with per-image-count
+/// slices of it layered on top -- so consecutive suites over the same
+/// datasets pay conversion once. Results carry the run_grid() determinism
+/// guarantee: rows are bit-identical at any thread count and stream to
+/// `on_cell` in grid order while later cells run.
 class ScenarioEngine {
  public:
   struct Options {
@@ -229,8 +236,10 @@ class ScenarioEngine {
   };
 
   /// Zoo-preparation accounting across run() calls: wall seconds spent in
-  /// load_zoo_workload, how many datasets were resolved through the zoo,
-  /// and how many of those were served from the TSNZ artifact cache.
+  /// load_zoo_workload and in growing a cached test prefix, how many
+  /// datasets were loaded through the zoo (once each; growing a prefix is
+  /// not a load), and how many of those were served from the TSNZ artifact
+  /// cache.
   struct ZooPrepStats {
     double seconds = 0.0;
     std::size_t loads = 0;
@@ -262,8 +271,10 @@ class ScenarioEngine {
 
   std::unique_ptr<Compiled> compile(const std::vector<ScenarioSpec>& suite);
 
+  /// The view of `images` images of `dataset`; a zoo dataset is loaded,
+  /// or its cached prefix grown, to `prepare` images first.
   ScenarioWorkload resolve_workload(const std::string& dataset,
-                                    std::size_t images);
+                                    std::size_t images, std::size_t prepare);
 
   Options options_;
   std::map<std::string, std::unique_ptr<CachedWorkload>> workloads_;

@@ -106,14 +106,14 @@ bool dataset_kind_from_name(const std::string& name, DatasetKind* kind) {
   return false;
 }
 
-data::DatasetPair make_dataset(DatasetKind kind) {
+data::DatasetPair make_dataset(DatasetKind kind, data::Keep keep) {
   const std::size_t train_scale = fast_mode() ? 3 : 1;
   switch (kind) {
     case DatasetKind::kMnistLike: {
       data::MnistLikeConfig cfg;
       cfg.train_per_class = 150 / train_scale;
       cfg.test_per_class = 30;
-      return data::make_mnist_like(cfg);
+      return data::make_mnist_like(cfg, keep);
     }
     case DatasetKind::kCifar10Like: {
       data::CifarLikeConfig cfg;
@@ -121,7 +121,7 @@ data::DatasetPair make_dataset(DatasetKind kind) {
       cfg.train_per_class = 150 / train_scale;
       cfg.test_per_class = 30;
       cfg.seed = 4321;
-      return data::make_cifar_like(cfg);
+      return data::make_cifar_like(cfg, keep);
     }
     case DatasetKind::kCifar20Like: {
       data::CifarLikeConfig cfg;
@@ -129,7 +129,7 @@ data::DatasetPair make_dataset(DatasetKind kind) {
       cfg.train_per_class = 100 / train_scale;
       cfg.test_per_class = 20;
       cfg.seed = 9876;
-      return data::make_cifar_like(cfg);
+      return data::make_cifar_like(cfg, keep);
     }
   }
   throw InvalidArgument("unknown dataset kind");
@@ -242,38 +242,43 @@ ConvertedModel convert_fresh(DatasetKind kind, const data::DatasetPair& data) {
   return out;
 }
 
-ConvertedModel get_or_convert(DatasetKind kind, const data::DatasetPair& data) {
-  const std::string key = zoo_artifact_key(kind);
+std::optional<ConvertedModel> load_converted(DatasetKind kind) {
   const std::string path = zoo_artifact_path(kind);
-  if (dnn::is_saved_artifact(path)) {
-    try {
-      dnn::SnnArtifact artifact = dnn::load_snn_artifact(path);
-      if (artifact.key == key) {
-        ConvertedModel out;
-        out.kind = kind;
-        out.dnn_test_accuracy = artifact.dnn_accuracy;
-        out.conversion.model = std::move(artifact.model);
-        out.conversion.scales = std::move(artifact.scales);
-        out.loaded_from_cache = true;
-        TSNN_LOG(kInfo) << "zoo: loaded converted " << dataset_name(kind)
-                        << " artifact (test acc " << out.dnn_test_accuracy
-                        << ")";
-        return out;
-      }
-      // Filename hash matched but the stored key differs (hash collision or
-      // a hand-renamed file): treat as a miss and repair below.
-      TSNN_LOG(kWarn) << "zoo: artifact key mismatch for " << path
-                      << "; reconverting";
-    } catch (const Error& e) {
-      TSNN_LOG(kWarn) << "zoo: discarding unreadable artifact " << path << ": "
-                      << e.what();
-    }
+  if (!dnn::is_saved_artifact(path)) {
+    return std::nullopt;
   }
+  try {
+    dnn::SnnArtifact artifact = dnn::load_snn_artifact(path);
+    if (artifact.key == zoo_artifact_key(kind)) {
+      ConvertedModel out;
+      out.kind = kind;
+      out.dnn_test_accuracy = artifact.dnn_accuracy;
+      out.conversion.model = std::move(artifact.model);
+      out.conversion.scales = std::move(artifact.scales);
+      out.loaded_from_cache = true;
+      TSNN_LOG(kInfo) << "zoo: loaded converted " << dataset_name(kind)
+                      << " artifact (test acc " << out.dnn_test_accuracy
+                      << ")";
+      return out;
+    }
+    // Filename hash matched but the stored key differs (hash collision or
+    // a hand-renamed file): a miss, which convert_and_cache repairs.
+    TSNN_LOG(kWarn) << "zoo: artifact key mismatch for " << path
+                    << "; reconverting";
+  } catch (const Error& e) {
+    TSNN_LOG(kWarn) << "zoo: discarding unreadable artifact " << path << ": "
+                    << e.what();
+  }
+  return std::nullopt;
+}
 
+ConvertedModel convert_and_cache(DatasetKind kind,
+                                 const data::DatasetPair& data) {
   ConvertedModel out = convert_fresh(kind, data);
 
   // Repair/populate the cache best-effort: losing the write costs the next
   // process a warm start, nothing else.
+  const std::string path = zoo_artifact_path(kind);
   std::error_code ec;
   std::filesystem::create_directories(zoo_dir(), ec);
   if (ec) {
@@ -282,7 +287,7 @@ ConvertedModel get_or_convert(DatasetKind kind, const data::DatasetPair& data) {
   }
   try {
     dnn::SnnArtifact artifact;
-    artifact.key = key;
+    artifact.key = zoo_artifact_key(kind);
     artifact.dnn_accuracy = out.dnn_test_accuracy;
     artifact.model = out.conversion.model.clone();
     artifact.scales = out.conversion.scales;
@@ -292,6 +297,13 @@ ConvertedModel get_or_convert(DatasetKind kind, const data::DatasetPair& data) {
                     << e.what();
   }
   return out;
+}
+
+ConvertedModel get_or_convert(DatasetKind kind, const data::DatasetPair& data) {
+  if (std::optional<ConvertedModel> hit = load_converted(kind)) {
+    return std::move(*hit);
+  }
+  return convert_and_cache(kind, data);
 }
 
 }  // namespace tsnn::core

@@ -5,7 +5,9 @@
 // classifiers (S-MNIST, S-CIFAR10, S-CIFAR20). The zoo trains each on first
 // use, persists weights under TSNN_ZOO_DIR (default "./tsnn_zoo"), and
 // reloads afterwards so the full bench suite pays the training cost once.
-// Dataset generation is deterministic and fast, so data is not cached.
+// Datasets are not cached: generation is deterministic, and make_dataset()
+// renders only the samples a caller keeps (an artifact hit needs no train
+// image at all -- see load_converted()).
 //
 // Two cache layers live side by side in the zoo directory:
 //   <name>[-fast].tsnn          the trained source DNN (dnn::save_network)
@@ -17,8 +19,10 @@
 // suites, and tests share: an artifact hit skips training, conversion, and
 // DNN evaluation entirely; any miss (absent, corrupt, stale key) falls back
 // to the DNN cache / fresh training and repairs the artifact on the way
-// out. Cache-hit results are bit-identical to fresh conversion -- pinned by
-// tests/test_golden_zoo.cpp.
+// out. load_converted() and convert_and_cache() are its hit and miss
+// halves, for callers (load_zoo_workload) that render their dataset only
+// once they know whether a miss needs it. Cache-hit results are
+// bit-identical to fresh conversion -- pinned by tests/test_golden_zoo.cpp.
 //
 // Environment knobs:
 //   TSNN_ZOO_DIR  cache directory (created if missing)
@@ -26,6 +30,7 @@
 //   TSNN_NO_MMAP  "1" forces the artifact loader's read()+copy fallback
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "convert/converter.h"
@@ -60,8 +65,10 @@ struct ModelBundle {
 /// Returns the trained bundle for `kind`, training and caching on first use.
 ModelBundle get_or_train(DatasetKind kind);
 
-/// Regenerates only the dataset for `kind` (deterministic).
-data::DatasetPair make_dataset(DatasetKind kind);
+/// Regenerates only the dataset for `kind` (deterministic), rendering the
+/// samples `keep` names: every one by default, or a prefix of each split
+/// that equals the same prefix of the full split image for image.
+data::DatasetPair make_dataset(DatasetKind kind, data::Keep keep = {});
 
 /// Cache path that get_or_train uses for `kind`.
 std::string zoo_model_path(DatasetKind kind);
@@ -90,12 +97,21 @@ std::string zoo_artifact_path(DatasetKind kind);
 /// equivalence tests pin get_or_convert() == convert_fresh() bit-for-bit.
 ConvertedModel convert_fresh(DatasetKind kind, const data::DatasetPair& data);
 
-/// Load-or-convert: serves the converted artifact from the TSNZ cache when
-/// a valid entry with the current key exists (mmap load, zero-copy weight
-/// adoption, no training and no DNN evaluation), otherwise falls back to
-/// convert_fresh() and repairs/populates the cache best-effort. `data` must
-/// be make_dataset(kind) (callers pass it in so dataset generation is paid
-/// once per process, not once per cache layer).
+/// The converted model for `kind` from the TSNZ cache when a valid entry
+/// with the current key exists (mmap load, zero-copy weight adoption, no
+/// training, no DNN evaluation and no dataset); nullopt on any miss
+/// (absent, or -- logged -- unreadable or keyed for other inputs).
+std::optional<ConvertedModel> load_converted(DatasetKind kind);
+
+/// convert_fresh() plus a best-effort write of the artifact, which
+/// repairs or populates the cache: what a miss of load_converted() needs.
+ConvertedModel convert_and_cache(DatasetKind kind,
+                                 const data::DatasetPair& data);
+
+/// Load-or-convert: load_converted(kind), else convert_and_cache(). `data`
+/// must be the full make_dataset(kind); only a miss reads it, for
+/// training, calibration and the DNN's test accuracy, so a caller that can
+/// tell a hit in advance (load_zoo_workload) renders no train image on one.
 ConvertedModel get_or_convert(DatasetKind kind, const data::DatasetPair& data);
 
 }  // namespace tsnn::core

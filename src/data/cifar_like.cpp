@@ -73,20 +73,43 @@ void hsv_to_rgb(double h, double s, double v, double& r, double& g, double& b) {
   }
 }
 
-Tensor render_sample(const ClassRecipe& recipe, const CifarLikeConfig& config,
-                     Rng& rng) {
+/// Every random draw of one sample: texture phase/offset/orientation and
+/// hue jitter, and the stream its pixel noise starts from.
+struct SampleDraws {
+  std::size_t cls = 0;
+  double jitter_phase = 0.0;
+  double jitter_angle = 0.0;
+  double ox = 0.0;
+  double oy = 0.0;
+  double cx = 0.0;
+  double cy = 0.0;
+  double hue = 0.0;
+  double value_gain = 0.0;
+  Rng noise;
+};
+
+SampleDraws draw_sample(std::size_t cls, const ClassRecipe& recipe,
+                        const CifarLikeConfig& config, Rng& rng) {
+  const std::size_t n = config.image_size;
+  SampleDraws d;
+  d.cls = cls;
+  d.jitter_phase = rng.uniform(0.0, 6.28);
+  d.jitter_angle = rng.normal(0.0, 0.12);
+  d.ox = rng.uniform(0.0, 1.0);
+  d.oy = rng.uniform(0.0, 1.0);
+  d.cx = recipe.param_b + rng.normal(0.0, 0.05);
+  d.cy = recipe.param_b + rng.normal(0.0, 0.05);
+  d.hue = recipe.hue + rng.normal(0.0, config.hue_jitter);
+  d.value_gain = rng.uniform(0.8, 1.0);
+  d.noise = rng;
+  skip_pixel_noise(3 * n * n, config.pixel_noise, rng);
+  return d;
+}
+
+Tensor render_sample(const SampleDraws& d, const ClassRecipe& recipe,
+                     const CifarLikeConfig& config) {
   const std::size_t n = config.image_size;
   Tensor img{Shape{3, n, n}};
-  // Sample-level jitter: texture phase/offset/orientation and hue.
-  const double jitter_phase = rng.uniform(0.0, 6.28);
-  const double jitter_angle = rng.normal(0.0, 0.12);
-  const double ox = rng.uniform(0.0, 1.0);
-  const double oy = rng.uniform(0.0, 1.0);
-  const double cx = recipe.param_b + rng.normal(0.0, 0.05);
-  const double cy = recipe.param_b + rng.normal(0.0, 0.05);
-  const double hue = recipe.hue + rng.normal(0.0, config.hue_jitter);
-  const double value_gain = rng.uniform(0.8, 1.0);
-
   for (std::size_t y = 0; y < n; ++y) {
     for (std::size_t x = 0; x < n; ++x) {
       const double u = (static_cast<double>(x) + 0.5) / static_cast<double>(n);
@@ -94,26 +117,28 @@ Tensor render_sample(const ClassRecipe& recipe, const CifarLikeConfig& config,
       double t = 0.0;
       switch (recipe.family) {
         case 0:
-          t = field::stripes(u, v, recipe.param_b + jitter_angle, recipe.param_a,
-                             jitter_phase);
+          t = field::stripes(u, v, recipe.param_b + d.jitter_angle,
+                             recipe.param_a, d.jitter_phase);
           break;
         case 1:
-          t = field::checker(u, v, recipe.param_a, ox, oy);
+          t = field::checker(u, v, recipe.param_a, d.ox, d.oy);
           break;
         case 2:
-          t = field::rings(u, v, cx, cy, recipe.param_a, jitter_phase);
+          t = field::rings(u, v, d.cx, d.cy, recipe.param_a, d.jitter_phase);
           break;
         case 3: {
           // Constellation of three blobs around the class center.
-          const double b1 = field::blob(u, v, cx, cy, recipe.param_a);
-          const double b2 = field::blob(u, v, cx + 0.3, cy - 0.2, recipe.param_a * 0.8);
-          const double b3 = field::blob(u, v, cx - 0.25, cy + 0.3, recipe.param_a * 0.9);
+          const double b1 = field::blob(u, v, d.cx, d.cy, recipe.param_a);
+          const double b2 = field::blob(u, v, d.cx + 0.3, d.cy - 0.2,
+                                        recipe.param_a * 0.8);
+          const double b3 = field::blob(u, v, d.cx - 0.25, d.cy + 0.3,
+                                        recipe.param_a * 0.9);
           t = std::min(1.0, b1 + 0.8 * b2 + 0.7 * b3);
           break;
         }
         default:
-          t = field::plasma(u + ox * 0.2, v + oy * 0.2, recipe.param_a,
-                            recipe.param_b, jitter_phase);
+          t = field::plasma(u + d.ox * 0.2, v + d.oy * 0.2, recipe.param_a,
+                            recipe.param_b, d.jitter_phase);
           break;
       }
       // Texture modulates the value channel of the class color; a slight
@@ -121,35 +146,35 @@ Tensor render_sample(const ClassRecipe& recipe, const CifarLikeConfig& config,
       double r = 0.0;
       double g = 0.0;
       double b = 0.0;
-      hsv_to_rgb(hue + 0.12 * (t - 0.5), recipe.saturation,
-                 value_gain * (0.25 + 0.75 * t), r, g, b);
+      hsv_to_rgb(d.hue + 0.12 * (t - 0.5), recipe.saturation,
+                 d.value_gain * (0.25 + 0.75 * t), r, g, b);
       img(0, y, x) = static_cast<float>(r);
       img(1, y, x) = static_cast<float>(g);
       img(2, y, x) = static_cast<float>(b);
     }
   }
-  add_pixel_noise(img, config.pixel_noise, rng);
+  Rng noise = d.noise;
+  add_pixel_noise(img, config.pixel_noise, noise);
   return img;
 }
 
 Dataset generate(const CifarLikeConfig& config, std::size_t per_class,
-                 const std::vector<ClassRecipe>& recipes, Rng& rng) {
-  Dataset ds;
-  ds.num_classes = config.num_classes;
-  ds.image_shape = Shape{3, config.image_size, config.image_size};
-  for (std::size_t cls = 0; cls < config.num_classes; ++cls) {
-    for (std::size_t i = 0; i < per_class; ++i) {
-      ds.images.push_back(render_sample(recipes[cls], config, rng));
-      ds.labels.push_back(cls);
-    }
-  }
-  ds.shuffle(rng);
-  return ds;
+                 const std::vector<ClassRecipe>& recipes, std::size_t keep,
+                 Rng& rng) {
+  const std::size_t n = config.image_size;
+  return generate_split(
+      config.num_classes, per_class, Shape{3, n, n}, keep, rng,
+      [&](Rng& r, std::size_t cls) {
+        return draw_sample(cls, recipes[cls], config, r);
+      },
+      [&](const SampleDraws& d) {
+        return render_sample(d, recipes[d.cls], config);
+      });
 }
 
 }  // namespace
 
-DatasetPair make_cifar_like(const CifarLikeConfig& config) {
+DatasetPair make_cifar_like(const CifarLikeConfig& config, Keep keep) {
   TSNN_CHECK_MSG(config.num_classes > 1, "need at least 2 classes");
   TSNN_CHECK_MSG(config.image_size >= 8, "images must be at least 8px");
   std::vector<ClassRecipe> recipes;
@@ -159,8 +184,9 @@ DatasetPair make_cifar_like(const CifarLikeConfig& config) {
   }
   Rng rng(config.seed ^ 0xABCDEF12u);
   DatasetPair pair;
-  pair.train = generate(config, config.train_per_class, recipes, rng);
-  pair.test = generate(config, config.test_per_class, recipes, rng);
+  pair.train =
+      generate(config, config.train_per_class, recipes, keep.train, rng);
+  pair.test = generate(config, config.test_per_class, recipes, keep.test, rng);
   return pair;
 }
 

@@ -28,8 +28,9 @@ struct CifarLikeConfig {
   std::uint64_t seed = 4321;
 };
 
-/// Generates a train/test pair of the configured CIFAR-like set.
-DatasetPair make_cifar_like(const CifarLikeConfig& config = {});
+/// Generates a train/test pair of the configured CIFAR-like set, rendering
+/// the samples `keep` names (all by default).
+DatasetPair make_cifar_like(const CifarLikeConfig& config = {}, Keep keep = {});
 
 /// Convenience: S-CIFAR10 with defaults (10 classes).
 DatasetPair make_cifar10_like(std::uint64_t seed = 4321);

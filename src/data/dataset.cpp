@@ -1,6 +1,6 @@
 #include "data/dataset.h"
 
-#include <numeric>
+#include <algorithm>
 
 #include "common/error.h"
 
@@ -16,22 +16,6 @@ void Dataset::check_valid() const {
     TSNN_CHECK_MSG(labels[i] < num_classes,
                    "label " << labels[i] << " out of range " << num_classes);
   }
-}
-
-void Dataset::shuffle(Rng& rng) {
-  std::vector<std::size_t> order(images.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(order);
-  std::vector<Tensor> new_images;
-  std::vector<std::size_t> new_labels;
-  new_images.reserve(images.size());
-  new_labels.reserve(labels.size());
-  for (const std::size_t i : order) {
-    new_images.push_back(std::move(images[i]));
-    new_labels.push_back(labels[i]);
-  }
-  images = std::move(new_images);
-  labels = std::move(new_labels);
 }
 
 Dataset Dataset::head(std::size_t n) const {

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/rng.h"
 #include "tensor/tensor.h"
 
 namespace tsnn::data {
@@ -25,9 +24,6 @@ struct Dataset {
   /// Validates internal consistency; throws on violation.
   void check_valid() const;
 
-  /// Shuffles images and labels together.
-  void shuffle(Rng& rng);
-
   /// Returns the first `n` samples (or all if n >= size) as a new dataset.
   Dataset head(std::size_t n) const;
 
@@ -43,6 +39,17 @@ struct Dataset {
 struct DatasetPair {
   Dataset train;
   Dataset test;
+};
+
+/// How many samples of each split a generator renders: the first `train`
+/// and the first `test` of the split's served (shuffled) order, all of them
+/// by default. The counts change which images exist, never their pixels: a
+/// skipped sample still takes its random draws, so a kept prefix equals the
+/// same prefix of the full split, image for image.
+struct Keep {
+  static constexpr std::size_t kAll = static_cast<std::size_t>(-1);
+  std::size_t train = kAll;
+  std::size_t test = kAll;
 };
 
 }  // namespace tsnn::data

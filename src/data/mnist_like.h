@@ -24,7 +24,8 @@ struct MnistLikeConfig {
   std::uint64_t seed = 1234;
 };
 
-/// Generates a train/test pair of S-MNIST.
-DatasetPair make_mnist_like(const MnistLikeConfig& config = {});
+/// Generates a train/test pair of S-MNIST, rendering the samples `keep`
+/// names (all by default).
+DatasetPair make_mnist_like(const MnistLikeConfig& config = {}, Keep keep = {});
 
 }  // namespace tsnn::data

@@ -57,6 +57,12 @@ void add_pixel_noise(Tensor& image, double sigma, Rng& rng) {
   clamp01(image);
 }
 
+void skip_pixel_noise(std::size_t numel, double sigma, Rng& rng) {
+  if (sigma > 0.0) {
+    rng.discard_normals(numel);
+  }
+}
+
 void clamp01(Tensor& image) {
   float* p = image.data();
   for (std::size_t i = 0; i < image.numel(); ++i) {

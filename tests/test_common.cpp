@@ -1,8 +1,10 @@
 // Tests for common utilities: RNG, env, strings, errors.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <set>
+#include <string>
 
 #include "common/env.h"
 #include "common/error.h"
@@ -189,6 +191,41 @@ TEST(Rng, ShufflePermutes) {
   std::vector<int> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, orig);
+}
+
+// discard_normals(n) must leave the stream exactly where n normal() calls
+// leave it: the cache flag, the cached value's bits, and the next raw draw.
+// Odd n ends on a cached sine, even n on an empty cache (or the reverse
+// when a normal was cached going in).
+TEST(Rng, DiscardNormalsMatchesNormalCalls) {
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 768u, 769u}) {
+    for (const bool precached : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        const std::string where = "n " + std::to_string(n) + " seed " +
+                                  std::to_string(seed) +
+                                  (precached ? " precached" : "");
+        Rng got(seed);
+        Rng want(seed);
+        if (precached) {
+          got.normal();
+          want.normal();
+        }
+        got.discard_normals(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          want.normal();
+        }
+        double z_got = 0.0;
+        double z_want = 0.0;
+        const bool cached_got = got.take_cached_normal(z_got);
+        const bool cached_want = want.take_cached_normal(z_want);
+        ASSERT_EQ(cached_got, cached_want) << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(z_got),
+                  std::bit_cast<std::uint64_t>(z_want))
+            << where;
+        EXPECT_EQ(got(), want()) << where;
+      }
+    }
+  }
 }
 
 TEST(Env, StringFallback) {

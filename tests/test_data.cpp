@@ -1,6 +1,10 @@
 // Tests for the synthetic dataset generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
 #include "common/error.h"
 #include "data/cifar_like.h"
 #include "data/glyphs.h"
@@ -188,25 +192,54 @@ TEST(Dataset, HeadAndSplit) {
   EXPECT_THROW(pair.train.split(0.0), InvalidArgument);
 }
 
-TEST(Dataset, ShufflePreservesPairing) {
-  DatasetPair pair = make_mnist_like(small_mnist_config());
-  // Tag: remember label of a specific image by content hash (first pixel sums).
-  std::vector<std::pair<double, std::size_t>> tagged;
-  for (std::size_t i = 0; i < pair.train.size(); ++i) {
-    tagged.emplace_back(ops::sum(pair.train.images[i]), pair.train.labels[i]);
+/// True when `got` is the first got.size() samples of `full`: images
+/// byte-for-byte, labels one by one, and the same split metadata.
+::testing::AssertionResult IsPrefixOf(const Dataset& got, const Dataset& full) {
+  if (got.num_classes != full.num_classes ||
+      got.image_shape != full.image_shape || got.size() > full.size() ||
+      got.labels.size() != got.images.size()) {
+    return ::testing::AssertionFailure() << "metadata or size differs";
   }
-  Rng rng(123);
-  pair.train.shuffle(rng);
-  for (std::size_t i = 0; i < pair.train.size(); ++i) {
-    const double key = ops::sum(pair.train.images[i]);
-    bool found = false;
-    for (const auto& [k, l] : tagged) {
-      if (k == key && l == pair.train.labels[i]) {
-        found = true;
-        break;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got.labels[i] != full.labels[i]) {
+      return ::testing::AssertionFailure() << "label " << i << " differs";
+    }
+    if (got.images[i].shape() != full.images[i].shape() ||
+        std::memcmp(got.images[i].data(), full.images[i].data(),
+                    full.images[i].numel() * sizeof(float)) != 0) {
+      return ::testing::AssertionFailure() << "image " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Keep renders a prefix of each split's served order without changing a
+// pixel of it, with and without pixel noise (whose skipped draws are the
+// whole cost of a skipped sample), in both generator families.
+TEST(Keep, KeptPrefixesMatchTheFullSplits) {
+  for (const double noise : {0.1, 0.0}) {
+    MnistLikeConfig mnist = small_mnist_config();
+    mnist.pixel_noise = noise;
+    CifarLikeConfig cifar = small_cifar_config(10);
+    cifar.pixel_noise = noise;
+    const DatasetPair full_mnist = make_mnist_like(mnist);
+    const DatasetPair full_cifar = make_cifar_like(cifar);
+    for (const std::size_t train : {0u, 1u, 7u, 80u, 81u}) {
+      for (const std::size_t test : {0u, 1u, 40u, 41u}) {
+        SCOPED_TRACE("noise " + std::to_string(noise) + " keep " +
+                     std::to_string(train) + "/" + std::to_string(test));
+        const DatasetPair m =
+            make_mnist_like(mnist, {.train = train, .test = test});
+        EXPECT_EQ(m.train.size(), std::min<std::size_t>(train, 80));
+        EXPECT_EQ(m.test.size(), std::min<std::size_t>(test, 40));
+        EXPECT_TRUE(IsPrefixOf(m.train, full_mnist.train));
+        EXPECT_TRUE(IsPrefixOf(m.test, full_mnist.test));
+        const DatasetPair c =
+            make_cifar_like(cifar, {.train = train, .test = test});
+        EXPECT_TRUE(IsPrefixOf(c.train, full_cifar.train));
+        EXPECT_TRUE(IsPrefixOf(c.test, full_cifar.test));
       }
     }
-    EXPECT_TRUE(found) << "image/label pairing broken at " << i;
   }
 }
 

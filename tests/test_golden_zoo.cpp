@@ -390,5 +390,61 @@ TEST(GoldenZoo, CacheHitMatchesFreshConvert) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The engine prepares each zoo dataset once, at the largest image count a
+// suite asks of it, and grows that prefix when a later run() asks for more.
+// Either way every row must be the row a fresh engine writes for its spec
+// alone -- a spec evaluated on fewer images than it names, or on images a
+// longer prefix would not start with, moves these counts.
+
+ScenarioSpec prefix_spec(std::size_t images) {
+  return ScenarioSpec::parse(
+      "name = prefix" + std::to_string(images) +
+      "\ndatasets = s-mnist, s-cifar10\nmethods = rate, ttfs\n"
+      "noise = deletion:sweep\nlevels = 0, 0.5\nimages = " +
+      std::to_string(images) + "\nseed = 7\n");
+}
+
+void expect_rows_match_fresh_engine(const ScenarioResult& got,
+                                    const ScenarioSpec& spec) {
+  SCOPED_TRACE(spec.name);
+  ScenarioEngine fresh;
+  const ScenarioResult want = fresh.run_one(spec);
+  EXPECT_EQ(got.images_simulated, want.images_simulated);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (std::size_t i = 0; i < want.rows.size(); ++i) {
+    EXPECT_EQ(got.rows[i].dataset, want.rows[i].dataset) << "row " << i;
+    EXPECT_EQ(got.rows[i].method, want.rows[i].method) << "row " << i;
+    EXPECT_EQ(got.rows[i].level, want.rows[i].level) << "row " << i;
+    EXPECT_EQ(got.rows[i].accuracy, want.rows[i].accuracy) << "row " << i;
+    EXPECT_EQ(got.rows[i].mean_spikes, want.rows[i].mean_spikes)
+        << "row " << i;
+    EXPECT_EQ(got.rows[i].mean_decision_timesteps,
+              want.rows[i].mean_decision_timesteps)
+        << "row " << i;
+  }
+}
+
+TEST(GoldenZoo, EngineServesEveryImageCountOfOneSuite) {
+  workloads();  // warms the fast zoo (and sets TSNN_FAST)
+  const std::vector<ScenarioSpec> suite = {prefix_spec(4), prefix_spec(16)};
+  ScenarioEngine engine;
+  const std::vector<ScenarioResult> results = engine.run(suite);
+  ASSERT_EQ(results.size(), 2u);
+  expect_rows_match_fresh_engine(results[0], suite[0]);
+  expect_rows_match_fresh_engine(results[1], suite[1]);
+  EXPECT_EQ(engine.zoo_prep().loads, 2u);  // one per dataset
+}
+
+TEST(GoldenZoo, EngineGrowsItsPrefixAcrossRuns) {
+  workloads();
+  ScenarioEngine engine;
+  const ScenarioResult small = engine.run_one(prefix_spec(4));
+  const ScenarioResult large = engine.run_one(prefix_spec(16));
+  expect_rows_match_fresh_engine(small, prefix_spec(4));
+  expect_rows_match_fresh_engine(large, prefix_spec(16));
+  EXPECT_EQ(engine.zoo_prep().loads, 2u);  // growing a prefix is no load
+}
+
 }  // namespace
 }  // namespace tsnn::core

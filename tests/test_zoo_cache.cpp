@@ -6,19 +6,69 @@
 // artifact as a miss, reconverts, and leaves a repaired cache behind.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "core/scenario.h"
 #include "core/zoo.h"
 #include "dnn/serialize.h"
 #include "snn/snn_model.h"
 #include "snn/topology.h"
+
+// A counting shim over the global allocator, read by
+// ZooPrepTest.ArtifactHitRendersNoTrainImage: every rendered image
+// allocates its pixels, so the count bounds how many images a call drew.
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace tsnn {
 namespace {
@@ -207,6 +257,30 @@ TEST_F(ZooRepairTest, StaleKeyFallsBackAndRepairs) {
   const dnn::SnnArtifact repaired = dnn::load_snn_artifact(path);
   EXPECT_EQ(repaired.key, core::zoo_artifact_key(kind));
   EXPECT_EQ(repaired.model.num_stages(), out.conversion.model.num_stages());
+}
+
+// An artifact hit needs no train image, so load_zoo_workload renders none:
+// it allocates fewer times than the train split holds images, where
+// rendering the split would take at least one allocation per image.
+using ZooPrepTest = ZooRepairTest;
+
+TEST_F(ZooPrepTest, ArtifactHitRendersNoTrainImage) {
+  const core::DatasetKind kind = core::DatasetKind::kMnistLike;
+  const std::size_t train_images = core::make_dataset(kind).train.size();
+
+  // A structurally valid artifact under the current key: a hit that needs
+  // no training.
+  std::filesystem::create_directories(dir_);
+  dnn::SnnArtifact planted = make_tiny_artifact();
+  planted.key = core::zoo_artifact_key(kind);
+  dnn::save_snn_artifact(planted, core::zoo_artifact_path(kind));
+
+  const std::size_t before = g_allocations.load();
+  const core::ZooWorkload w = core::load_zoo_workload(kind, 8);
+  const std::size_t allocations = g_allocations.load() - before;
+  EXPECT_TRUE(w.from_artifact_cache);
+  EXPECT_EQ(w.test_images.size(), 8u);
+  EXPECT_LT(allocations, train_images);
 }
 
 }  // namespace
