@@ -12,9 +12,9 @@
 #include "bench_common.h"
 #include "coding/registry.h"
 #include "common/string_util.h"
+#include "core/experiment.h"
 #include "noise/noise.h"
 #include "report/table.h"
-#include "snn/simulator.h"
 
 int main(int argc, char** argv) {
   using namespace tsnn;
@@ -22,30 +22,51 @@ int main(int argc, char** argv) {
   std::printf("Ablation | TTFS/TTAS kernel time constant tau\n");
   const core::ZooWorkload w =
       bench::prepare_workload(core::DatasetKind::kCifar10Like);
-  const snn::EvalOptions options = bench::eval_options();
 
   const std::vector<float> taus{2.0f, 3.0f, 4.0f, 6.0f, 8.0f};
-  report::Table table({"Coding", "tau", "clean (%)", "jitter s=2 (%)",
-                       "jitter s=2, ttas(5) (%)"});
   const auto jitter = noise::make_jitter(2.0);
+  // Three cells per tau -- TTFS clean, TTFS under jitter, TTAS(5) under
+  // jitter -- run as one grid.
+  std::vector<snn::CodingSchemePtr> schemes;
+  std::vector<core::EvalCell> cells;
+  const auto add_cell = [&](const snn::CodingScheme* scheme,
+                            const snn::NoiseModel* noise) {
+    core::EvalCell cell;
+    cell.model = &w.conversion.model;
+    cell.scheme = scheme;
+    cell.noise = noise;
+    cell.images = &w.test_images;
+    cell.labels = &w.test_labels;
+    cell.seed = bench::bench_seed();
+    cells.push_back(cell);
+  };
   for (const float tau : taus) {
     snn::CodingParams params = coding::default_params(snn::Coding::kTtfs);
     params.tau = tau;
-    const auto ttfs = coding::make_scheme(snn::Coding::kTtfs, params);
+    schemes.push_back(coding::make_scheme(snn::Coding::kTtfs, params));
+    const snn::CodingScheme* ttfs = schemes.back().get();
 
     snn::CodingParams tparams = coding::default_params(snn::Coding::kTtas);
     tparams.tau = tau;
     tparams.burst_duration = 5;
-    const auto ttas = coding::make_scheme(snn::Coding::kTtas, tparams);
+    schemes.push_back(coding::make_scheme(snn::Coding::kTtas, tparams));
+    const snn::CodingScheme* ttas = schemes.back().get();
 
-    const auto clean = snn::evaluate(w.conversion.model, *ttfs, w.test_images,
-                                     w.test_labels, nullptr, options);
-    const auto noisy = snn::evaluate(w.conversion.model, *ttfs, w.test_images,
-                                     w.test_labels, jitter.get(), options);
-    const auto rescued = snn::evaluate(w.conversion.model, *ttas, w.test_images,
-                                       w.test_labels, jitter.get(), options);
-    table.add_row({"ttfs/ttas", str::format_fixed(tau, 1), bench::pct(clean.accuracy),
-                   bench::pct(noisy.accuracy), bench::pct(rescued.accuracy)});
+    add_cell(ttfs, nullptr);
+    add_cell(ttfs, jitter.get());
+    add_cell(ttas, jitter.get());
+  }
+  core::GridOptions grid;
+  grid.num_threads = bench::bench_threads();
+  const std::vector<core::EvalCellResult> results = core::run_grid(cells, grid);
+
+  report::Table table({"Coding", "tau", "clean (%)", "jitter s=2 (%)",
+                       "jitter s=2, ttas(5) (%)"});
+  for (std::size_t t = 0; t < taus.size(); ++t) {
+    table.add_row({"ttfs/ttas", str::format_fixed(taus[t], 1),
+                   bench::pct(results[3 * t].accuracy),
+                   bench::pct(results[3 * t + 1].accuracy),
+                   bench::pct(results[3 * t + 2].accuracy)});
   }
   std::printf("\n%s", table.to_string().c_str());
   return 0;

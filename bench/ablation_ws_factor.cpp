@@ -11,11 +11,11 @@
 #include "bench_common.h"
 #include "coding/registry.h"
 #include "common/string_util.h"
+#include "core/experiment.h"
 #include "core/ttas.h"
 #include "core/weight_scaling.h"
 #include "noise/noise.h"
 #include "report/table.h"
-#include "snn/simulator.h"
 
 int main(int argc, char** argv) {
   using namespace tsnn;
@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   std::printf("Ablation | weight-scaling factor C at deletion p = 0.5\n");
   const core::ZooWorkload w =
       bench::prepare_workload(core::DatasetKind::kCifar10Like);
-  const snn::EvalOptions options = bench::eval_options();
 
   const double p = 0.5;
   const float c_star = core::weight_scaling_factor(p);
@@ -37,17 +36,33 @@ int main(int argc, char** argv) {
   methods.push_back({"rate", coding::make_scheme(snn::Coding::kRate)});
   methods.push_back({"ttas(5)", core::make_ttas(5)});
 
-  report::Table table({"Method", "C", "Accuracy (%)", "Note"});
   const auto noise = noise::make_deletion(p);
   // One scaled clone per distinct C, shared by both methods (C = 1.0 is the
-  // base model itself); evaluation runs on the persistent bench pool.
+  // base model itself); every (method, C) cell runs as one grid.
   core::ScaledModelCache cache(w.conversion.model);
+  std::vector<core::EvalCell> cells;
   for (const Method& m : methods) {
     for (const float c : factors) {
-      const snn::SnnModel& model = cache.get(c);
-      const snn::BatchResult r = snn::evaluate(model, *m.scheme, w.test_images,
-                                               w.test_labels, noise.get(), options);
-      table.add_row({m.label, str::format_fixed(c, 2), bench::pct(r.accuracy),
+      core::EvalCell cell;
+      cell.model = &cache.get(c);
+      cell.scheme = m.scheme.get();
+      cell.noise = noise.get();
+      cell.images = &w.test_images;
+      cell.labels = &w.test_labels;
+      cell.seed = bench::bench_seed();
+      cells.push_back(cell);
+    }
+  }
+  core::GridOptions grid;
+  grid.num_threads = bench::bench_threads();
+  const std::vector<core::EvalCellResult> results = core::run_grid(cells, grid);
+
+  report::Table table({"Method", "C", "Accuracy (%)", "Note"});
+  for (std::size_t m = 0; m < methods.size(); ++m) {
+    for (std::size_t f = 0; f < factors.size(); ++f) {
+      const float c = factors[f];
+      table.add_row({methods[m].label, str::format_fixed(c, 2),
+                     bench::pct(results[m * factors.size() + f].accuracy),
                      c == c_star ? "C = 1/(1-p)" : ""});
     }
   }

@@ -31,7 +31,7 @@ Knobs& knobs() {
   return k;
 }
 
-[[noreturn]] void usage(const char* prog, int exit_code) {
+[[noreturn]] void shared_usage(const char* prog, int exit_code) {
   std::fprintf(exit_code == 0 ? stdout : stderr,
                "usage: %s [--images N] [--seed S] [--threads N] [--out DIR]"
                " [--json PATH]\n"
@@ -45,11 +45,8 @@ Knobs& knobs() {
 }
 
 [[noreturn]] void bad_arg(const char* prog, UsageFn usage) {
-  if (usage == nullptr) {
-    bench::usage(prog, 2);
-  }
-  usage(prog);
-  std::exit(2);
+  (usage != nullptr ? usage : shared_usage)(prog, 2);
+  std::exit(2);  // a UsageFn exits; this keeps the attribute honest
 }
 
 /// Shared body of the numeric parsers: `parse(value, &end)` must consume
@@ -94,15 +91,18 @@ double parse_double_arg(const char* prog, const char* flag, const char* value,
                            });
 }
 
-void init(int argc, char** argv) {
+void init(int argc, char** argv, UsageFn usage) {
   const char* prog = argc > 0 ? argv[0] : "bench";
+  if (usage == nullptr) {
+    usage = shared_usage;
+  }
   // Environment first, through the flags' validation but always decimal (a
   // leading 0 is not octal, 0x is rejected); flags override it.
-  const auto from_env = [prog](const char* name, bool allow_negative,
-                               std::int64_t& knob) {
+  const auto from_env = [prog, usage](const char* name, bool allow_negative,
+                                      std::int64_t& knob) {
     if (const char* value = std::getenv(name)) {
       knob = parse_arg<std::int64_t>(
-          prog, name, value, allow_negative, /*usage=*/nullptr,
+          prog, name, value, allow_negative, usage,
           [](const char* s, char** end) { return std::strtoll(s, end, 10); });
     }
   };
@@ -121,18 +121,19 @@ void init(int argc, char** argv) {
       usage(prog, 0);
     } else if (std::strcmp(arg, "--images") == 0) {
       knobs().images =
-          parse_int_arg(prog, arg, value, /*allow_negative=*/false);
+          parse_int_arg(prog, arg, value, /*allow_negative=*/false, usage);
       if (knobs().images == 0) {
         std::fprintf(stderr, "%s: --images must be >= 1\n", prog);
         usage(prog, 2);
       }
       ++i;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      knobs().seed = parse_int_arg(prog, arg, value, /*allow_negative=*/true);
+      knobs().seed =
+          parse_int_arg(prog, arg, value, /*allow_negative=*/true, usage);
       ++i;
     } else if (std::strcmp(arg, "--threads") == 0) {
       knobs().threads =
-          parse_int_arg(prog, arg, value, /*allow_negative=*/false);
+          parse_int_arg(prog, arg, value, /*allow_negative=*/false, usage);
       ++i;
     } else if (std::strcmp(arg, "--out") == 0) {
       if (value == nullptr) {
@@ -171,24 +172,6 @@ std::string bench_json() {
     return *knobs().json;
   }
   return env::get_string("TSNN_BENCH_JSON", "");
-}
-
-ThreadPool* eval_pool() {
-  // Leaked on purpose: the pool must outlive every static-destruction-order
-  // hazard, and bench processes exit right after their last sweep anyway.
-  static ThreadPool* pool = [] {
-    const std::size_t n = ThreadPool::resolve_threads(bench_threads());
-    return n > 1 ? new ThreadPool(n) : nullptr;
-  }();
-  return pool;
-}
-
-snn::EvalOptions eval_options() {
-  snn::EvalOptions options;
-  options.base_seed = bench_seed();
-  options.num_threads = bench_threads();
-  options.pool = eval_pool();
-  return options;
 }
 
 core::ZooWorkload prepare_workload(core::DatasetKind kind) {

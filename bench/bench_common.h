@@ -21,28 +21,29 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/scenario.h"
 #include "report/csv.h"
 #include "snn/simulator.h"
 
 namespace tsnn::bench {
 
+/// Prints a CLI's usage text for `prog` -- to stdout when `exit_code` is
+/// 0 (`--help`), to stderr otherwise -- and exits with `exit_code`.
+using UsageFn = void (*)(const char* prog, int exit_code);
+
 /// Parses the shared bench flags (--images, --seed, --threads, --out; see
 /// file comment) and reads TSNN_BENCH_IMAGES/_SEED/_THREADS through the
 /// same validation as the flags, in base 10. Call first in every bench
-/// main. Unknown arguments and bad values abort with a usage message (exit
-/// 2); `--help` prints it and exits 0.
-void init(int argc, char** argv);
-
-/// Prints a CLI's usage text for `prog`.
-using UsageFn = void (*)(const char* prog);
+/// main. Unknown arguments and bad values print the problem and exit 2
+/// through `usage` (null = the shared bench flags above), so a tool with
+/// flags of its own passes its own usage; `--help` exits 0 through it.
+void init(int argc, char** argv, UsageFn usage = nullptr);
 
 /// The numeric flag parsers every bench CLI shares. `value` is the text
 /// after `flag` (null when the flag came last); integers accept any base
 /// prefix strtoll does (0x..). A missing, non-numeric, out-of-range or
 /// negative (for integers: unless `allow_negative`) value prints the
-/// problem, then `usage` (null = the shared bench flags above), and exits 2.
+/// problem and exits 2 through `usage` (null = the shared bench flags).
 std::int64_t parse_int_arg(const char* prog, const char* flag,
                            const char* value, bool allow_negative,
                            UsageFn usage = nullptr);
@@ -57,18 +58,6 @@ std::uint64_t bench_seed();
 
 /// Evaluation worker threads, 0 meaning hardware concurrency (--threads).
 std::size_t bench_threads();
-
-/// The process-wide persistent evaluation pool, sized by bench_threads()
-/// and created on first use; nullptr when the bench runs single-threaded.
-/// Every grid and evaluate() call of a bench shares it, so worker threads
-/// -- and their thread-local SimWorkspaces -- stay warm across grid cells,
-/// scenarios, and datasets instead of being torn down at every cell
-/// boundary.
-ThreadPool* eval_pool();
-
-/// The snn::evaluate options the shared knobs imply: base_seed from
-/// bench_seed(), num_threads from bench_threads(), pool from eval_pool().
-snn::EvalOptions eval_options();
 
 /// Loads/trains the zoo model for `kind`, converts it, and slices the test
 /// set down to bench_images() samples (core::load_zoo_workload, the recipe

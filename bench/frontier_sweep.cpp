@@ -23,6 +23,7 @@
 #include "bench_common.h"
 #include "coding/registry.h"
 #include "common/string_util.h"
+#include "core/experiment.h"
 #include "report/table.h"
 
 int main(int argc, char** argv) {
@@ -52,10 +53,12 @@ int main(int argc, char** argv) {
   };
   std::vector<FrontierPoint> frontier(methods.size());
 
-  for (std::size_t m = 0; m < methods.size(); ++m) {
-    const core::MethodSpec& method = methods[m];
-    const snn::CodingSchemePtr scheme =
-        coding::make_scheme(method.coding, method.params);
+  // One cell per (coding, margin fraction), run as one grid.
+  std::vector<snn::CodingSchemePtr> schemes;
+  std::vector<core::EvalCell> cells;
+  for (const core::MethodSpec& method : methods) {
+    schemes.push_back(coding::make_scheme(method.coding, method.params));
+    const snn::CodingScheme* scheme = schemes.back().get();
 
     // The coding's margin scale: mean final top-2 logit gap over a few
     // clean reference images.
@@ -66,8 +69,8 @@ int main(int argc, char** argv) {
       const std::size_t probe = std::min<std::size_t>(8, w.test_images.size());
       for (std::size_t i = 0; i < probe; ++i) {
         snn::simulate_into(
-            snn::SimRequest{&w.conversion.model, scheme.get(), nullptr,
-                            nullptr, &ws},
+            snn::SimRequest{&w.conversion.model, scheme, nullptr, nullptr,
+                            &ws},
             w.test_images[i], r);
         margin_scale += r.margin;
       }
@@ -75,31 +78,43 @@ int main(int argc, char** argv) {
     }
 
     for (const double fraction : fractions) {
-      snn::EvalOptions options = bench::eval_options();
+      core::EvalCell cell;
+      cell.model = &w.conversion.model;
+      cell.scheme = scheme;
+      cell.images = &w.test_images;
+      cell.labels = &w.test_labels;
+      cell.seed = bench::bench_seed();
       if (fraction > 0.0) {
-        options.policy.mode = snn::DecisionPolicy::Mode::kMargin;
-        options.policy.margin =
-            static_cast<float>(fraction) * margin_scale;
-        options.policy.min_timesteps = 2;
+        cell.policy.mode = snn::DecisionPolicy::Mode::kMargin;
+        cell.policy.margin = static_cast<float>(fraction) * margin_scale;
+        cell.policy.min_timesteps = 2;
       }
-      const snn::BatchResult batch =
-          snn::evaluate(w.conversion.model, *scheme, w.test_images,
-                        w.test_labels, /*noise=*/nullptr, options);
+      cells.push_back(cell);
+    }
+  }
+  core::GridOptions grid;
+  grid.num_threads = bench::bench_threads();
+  const std::vector<core::EvalCellResult> results = core::run_grid(cells, grid);
+
+  for (std::size_t m = 0; m < methods.size(); ++m) {
+    for (std::size_t f = 0; f < fractions.size(); ++f) {
+      const double fraction = fractions[f];
+      const core::EvalCellResult& cell = results[m * fractions.size() + f];
       core::ScenarioRow row;
-      row.method = method.label;
+      row.method = methods[m].label;
       row.level = fraction;
-      row.accuracy = batch.accuracy;
-      row.mean_spikes = batch.mean_spikes_per_image;
-      row.mean_decision_timesteps = batch.mean_decision_timesteps;
+      row.accuracy = cell.accuracy;
+      row.mean_spikes = cell.mean_spikes;
+      row.mean_decision_timesteps = cell.mean_decision_timesteps;
       report.add_row(row);
 
       if (fraction == 0.0) {
-        frontier[m].reference_accuracy = batch.accuracy;
-        frontier[m].window = batch.mean_decision_timesteps;
-      } else if (batch.accuracy >= frontier[m].reference_accuracy - 0.01 &&
+        frontier[m].reference_accuracy = cell.accuracy;
+        frontier[m].window = cell.mean_decision_timesteps;
+      } else if (cell.accuracy >= frontier[m].reference_accuracy - 0.01 &&
                  frontier[m].window > 0.0) {
         const double latency =
-            batch.mean_decision_timesteps / frontier[m].window;
+            cell.mean_decision_timesteps / frontier[m].window;
         frontier[m].best_fraction =
             std::min(frontier[m].best_fraction, latency);
       }

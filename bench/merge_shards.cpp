@@ -32,7 +32,6 @@
 #include "common/string_util.h"
 #include "core/checkpoint.h"
 #include "core/scenario.h"
-#include "noise/device_profile.h"
 #include "report/csv.h"
 
 namespace {
@@ -81,17 +80,7 @@ std::vector<StaticCell> static_cells(
   std::vector<StaticCell> out;
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const core::ScenarioSpec& spec = specs[s];
-    const std::size_t swept = spec.swept_layer();
-    std::vector<double> levels = spec.levels;
-    if (swept != core::ScenarioSpec::kNoSweep &&
-        spec.noise[swept].kind == core::NoiseLayerSpec::Kind::kDevice) {
-      for (std::size_t d = 0; d < noise::device_catalog().size(); ++d) {
-        levels.push_back(static_cast<double>(d));
-      }
-    }
-    if (levels.empty()) {
-      levels.push_back(0.0);
-    }
+    const std::vector<double> levels = spec.level_grid();
     for (const std::string& dataset : spec.datasets) {
       for (const core::MethodSpec& method : spec.methods) {
         for (const double level : levels) {
@@ -141,7 +130,7 @@ int main(int argc, char** argv) {
       shard_dirs.push_back(argv[i]);
     }
   }
-  bench::init(static_cast<int>(bench_args.size()), bench_args.data());
+  bench::init(static_cast<int>(bench_args.size()), bench_args.data(), usage);
   if (shard_dirs.empty()) {
     std::fprintf(stderr, "no shard directories given\n");
     usage(argv[0], 2);
@@ -161,7 +150,7 @@ int main(int argc, char** argv) {
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "%s\n", e.what());
-    return 2;
+    usage(argv[0], 2);
   }
 
   std::vector<core::CheckpointRecord> merged;

@@ -488,7 +488,11 @@ void register_isa_variants() {
     return;
   }
   for (const tsnn::simd::KernelDispatch* table : tables) {
-    const std::string suffix = "<" + std::string(table->isa) + ">";
+    // Appended piece by piece: GCC 12 misreads `"<" + std::string(...)` as
+    // an overlapping copy (-Wrestrict).
+    std::string suffix = "<";
+    suffix += table->isa;
+    suffix += '>';
     const auto pinned = [table](void (*bench)(benchmark::State&)) {
       return [table, bench](benchmark::State& state) {
         tsnn::simd::ScopedKernelOverride override_table(*table);

@@ -1,8 +1,8 @@
 // Scenario-driven bench, and the one way to regenerate the paper's figures
 // and tables: runs declarative scenario suites through the
-// core::ScenarioEngine -- one grid-scheduled task stream over the shared
-// persistent pool for the whole suite, however many datasets, methods,
-// noise stacks, and levels it spans.
+// core::ScenarioEngine -- one grid-scheduled task stream on --threads
+// workers for the whole suite, however many datasets, methods, noise
+// stacks, and levels it spans.
 //
 //   $ ./run_scenarios --suite paper --images 8          # fig2-8 + tables
 //   $ ./run_scenarios --suite devices --threads 0       # device catalog
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
       bench_args.push_back(argv[i]);
     }
   }
-  bench::init(static_cast<int>(bench_args.size()), bench_args.data());
+  bench::init(static_cast<int>(bench_args.size()), bench_args.data(), usage);
 
   std::vector<core::ScenarioSpec> specs;
   std::string suite_label;
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "%s\n", e.what());
-    return 2;
+    usage(argv[0], 2);
   }
 
   std::printf("scenario suite %s | %zu scenario(s) | images %zu | seed %llu",
@@ -239,7 +239,6 @@ int main(int argc, char** argv) {
   options.default_images = bench::bench_images();
   options.default_seed = bench::bench_seed();
   options.num_threads = bench::bench_threads();
-  options.pool = bench::eval_pool();
   options.shard = shard;
   options.completed = [&](std::size_t cell, core::EvalCellResult* out) {
     if (!is_resumed(cell)) {

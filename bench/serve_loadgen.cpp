@@ -66,8 +66,10 @@ struct Options {
   std::size_t images = 64;
 };
 
-void usage(const char* argv0) {
-  std::printf(
+/// Usage goes to stdout only for --help; on an error it goes to stderr.
+[[noreturn]] void usage(const char* prog, int exit_code) {
+  std::fprintf(
+      exit_code == 0 ? stdout : stderr,
       "usage: %s --server PATH [options]\n"
       "  --mode open|burst|closed   arrival process (default open)\n"
       "  --rate R                   mean req/s, open/burst (default 100)\n"
@@ -88,7 +90,8 @@ void usage(const char* argv0) {
       "results\n"
       "  --threads/--max-batch/--deadline-us/--queue/--images: forwarded to "
       "the server\n",
-      argv0);
+      prog);
+  std::exit(exit_code);
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -335,7 +338,7 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: %s needs a value\n", arg.c_str());
-        std::exit(2);
+        usage(argv[0], 2);
       }
       return argv[++i];
     };
@@ -344,8 +347,7 @@ int main(int argc, char** argv) {
           argv[0], arg.c_str(), value(), /*allow_negative=*/false, usage));
     };
     if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
+      usage(argv[0], 0);
     } else if (arg == "--server") {
       opt.server = value();
     } else if (arg == "--mode") {
@@ -377,8 +379,7 @@ int main(int argc, char** argv) {
       opt.max_batch = count();
       if (opt.max_batch == 0) {
         std::fprintf(stderr, "%s: --max-batch must be >= 1\n", argv[0]);
-        usage(argv[0]);
-        return 2;
+        usage(argv[0], 2);
       }
     } else if (arg == "--deadline-us") {
       opt.deadline_us = static_cast<long long>(count());
@@ -388,28 +389,24 @@ int main(int argc, char** argv) {
       opt.images = count();
       if (opt.images == 0) {
         std::fprintf(stderr, "%s: --images must be >= 1\n", argv[0]);
-        usage(argv[0]);
-        return 2;
+        usage(argv[0], 2);
       }
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
+      usage(argv[0], 2);
     }
   }
   if (opt.server.empty()) {
     std::fprintf(stderr, "error: --server is required\n");
-    usage(argv[0]);
-    return 2;
+    usage(argv[0], 2);
   }
   if (opt.mode != "open" && opt.mode != "burst" && opt.mode != "closed") {
     std::fprintf(stderr, "error: unknown --mode %s\n", opt.mode.c_str());
-    return 2;
+    usage(argv[0], 2);
   }
   if (opt.rate <= 0.0) {
     std::fprintf(stderr, "error: --rate must be > 0\n");
-    usage(argv[0]);
-    return 2;
+    usage(argv[0], 2);
   }
 
   const std::size_t total = opt.warmup + opt.requests;

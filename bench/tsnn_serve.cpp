@@ -48,8 +48,11 @@ namespace {
 
 using tsnn::core::InferenceServer;
 
-void usage(const char* argv0) {
-  std::printf(
+/// Usage goes to stdout only for --help; on an error it goes to stderr,
+/// so the protocol stream stays empty.
+[[noreturn]] void usage(const char* prog, int exit_code) {
+  std::fprintf(
+      exit_code == 0 ? stdout : stderr,
       "usage: %s [--models a,b,...] [--images N] [--threads N]\n"
       "          [--max-batch N] [--deadline-us N] [--queue N]\n"
       "  --models       comma-separated zoo datasets to load (default "
@@ -59,7 +62,8 @@ void usage(const char* argv0) {
       "  --max-batch    micro-batch size cap per worker pull (default 8)\n"
       "  --deadline-us  hold underfull batches open this long (default 0)\n"
       "  --queue        admission queue capacity, 0 = auto (default 0)\n",
-      argv0);
+      prog);
+  std::exit(exit_code);
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -124,7 +128,7 @@ int main(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: %s needs a value\n", arg.c_str());
-        std::exit(2);
+        usage(argv[0], 2);
       }
       return argv[++i];
     };
@@ -133,16 +137,14 @@ int main(int argc, char** argv) {
           argv[0], arg.c_str(), value(), /*allow_negative=*/false, usage));
     };
     if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
+      usage(argv[0], 0);
     } else if (arg == "--models") {
       models_flag = value();
     } else if (arg == "--images") {
       images = count();
       if (images == 0) {
         std::fprintf(stderr, "%s: --images must be >= 1\n", argv[0]);
-        usage(argv[0]);
-        return 2;
+        usage(argv[0], 2);
       }
     } else if (arg == "--threads") {
       serve.num_threads = count();
@@ -150,8 +152,7 @@ int main(int argc, char** argv) {
       serve.max_batch = count();
       if (serve.max_batch == 0) {
         std::fprintf(stderr, "%s: --max-batch must be >= 1\n", argv[0]);
-        usage(argv[0]);
-        return 2;
+        usage(argv[0], 2);
       }
     } else if (arg == "--deadline-us") {
       serve.batch_deadline = std::chrono::microseconds(count());
@@ -159,8 +160,7 @@ int main(int argc, char** argv) {
       serve.queue_capacity = count();
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
+      usage(argv[0], 2);
     }
   }
 
@@ -171,13 +171,13 @@ int main(int argc, char** argv) {
     tsnn::core::DatasetKind kind;
     if (!tsnn::core::dataset_kind_from_name(name, &kind)) {
       std::fprintf(stderr, "error: unknown zoo dataset '%s'\n", name.c_str());
-      return 2;
+      usage(argv[0], 2);
     }
     workloads.emplace(name, tsnn::core::load_zoo_workload(kind, images));
   }
   if (workloads.empty()) {
     std::fprintf(stderr, "error: --models resolved to nothing\n");
-    return 2;
+    usage(argv[0], 2);
   }
 
   OutputQueue out(1024);
@@ -187,14 +187,15 @@ int main(int argc, char** argv) {
   // Coding schemes are created lazily per label, on the submission thread
   // only -- workers see them through const pointers.
   std::map<std::string, tsnn::snn::CodingSchemePtr> schemes;
-  // Built before the writer thread starts, so a refused configuration (an
-  // oversized --queue) exits through this one line.
+  // Built before the writer thread starts, so a configuration the server
+  // cannot hold (an oversized --queue or --max-batch) exits through this
+  // one line, with nothing on stdout.
   std::optional<InferenceServer> server;
   try {
     server.emplace(serve);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: cannot start the server: %s\n", e.what());
-    return 2;
+    usage(argv[0], 2);
   }
 
   std::thread writer([&out] {

@@ -7,7 +7,6 @@
 
 #include "coding/registry.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "core/serve.h"
 #include "snn/simulator.h"
 
@@ -233,9 +232,7 @@ std::vector<EvalCellResult> run_grid(const std::vector<EvalCell>& cells,
   // Parallelism keys on the whole grid, not the per-cell image count: a
   // 60-cell grid of 1-image cells still has 60 independent tasks.
   const bool parallel =
-      total_tasks > 1 &&
-      (options.pool != nullptr ||
-       ThreadPool::resolve_threads(options.num_threads) > 1);
+      total_tasks > 1 && resolve_threads(options.num_threads) > 1;
 
   if (!parallel) {
     // Serial grid walk on the calling thread, cell by cell in index order.
@@ -267,7 +264,7 @@ std::vector<EvalCellResult> run_grid(const std::vector<EvalCell>& cells,
   // Request-level parallel path: compile the grid into one flat request
   // stream (cell-major, so cells finish roughly in emission order; task
   // t = image t - offsets[c] of cell c) and admission-queue it through an
-  // InferenceServer on the caller's pool. The bounded queue is the
+  // InferenceServer with `num_threads` workers. The bounded queue is the
   // backpressure: submit() throttles this thread when the workers fall
   // behind, so a million-task grid never materializes in memory.
   GridState state;
@@ -300,7 +297,6 @@ std::vector<EvalCellResult> run_grid(const std::vector<EvalCell>& cells,
   GridSink sink;
   sink.state = &state;
   ServeOptions serve;
-  serve.pool = options.pool;
   serve.num_threads = options.num_threads;
   serve.max_batch = kMicroBatch;
   InferenceServer server(serve);

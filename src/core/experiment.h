@@ -2,7 +2,8 @@
 //
 // run_grid() takes a flat stream of heterogeneous EvalCells -- each its own
 // (model, scheme, noise stack, dataset, seed) -- and evaluates them as one
-// task stream over a single ThreadPool. Completed cells stream to
+// task stream, serially on the calling thread or through one
+// InferenceServer's workers (core/serve.h). Completed cells stream to
 // GridOptions::on_cell in cell order while later cells still run. Results
 // are bit-identical to a serial cell-by-cell run at any thread count: image
 // i of every cell draws from Rng::for_stream(seed, i) and each cell reduces
@@ -24,10 +25,6 @@
 #include "snn/coding_base.h"
 #include "snn/simulator.h"
 #include "snn/snn_model.h"
-
-namespace tsnn {
-class ThreadPool;
-}
 
 namespace tsnn::snn {
 class NoiseModel;
@@ -118,22 +115,20 @@ struct EvalCellResult {
 /// Deterministic partition of a grid for multi-process fan-out: shard
 /// {i, N} owns exactly the cells whose index satisfies cell % N == i. The
 /// partition is a pure function of the cell index -- stable under thread
-/// count and pool choice -- so N shard runs cover the grid exactly once and
-/// a merge in cell order reassembles the unsharded output bit-identically
+/// count -- so N shard runs cover the grid exactly once and a merge in
+/// cell order reassembles the unsharded output bit-identically
 /// (bench/merge_shards). The default {0, 1} owns everything.
 struct GridShard {
   std::size_t index = 0;
   std::size_t count = 1;
 };
 
-/// How run_grid schedules its cells. Results never depend on the pool or
-/// thread count, and cells are emitted in index order.
+/// How run_grid schedules its cells. Results never depend on the thread
+/// count, and cells are emitted in index order.
 struct GridOptions {
-  /// External persistent pool (borrowed); null = run_grid creates one sized
-  /// by `num_threads` for the duration of the call.
-  ThreadPool* pool = nullptr;
-  /// Workers when no pool is given; 0 = hardware concurrency, <= 1 runs
-  /// the grid serially on the calling thread.
+  /// Workers of the call's InferenceServer; 0 = hardware concurrency, and
+  /// a count that resolves to 1 runs the grid serially on the calling
+  /// thread.
   std::size_t num_threads = 1;
   /// Called once per completed cell, in cell-index order, from the calling
   /// thread, while later cells may still be running.

@@ -49,7 +49,6 @@ snn::BatchResult NoiseRobustPipeline::evaluate(
     const snn::NoiseModel* noise) {
   snn::EvalOptions options;
   options.base_seed = config_.noise_seed;
-  options.num_threads = config_.num_threads;
   return snn::evaluate(model_, *scheme_, images, labels, noise, options);
 }
 

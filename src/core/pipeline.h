@@ -45,10 +45,6 @@ struct PipelineConfig {
   /// private streams via Rng::for_stream(noise_seed, index) -- see the
   /// stream seeding contract in common/rng.h.
   std::uint64_t noise_seed = 0x7157A5;
-
-  /// Worker threads for evaluate(); 0 = hardware concurrency. The
-  /// BatchResult is bit-identical at any thread count.
-  std::size_t num_threads = 1;
 };
 
 /// A ready-to-run noisy-SNN evaluation pipeline (owns a scaled model copy).
@@ -68,7 +64,8 @@ class NoiseRobustPipeline {
   snn::SimResult run(const Tensor& image, const snn::NoiseModel* noise,
                      std::uint64_t stream = 0);
 
-  /// Evaluates accuracy and spike counts over a labeled set.
+  /// Evaluates accuracy and spike counts over a labeled set, serially on
+  /// the calling thread (snn::evaluate).
   snn::BatchResult evaluate(const std::vector<Tensor>& images,
                             const std::vector<std::size_t>& labels,
                             const snn::NoiseModel* noise);

@@ -335,6 +335,20 @@ std::string ScenarioSpec::level_name() const {
   return "level";
 }
 
+std::vector<double> ScenarioSpec::level_grid() const {
+  std::vector<double> grid = levels;
+  const std::size_t s = swept_layer();
+  if (s != kNoSweep && noise[s].kind == NoiseLayerSpec::Kind::kDevice) {
+    for (std::size_t d = 0; d < noise::device_catalog().size(); ++d) {
+      grid.push_back(static_cast<double>(d));
+    }
+  }
+  if (grid.empty()) {
+    grid.push_back(0.0);
+  }
+  return grid;
+}
+
 ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   const std::vector<ScenarioSpec> specs = parse_scenarios(text);
   TSNN_CHECK_MSG(specs.size() == 1, "expected exactly one scenario, got "
@@ -852,19 +866,7 @@ std::unique_ptr<ScenarioEngine::Compiled> ScenarioEngine::compile(
         spec.has_seed ? spec.seed : options_.default_seed;
     const std::size_t swept = spec.swept_layer();
 
-    // The level grid: the spec's levels, the whole device catalog for
-    // device:sweep (indices), or a single clean column for sweep-less
-    // scenarios.
-    std::vector<double> levels = spec.levels;
-    if (swept != ScenarioSpec::kNoSweep &&
-        spec.noise[swept].kind == NoiseLayerSpec::Kind::kDevice) {
-      for (std::size_t d = 0; d < noise::device_catalog().size(); ++d) {
-        levels.push_back(static_cast<double>(d));
-      }
-    }
-    if (levels.empty()) {
-      levels.push_back(0.0);
-    }
+    const std::vector<double> levels = spec.level_grid();
 
     // Stacks once per level column (shared across datasets and methods),
     // schemes once per method (shared across datasets and levels).
@@ -920,7 +922,6 @@ std::vector<ScenarioResult> ScenarioEngine::run(
   const std::vector<EvalCell>& cells = compiled->cells;
 
   GridOptions grid;
-  grid.pool = options_.pool;
   grid.num_threads = options_.num_threads;
   grid.shard = options_.shard;
   grid.completed = options_.completed;

@@ -4,7 +4,7 @@
 // datasets, which coding/mitigation methods, which ordered noise stack, and
 // which level grid -- and the ScenarioEngine compiles a whole *suite* of
 // specs into a single run_grid() task stream (core/experiment.h): one
-// persistent pool, one scaled-model cache per dataset, rows streaming back
+// set of workers, one scaled-model cache per dataset, rows streaming back
 // in deterministic grid order while later cells still run. The paper's
 // experiments are data: the built-in "paper" suite holds the fig2-8/
 // table1-2 sweep cells, and new suites (device catalogs, mixed noise
@@ -106,6 +106,11 @@ struct ScenarioSpec {
   /// "sigma_in" / "rate_in" (input noise), "device" (catalog index), or
   /// "level" for sweep-less scenarios.
   std::string level_name() const;
+
+  /// The level columns the scenario compiles to, in grid order: `levels`,
+  /// the device catalog's indices for device:sweep, or one clean column
+  /// (0) when there are neither.
+  std::vector<double> level_grid() const;
 };
 
 /// Parses a suite: one spec per [scenario] section. Throws InvalidArgument
@@ -211,8 +216,6 @@ class ScenarioEngine {
     std::size_t default_images = 40;     ///< for specs with images = 0
     std::uint64_t default_seed = 0xBEEF; ///< for specs without a seed
     std::size_t num_threads = 1;         ///< 0 = hardware concurrency
-    /// External persistent pool (borrowed); null = per-run pool.
-    ThreadPool* pool = nullptr;
     /// Resolves dataset names the zoo does not know (tests inject tiny
     /// fixtures; services inject live datasets). Return a view with a null
     /// model to fall through to the zoo loader.
@@ -252,8 +255,8 @@ class ScenarioEngine {
 
   const ZooPrepStats& zoo_prep() const { return zoo_prep_; }
 
-  /// Runs every scenario of `suite` as ONE flat task stream over one pool;
-  /// returns per-scenario results in suite order.
+  /// Runs every scenario of `suite` as ONE flat task stream (one run_grid
+  /// call); returns per-scenario results in suite order.
   std::vector<ScenarioResult> run(const std::vector<ScenarioSpec>& suite);
 
   /// Compiles `suite` without running it and returns the per-cell plan in

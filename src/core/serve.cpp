@@ -1,7 +1,9 @@
 #include "core/serve.h"
 
 #include <algorithm>
-#include <vector>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -9,27 +11,55 @@
 
 namespace tsnn::core {
 
+namespace {
+
+/// The server whose pull loop runs on this thread (null on other threads),
+/// so shutdown() can tell a call from one of its own workers apart.
+thread_local const InferenceServer* tls_worker_server = nullptr;
+
+}  // namespace
+
+std::size_t resolve_threads(std::size_t requested) {
+  if (requested != 0) {
+    return requested;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
 InferenceServer::InferenceServer(const ServeOptions& options)
     : opts_(options) {
   TSNN_CHECK_MSG(opts_.max_batch > 0, "serve max_batch must be > 0");
-  if (opts_.pool == nullptr) {
-    owned_pool_.emplace(ThreadPool::resolve_threads(opts_.num_threads));
-    pool_ = &*owned_pool_;
-  } else {
-    pool_ = opts_.pool;
-  }
+  const std::size_t workers = resolve_threads(opts_.num_threads);
   if (opts_.queue_capacity == 0) {
     // Auto: four micro-batches of headroom per worker, so the queue can
     // keep every worker fed across a pull without being effectively
     // unbounded (the bound IS the backpressure).
+    constexpr std::size_t kHeadroom = 4;
+    const std::size_t max_batch_limit =
+        std::numeric_limits<std::size_t>::max() / kHeadroom / workers;
+    TSNN_CHECK_MSG(opts_.max_batch <= max_batch_limit,
+                   "serve queue capacity " << workers << " workers x max_batch "
+                       << opts_.max_batch << " x " << kHeadroom
+                       << " overflows");
     opts_.queue_capacity =
-        std::max<std::size_t>(64, pool_->size() * opts_.max_batch * 4);
+        std::max<std::size_t>(64, workers * opts_.max_batch * kHeadroom);
   }
   queue_.emplace(opts_.queue_capacity);
-  // Occupy every worker with a pull loop for the server's lifetime; the
-  // loops exit when the admission queue is closed and drained.
-  for (std::size_t i = 0; i < pool_->size(); ++i) {
-    pool_->submit([this] { serve_loop(); });
+  // Every buffer exists before the first thread starts: a configuration
+  // the server cannot hold throws here, to the caller, not on a worker.
+  batches_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    batches_.emplace_back(opts_.max_batch);
+  }
+  workers_.reserve(workers);
+  try {
+    for (std::vector<Request>& batch : batches_) {
+      workers_.emplace_back([this, &batch] { serve_loop(batch); });
+    }
+  } catch (...) {
+    shutdown();  // joins the workers already running
+    throw;
   }
 }
 
@@ -55,18 +85,21 @@ bool InferenceServer::submit(const Request& req) {
 }
 
 void InferenceServer::shutdown() {
+  if (tls_worker_server == this) {
+    std::fprintf(stderr,
+                 "InferenceServer misuse: shutdown from one of its own "
+                 "workers -- it joins every worker, including the calling "
+                 "thread\n");
+    std::fflush(stderr);
+    std::abort();
+  }
   queue_->close();
   // Serialize the join itself so concurrent shutdowns are safe.
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
-  if (pool_ == nullptr) {
-    return;
+  for (std::thread& worker : workers_) {
+    worker.join();  // each pull loop exits once the queue is drained
   }
-  if (owned_pool_.has_value()) {
-    owned_pool_.reset();  // graceful drain: ~ThreadPool finishes the loops
-  } else {
-    pool_->wait();  // borrowed: wait for our pull-loop tasks to retire
-  }
-  pool_ = nullptr;
+  workers_.clear();
 }
 
 InferenceServer::Stats InferenceServer::stats() const {
@@ -76,15 +109,14 @@ InferenceServer::Stats InferenceServer::stats() const {
   return out;
 }
 
-void InferenceServer::serve_loop() {
-  // Per-loop micro-batch buffer (allocated once per worker, reused for
-  // every pull); the workspace and result are the worker thread's warm
-  // thread-locals, shared with every other execution client that runs on
-  // this pool.
-  std::vector<Request> batch(opts_.max_batch);
+void InferenceServer::serve_loop(std::vector<Request>& batch) {
+  // `batch` is this worker's micro-batch buffer, allocated by the
+  // constructor and reused for every pull; the workspace and result are
+  // the worker thread's warm thread-locals.
+  tls_worker_server = this;
   for (;;) {
     const std::size_t b =
-        queue_->pop_batch(batch.data(), opts_.max_batch, opts_.batch_deadline);
+        queue_->pop_batch(batch.data(), batch.size(), opts_.batch_deadline);
     if (b == 0) {
       return;  // admission closed and drained: the loop's exit signal
     }

@@ -1,20 +1,21 @@
 // InferenceServer: the admission-queued micro-batching execution service.
 //
-// The request-level execution core behind every evaluation path. Callers
-// submit snn::ClassifyRequests into a bounded MPMC admission queue
-// (common/request_queue.h -- the backpressure boundary); each worker of
-// the persistent ThreadPool runs a pull loop that pops micro-batches of up
-// to `max_batch` requests (optionally holding an underfull batch open for
-// `batch_deadline` -- the batching-latency trade), executes each request
-// on its thread-local warm SimWorkspace via snn::execute_request(), and
-// hands the completion to the request's CompletionSink on the worker
-// thread. There is no barrier between batches: workers pull continuously,
-// so a straggler in one batch never idles the rest of the pool (the
-// fftools pipeline shape, not a bulk-synchronous one).
+// The parallel execution core behind every evaluation path. Callers submit
+// snn::ClassifyRequests into a bounded MPMC admission queue
+// (common/request_queue.h -- the backpressure boundary); each of the
+// server's own worker threads runs a pull loop that pops micro-batches of
+// up to `max_batch` requests (optionally holding an underfull batch open
+// for `batch_deadline` -- the batching-latency trade), executes each
+// request on its thread-local warm SimWorkspace via
+// snn::execute_request(), and hands the completion to the request's
+// CompletionSink on the worker thread. There is no barrier between
+// batches: workers pull continuously, so a straggler in one batch never
+// idles the other workers (the fftools pipeline shape, not a
+// bulk-synchronous one).
 //
 // Determinism: a request's result is a pure function of the request itself
 // (snn::ClassifyRequest derives its rng from (seed, stream)), so micro-
-// batch boundaries, queue depth, arrival jitter, pool size, and
+// batch boundaries, queue depth, arrival jitter, worker count, and
 // completion order NEVER influence any result -- a replayed request trace
 // is bit-reproducible under every serving configuration
 // (tests/test_serve.cpp replays one trace at batch 1, 4 and 16, threads 1,
@@ -22,27 +23,29 @@
 //
 // Clients:
 //   - core::run_grid compiles its (cell, image) grid into a request
-//     stream and feeds it through a per-call InferenceServer on the
-//     caller's persistent pool (the offline batch client);
+//     stream and feeds it through a per-call InferenceServer (the offline
+//     batch client);
 //   - bench/tsnn_serve wraps a long-lived InferenceServer in a stdin/
 //     stdout line protocol (the online client; bench/serve_loadgen drives
-//     it and reports tail latency);
-//   - snn::evaluate stays a direct pool broadcast (it lives below core and
-//     carries the zero-allocation steady-state contract) but runs the
-//     identical snn::execute_request body.
+//     it and reports tail latency).
+// snn::evaluate is the serial reference loop over the identical
+// snn::execute_request body; it runs on the calling thread and never
+// reaches the server.
 //
-// Pool ownership: the server either owns its pool or borrows one. Either
-// way it occupies EVERY worker with a pull loop for its whole lifetime --
-// do not run broadcasts (parallel_for) or other submits on a borrowed
-// pool while the server is live, and do not call back into the executing
-// pool from a sink.
+// Workers: the server starts `num_threads` threads in its constructor,
+// after every buffer it needs (the admission ring and each worker's
+// micro-batch buffer) is allocated, and joins them in shutdown(). A
+// configuration it cannot hold throws from the constructor; a thread start
+// that throws joins the workers already running before the exception
+// leaves the constructor.
 //
-// Shutdown is a protocol, not a race (satellite of the ThreadPool
-// destruction contract): shutdown() -- also the destructor -- closes
-// admission, lets the pull loops execute every admitted request, and
-// joins/releases the pool, so every admitted request's sink is called
+// Shutdown is a protocol, not a race: shutdown() -- also the destructor --
+// closes admission, lets the pull loops execute every admitted request,
+// and joins the workers, so every admitted request's sink is called
 // exactly once; a request rejected by submit() (false) was NOT admitted
-// and its sink will never be called.
+// and its sink will never be called. Shutting a server down from one of
+// its own workers (e.g. from a sink) would join the calling thread: it is
+// misuse and aborts with a diagnostic instead of deadlocking.
 #pragma once
 
 #include <chrono>
@@ -50,9 +53,10 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <thread>
+#include <vector>
 
 #include "common/request_queue.h"
-#include "common/thread_pool.h"
 #include "snn/simulator.h"
 
 namespace tsnn::core {
@@ -72,11 +76,13 @@ struct ServeOptions {
   /// more arrivals (0 = dispatch whatever is queued immediately). Trades
   /// per-request latency for fuller batches under light load.
   std::chrono::microseconds batch_deadline{0};
-  /// Borrowed executor; null = the server owns a pool of `num_threads`.
-  ThreadPool* pool = nullptr;
-  /// Owned-pool size when `pool` is null; 0 = hardware concurrency.
+  /// Worker threads the server starts and joins; 0 = hardware concurrency.
   std::size_t num_threads = 1;
 };
+
+/// Maps a requested worker count to an actual one: 0 -> hardware
+/// concurrency (at least 1), otherwise the request itself.
+std::size_t resolve_threads(std::size_t requested);
 
 class InferenceServer {
  public:
@@ -97,8 +103,8 @@ class InferenceServer {
   };
 
   /// Where a request's completion goes. Implementations must be thread-
-  /// safe (invoked concurrently from worker threads), must not call back
-  /// into the executing pool, and must outlive every request that names
+  /// safe (invoked concurrently from worker threads), must not shut down
+  /// the executing server, and must outlive every request that names
   /// them. Sink-based completion is what keeps the serving hot path
   /// allocation-free: the offline grid client completes thousands of
   /// requests per second into caller-owned slot arrays without a single
@@ -139,8 +145,11 @@ class InferenceServer {
     }
   };
 
-  /// Starts serving immediately: spawns/borrows the pool and occupies
-  /// every worker with a pull loop.
+  /// Starts serving immediately: allocates the admission queue and every
+  /// worker's micro-batch buffer, then starts the workers' pull loops.
+  /// Throws (starting no thread, or joining those already started) when
+  /// the configuration cannot be held, e.g. a `max_batch` whose buffers
+  /// cannot be allocated.
   explicit InferenceServer(const ServeOptions& options = {});
 
   /// Graceful shutdown: shutdown().
@@ -155,23 +164,25 @@ class InferenceServer {
   bool submit(const Request& req);
 
   /// Stops the service: closes admission, executes every admitted request,
-  /// and joins/releases the pool. Idempotent.
+  /// and joins the workers. Idempotent. Fatal when called from one of this
+  /// server's own workers.
   void shutdown();
 
   Stats stats() const;
 
  private:
-  void serve_loop();
+  void serve_loop(std::vector<Request>& batch);
 
   ServeOptions opts_;
-  std::optional<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;  ///< null once shutdown() released it
   std::optional<RequestQueue<Request>> queue_;
+  std::vector<std::vector<Request>> batches_;  ///< one per worker
 
   mutable std::mutex mutex_;  ///< guards stats_
   Stats stats_;
 
-  std::mutex shutdown_mutex_;  ///< serializes the pool join in shutdown()
+  std::mutex shutdown_mutex_;  ///< guards workers_, serializes the join
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tsnn::core

@@ -1,12 +1,10 @@
 #include "snn/simulator.h"
 
-#include <algorithm>
 #include <charconv>
 #include <limits>
 #include <utility>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 // The request-scoped execution body applies the pre-encoding input
 // corruption itself (it owns the one-rng-stream-per-request draw-order
 // contract), which is the single place the snn layer reaches up into the
@@ -250,74 +248,27 @@ BatchResult evaluate(const SnnModel& model, const CodingScheme& scheme,
     return out;
   }
 
-  // Per-image slots written independently, then reduced in index order so
-  // the result is bit-identical at any thread count. The slot buffers are
-  // thread_local grow-only scratch: consecutive evaluate() calls from the
-  // same thread (the cells of a sweep) reuse their capacity, keeping the
-  // steady state allocation-free. Workers get the *caller's* instances via
-  // plain pointers -- naming a thread_local inside the lambda would resolve
-  // to each worker's own (empty) instance instead.
-  thread_local std::vector<std::uint8_t> correct_slots;
-  thread_local std::vector<std::size_t> spike_slots;
-  thread_local std::vector<std::size_t> decision_slots;
-  correct_slots.assign(n, 0);
-  spike_slots.assign(n, 0);
-  decision_slots.assign(n, 0);
-  std::uint8_t* const correct = correct_slots.data();
-  std::size_t* const spikes = spike_slots.data();
-  std::size_t* const decisions = decision_slots.data();
-  // evaluate() is the synchronous broadcast client of the request-level
-  // execution core: image i becomes the ClassifyRequest with stream
-  // identity (base_seed, i) and runs through the same execute_request()
-  // body as core::run_grid's admission-queued stream and the online
-  // core::InferenceServer -- one execution path, so batch, grid, and
-  // served results are bit-identical by construction.
-  ClassifyRequest base;
-  base.sim = SimRequest{&model, &scheme, noise, nullptr, nullptr,
-                        options.policy};
-  base.seed = options.base_seed;
-  const auto eval_one = [&](std::size_t i, SimWorkspace& ws, SimResult& r) {
-    ClassifyRequest req = base;
-    req.image = &images[i];
-    req.stream = i;
-    execute_request(req, ws, r);
-    correct[i] = r.predicted_class == labels[i] ? 1 : 0;
-    spikes[i] = r.total_spikes;
-    decisions[i] = r.decision_timestep;
-  };
-  const auto eval_worker = [&](std::size_t i) {
-    // One workspace per worker thread, reused across that thread's images
-    // -- and, on a persistent external pool, across whole batches.
-    thread_local SimWorkspace ws;
-    thread_local SimResult r;
-    eval_one(i, ws, r);
-  };
-
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(n, eval_worker);
-  } else {
-    const std::size_t num_threads =
-        std::min(ThreadPool::resolve_threads(options.num_threads), n);
-    if (num_threads <= 1) {
-      // The caller thread's own persistent workspace; like the pool
-      // workers', it stays warm across consecutive batches.
-      thread_local SimWorkspace ws;
-      thread_local SimResult r;
-      for (std::size_t i = 0; i < n; ++i) {
-        eval_one(i, ws, r);
-      }
-    } else {
-      ThreadPool pool(num_threads);
-      pool.parallel_for(n, eval_worker);
-    }
-  }
-
+  // Image i is the ClassifyRequest with stream identity (base_seed, i) and
+  // runs through the same execute_request() body as core::run_grid's
+  // admission-queued stream and the online core::InferenceServer -- one
+  // execution path, so batch, grid, and served results are bit-identical
+  // by construction. The calling thread's workspace stays warm across
+  // consecutive batches.
+  thread_local SimWorkspace ws;
+  thread_local SimResult r;
+  ClassifyRequest req;
+  req.sim = SimRequest{&model, &scheme, noise, nullptr, nullptr,
+                       options.policy};
+  req.seed = options.base_seed;
   double spike_acc = 0.0;
   double decision_acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    out.num_correct += correct[i];
-    spike_acc += static_cast<double>(spikes[i]);
-    decision_acc += static_cast<double>(decisions[i]);
+    req.image = &images[i];
+    req.stream = i;
+    execute_request(req, ws, r);
+    out.num_correct += r.predicted_class == labels[i] ? 1 : 0;
+    spike_acc += static_cast<double>(r.total_spikes);
+    decision_acc += static_cast<double>(r.decision_timestep);
   }
   out.accuracy =
       static_cast<double>(out.num_correct) / static_cast<double>(n);

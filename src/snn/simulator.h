@@ -32,10 +32,6 @@
 #include "snn/snn_model.h"
 #include "snn/workspace.h"
 
-namespace tsnn {
-class ThreadPool;
-}
-
 namespace tsnn::noise {
 class InputNoiseModel;
 }
@@ -137,7 +133,7 @@ SimResult simulate(const SimRequest& req, const Tensor& image);
 /// is the determinism contract that makes a replayed request trace
 /// bit-reproducible under any serving configuration.
 ///
-/// Every execution client -- snn::evaluate's pool broadcast,
+/// Every execution client -- snn::evaluate's serial loop,
 /// core::run_grid's admission-queued task stream, and the online
 /// core::InferenceServer -- compiles its work down to ClassifyRequests and
 /// runs them through execute_request(), so their results cannot drift
@@ -178,24 +174,17 @@ struct BatchResult {
 
 /// How evaluate() runs the batch. Image i draws its noise from the private
 /// stream Rng::for_stream(base_seed, i), so the BatchResult is a pure
-/// function of (inputs, base_seed) -- bit-identical at any `num_threads`
-/// and identical whether the batch runs on an internal or external pool.
-///
-/// When `pool` is set, evaluate() fans out over that pool instead of
-/// constructing (and tearing down) its own, and `num_threads` is ignored.
-/// A persistent pool is how consecutive batches (e.g. the cells of a
-/// sweep) keep their per-worker SimWorkspaces warm: each pool thread's
-/// workspace survives across evaluate() calls, so the steady state
-/// allocates nothing per batch (tests/test_zero_alloc.cpp). The pool must
-/// be idle (no concurrent parallel_for from other threads) for the
-/// duration of the call.
+/// function of (inputs, base_seed).
 struct EvalOptions {
   std::uint64_t base_seed = 0;  ///< seed of the per-image noise streams
-  std::size_t num_threads = 1;  ///< worker count; 0 = hardware concurrency
-  ThreadPool* pool = nullptr;   ///< external persistent pool (optional)
   DecisionPolicy policy;        ///< per-image anytime policy; off by default
 };
 
+/// The serial reference loop: runs image i as the ClassifyRequest
+/// (base_seed, i) through execute_request() on the calling thread's warm
+/// workspace and reduces in index order, so consecutive batches (the cells
+/// of a sweep) allocate nothing once warm (tests/test_zero_alloc.cpp).
+/// core::run_grid evaluates the same requests in parallel, bit for bit.
 BatchResult evaluate(const SnnModel& model, const CodingScheme& scheme,
                      const std::vector<Tensor>& images,
                      const std::vector<std::size_t>& labels,

@@ -10,8 +10,9 @@
 // zero heap allocations per image (see docs/ARCHITECTURE.md,
 // "Event buffers & the zero-allocation workspace").
 //
-// A workspace is single-threaded state: snn::evaluate keeps one per worker
-// thread, NoiseRobustPipeline keeps one for run(), and the raster-based
+// A workspace is single-threaded state: snn::evaluate keeps one on the
+// calling thread, each core::InferenceServer worker keeps one for its pull
+// loop, NoiseRobustPipeline keeps one for run(), and the raster-based
 // CodingScheme adapters build a transient one per call. Sharing a
 // workspace across concurrent simulations is a data race.
 #pragma once

@@ -6,7 +6,6 @@
 #include "coding/registry.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/experiment.h"
 #include "core/weight_scaling.h"
 #include "noise/noise.h"
@@ -172,30 +171,43 @@ TEST(GridScheduler, RejectsIncompleteCells) {
 
 TEST(GridScheduler, RowsBitIdenticalAt1_2_8Threads) {
   // The serial walk is the reference; a second serial run, the admission-
-  // queued parallel path, and its micro-batched pulls must not move a bit.
+  // queued parallel path (hardware concurrency, 2, 8 and 16 workers), and
+  // its micro-batched pulls must not move a bit.
   const Fixture f;
   const MixedGrid grid(f);
   const auto reference = run_grid(grid.cells);
   for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{8},
+        std::size_t{16}}) {
     GridOptions options;
     options.num_threads = threads;
     expect_results_identical(reference, run_grid(grid.cells, options));
   }
 }
 
-TEST(GridScheduler, ExternalPersistentPoolMatchesSerial) {
+TEST(GridScheduler, FewerTasksThanThreads) {
+  // Three tasks on 16 workers: most workers never pull a request, and the
+  // grid still completes every cell bit-identically to the serial walk.
   const Fixture f;
-  const MixedGrid grid(f);
-  const auto reference = run_grid(grid.cells);
+  const std::vector<Tensor> two_images(f.images.begin(), f.images.begin() + 2);
+  const std::vector<std::size_t> two_labels(f.labels.begin(),
+                                            f.labels.begin() + 2);
+  const std::vector<Tensor> one_image(f.images.begin(), f.images.begin() + 1);
+  const std::vector<std::size_t> one_label(f.labels.begin(),
+                                           f.labels.begin() + 1);
+  const auto rate = scheme_of(baseline_method(Coding::kRate, false));
+  const auto deletion = noise::make_deletion(0.5);
+  std::vector<EvalCell> cells = {f.cell(*rate, deletion.get(), 7),
+                                 f.cell(*rate, nullptr, 8)};
+  cells[0].images = &two_images;
+  cells[0].labels = &two_labels;
+  cells[1].images = &one_image;
+  cells[1].labels = &one_label;
 
-  ThreadPool pool(4);
+  const auto reference = run_grid(cells);
   GridOptions options;
-  options.pool = &pool;
-  // Two grids over the same borrowed pool: warm-worker reuse across grids
-  // must not perturb results.
-  expect_results_identical(reference, run_grid(grid.cells, options));
-  expect_results_identical(reference, run_grid(grid.cells, options));
+  options.num_threads = 16;
+  expect_results_identical(reference, run_grid(cells, options));
 }
 
 TEST(GridScheduler, StreamsCellsInIndexOrderAtAnyThreadCount) {

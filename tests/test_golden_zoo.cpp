@@ -230,7 +230,6 @@ Measured measure(const ZooWorkload& w, const std::string& method,
 
   snn::EvalOptions options;
   options.base_seed = kSeed;
-  options.num_threads = 1;
   const snn::BatchResult batch =
       snn::evaluate(w.conversion.model, *scheme, w.test_images, w.test_labels,
                     noise.get(), options);
@@ -367,7 +366,6 @@ TEST(GoldenZoo, CacheHitMatchesFreshConvert) {
         data.test.labels.begin() + static_cast<std::ptrdiff_t>(kImages));
     snn::EvalOptions options;
     options.base_seed = kSeed;
-    options.num_threads = 1;
     const snn::BatchResult from_cache = snn::evaluate(
         cached.conversion.model, *scheme, images, labels, nullptr, options);
     const snn::BatchResult from_fresh = snn::evaluate(

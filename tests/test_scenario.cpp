@@ -1,6 +1,6 @@
 // Tests for the declarative scenario engine: spec parse round-trips and
-// error paths, and scenario rows bit-identical to a per-cell snn::evaluate
-// reference at 1/2/8 threads and on external pools.
+// error paths, the level-grid rule, and scenario rows bit-identical to a
+// per-cell snn::evaluate reference at 1/2/8 threads.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,7 +9,6 @@
 #include "coding/registry.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/scenario.h"
 #include "core/weight_scaling.h"
 #include "noise/device_profile.h"
@@ -137,6 +136,31 @@ TEST(ScenarioSpecParse, ParsesMultipleSections) {
   EXPECT_EQ(specs[0].name, "a");
   EXPECT_EQ(specs[1].name, "b");
   EXPECT_EQ(specs[0].level_name(), "level");  // sweep-less
+}
+
+TEST(ScenarioSpecParse, LevelGridRule) {
+  // The spec's levels, in order, when a layer sweeps them.
+  const ScenarioSpec swept = ScenarioSpec::parse(
+      "name = a\ndatasets = s-mnist\nmethods = rate\n"
+      "noise = input:0.05, deletion:sweep\nlevels = 0.5, 0, 0.25\n");
+  EXPECT_EQ(swept.level_grid(), (std::vector<double>{0.5, 0.0, 0.25}));
+
+  // device:sweep enumerates the catalog's indices.
+  const ScenarioSpec devices = ScenarioSpec::parse(
+      "name = b\ndatasets = s-mnist\nmethods = rate\nnoise = device:sweep\n");
+  const std::vector<double> grid = devices.level_grid();
+  ASSERT_EQ(grid.size(), noise::device_catalog().size());
+  for (std::size_t d = 0; d < grid.size(); ++d) {
+    EXPECT_EQ(grid[d], static_cast<double>(d));
+  }
+
+  // No sweep: one clean column, with or without a fixed noise stack.
+  for (const char* noise : {"", "noise = deletion:0.3\n"}) {
+    const ScenarioSpec fixed = ScenarioSpec::parse(
+        std::string("name = c\ndatasets = s-mnist\nmethods = rate\n") +
+        noise);
+    EXPECT_EQ(fixed.level_grid(), (std::vector<double>{0.0})) << noise;
+  }
 }
 
 TEST(ScenarioSpecParse, ErrorPaths) {
@@ -423,21 +447,6 @@ TEST(ScenarioEngine, JitterScenarioMatchesPerCellEvaluateAt1_2_8Threads) {
     EXPECT_EQ(result.level_name, "sigma");
     expect_rows_match(result.rows, reference);
   }
-}
-
-TEST(ScenarioEngine, ExternalPersistentPoolMatchesSerial) {
-  const Fixture f;
-  const ScenarioSpec spec =
-      tiny_spec("noise = deletion:sweep\nlevels = 0, 0.4, 0.7\n");
-  const auto reference = per_cell_reference(f, spec);
-  ThreadPool pool(4);
-  ScenarioEngine::Options options = f.options(1);
-  options.pool = &pool;
-  ScenarioEngine engine(options);
-  // Two runs over the same borrowed pool: warm-worker reuse across suites
-  // must not perturb results.
-  expect_rows_match(engine.run_one(spec).rows, reference);
-  expect_rows_match(engine.run_one(spec).rows, reference);
 }
 
 TEST(ScenarioEngine, JitterWeightScalingRunsUnscaled) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -344,31 +345,6 @@ TEST(InferenceServer, ExecutionErrorReachesTheSink) {
   EXPECT_EQ(server.stats().errors, 1u);
 }
 
-TEST(InferenceServer, BorrowedPoolIsReleasedUsable) {
-  // A server on a borrowed pool occupies it for its lifetime; after
-  // shutdown the pool must be fully usable for ordinary broadcasts again.
-  const Trace trace(8);
-  ThreadPool pool(2);
-  SlotSink sink(trace.requests.size());
-  {
-    ServeOptions options;
-    options.pool = &pool;
-    options.max_batch = 2;
-    InferenceServer server(options);
-    submit_trace(server, trace, &sink);
-    server.shutdown();
-  }
-  for (std::size_t i = 0; i < sink.completions.size(); ++i) {
-    EXPECT_EQ(sink.completions[i], 1) << "request " << i;
-  }
-  std::atomic<int> counter{0};
-  const std::function<void(std::size_t)> fn = [&counter](std::size_t) {
-    ++counter;
-  };
-  pool.parallel_for(16, fn);
-  EXPECT_EQ(counter.load(), 16);
-}
-
 TEST(InferenceServer, StatsCountBatches) {
   const Trace trace(16);
   ServeOptions options;
@@ -396,6 +372,52 @@ TEST(InferenceServer, StatsCountBatches) {
   EXPECT_GT(stats.max_batch, 1u);  // at least one true micro-batch formed
   EXPECT_GT(stats.max_queue_depth, 1u);
   EXPECT_GT(stats.mean_batch(), 1.0);
+}
+
+TEST(InferenceServer, UnholdableMaxBatchThrowsFromTheConstructor) {
+  // A micro-batch cap the server cannot hold must fail construction --
+  // where the caller sees it -- not inside a worker, which would leave a
+  // server that admits requests and never answers them. 2^62 overflows the
+  // auto queue capacity (workers x max_batch x 4) and, with an explicit
+  // capacity, exceeds vector::max_size, so nothing is allocated either way.
+  ServeOptions options;
+  options.max_batch = std::size_t{1} << 62;
+  EXPECT_THROW(InferenceServer{options}, InvalidArgument);
+  options.queue_capacity = 64;
+  options.num_threads = 2;
+  EXPECT_THROW(InferenceServer{options}, std::length_error);
+}
+
+/// Sink that shuts its own server down from the worker running it.
+class ShutdownSink : public InferenceServer::CompletionSink {
+ public:
+  void on_complete(const InferenceServer::Response&) override {
+    server->shutdown();
+  }
+  InferenceServer* server = nullptr;
+};
+
+void shutdown_from_own_worker() {
+  const Trace trace(1);
+  ShutdownSink sink;
+  ServeOptions options;
+  options.num_threads = 2;
+  InferenceServer server(options);
+  sink.server = &server;
+  InferenceServer::Request req;
+  req.work = trace.requests[0];
+  req.sink = &sink;
+  server.submit(req);
+  server.shutdown();  // joins the worker, which aborts inside the sink
+}
+
+TEST(InferenceServerDeath, ShutdownFromOwnWorkerAborts) {
+  // shutdown() joins every worker; from a worker it would join itself.
+  // Death tests fork, so the "threadsafe" style is required with live
+  // worker threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(shutdown_from_own_worker(),
+               "shutdown from one of its own workers");
 }
 
 }  // namespace

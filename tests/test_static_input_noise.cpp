@@ -169,10 +169,10 @@ TEST(InputNoise, DegradesTinyClassifier) {
     images.push_back(std::move(x));
     labels.push_back(cls);
   }
-  snn::EvalOptions eval_options;
-  eval_options.base_seed = 13;
+  snn::EvalOptions options;
+  options.base_seed = 13;
   const auto clean =
-      snn::evaluate(model, *scheme, images, labels, nullptr, eval_options);
+      snn::evaluate(model, *scheme, images, labels, nullptr, options);
 
   Rng noise_rng(15);
   std::vector<Tensor> corrupted;
@@ -181,7 +181,7 @@ TEST(InputNoise, DegradesTinyClassifier) {
     corrupted.push_back(gaussian_input_noise(img, 0.6, noise_rng));
   }
   const auto noisy =
-      snn::evaluate(model, *scheme, corrupted, labels, nullptr, eval_options);
+      snn::evaluate(model, *scheme, corrupted, labels, nullptr, options);
   EXPECT_EQ(clean.accuracy, 1.0);
   EXPECT_LT(noisy.accuracy, clean.accuracy);
 }

@@ -13,7 +13,6 @@
 #include <new>
 
 #include "coding/registry.h"
-#include "common/thread_pool.h"
 #include "core/ttas.h"
 #include "noise/noise.h"
 #include "snn/simulator.h"
@@ -137,12 +136,12 @@ INSTANTIATE_TEST_SUITE_P(AllCodings, ZeroAllocSweep,
                          });
 
 TEST(ZeroAlloc, ConsecutiveSweepCellsOnPersistentPoolAllocateNothing) {
-  // The sweep-engine guarantee: once the pool workers' workspaces are warm,
+  // The sweep guarantee: once the calling thread's workspace is warm,
   // stepping across *cells* -- distinct (scheme, noise, model) combinations
-  // evaluated back to back over one persistent pool -- allocates nothing,
-  // not just stepping across images within a cell. This is exactly what the
-  // per-cell ThreadPool of the old evaluate() defeated: every cell boundary
-  // tore down the workers and their thread_local scratch.
+  // evaluated back to back -- allocates nothing, not just stepping across
+  // images within a cell. evaluate() is the serial reference loop; its
+  // thread-local workspace persists across batches, as each grid worker's
+  // does across the requests it pulls.
   const SnnModel base = test_model();
   SnnModel scaled = test_model();
   scaled.scale_all_weights(2.0f);
@@ -167,12 +166,8 @@ TEST(ZeroAlloc, ConsecutiveSweepCellsOnPersistentPoolAllocateNothing) {
   cells.push_back({&base, core::make_ttas(5), noise::make_jitter(1.0)});
   cells.push_back({&scaled, coding::make_scheme(Coding::kBurst), nullptr});
 
-  // One worker so broadcast participation -- and therefore which thread's
-  // workspace warms up -- is deterministic.
-  ThreadPool pool(1);
   EvalOptions options;
   options.base_seed = 4242;
-  options.pool = &pool;
 
   const auto run_cells = [&] {
     double acc = 0.0;
