@@ -212,14 +212,6 @@ int main(int argc, char** argv) {
     usage(argv[0], 2);
   }
 
-  std::printf("scenario suite %s | %zu scenario(s) | images %zu | seed %llu",
-              suite_label.c_str(), specs.size(), bench::bench_images(),
-              static_cast<unsigned long long>(bench::bench_seed()));
-  if (shard.count > 1) {
-    std::printf(" | shard %zu/%zu", shard.index, shard.count);
-  }
-  std::printf("%s\n", resume ? " | resume" : "");
-
   const Stopwatch total_timer;
 
   // State the engine hooks stream into (declared before the engine so the
@@ -285,24 +277,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // stdout stays empty until every check below has passed: a refused run
+  // prints its one diagnostic on stderr and nothing else.
   const std::string ckpt_path = bench::csv_output_path("checkpoint");
   report::CsvResumePoint ckpt_at;  // {0, 0} = start a fresh checkpoint
+  std::string resume_line;         // printed under the header
   if (resume && !ckpt_path.empty() &&
       std::filesystem::exists(ckpt_path)) {
     try {
       const core::CheckpointFile ckfile = core::read_checkpoint_file(ckpt_path);
       ck = core::validate_checkpoint(ckfile, plan, shard, ckpt_path);
       ckpt_at = ck.resume;
-      std::printf("resume: %zu cell(s) already complete%s\n",
-                  ck.completed_cells,
-                  ckfile.torn_tail ? " (torn final record dropped)" : "");
+      resume_line = "resume: " + std::to_string(ck.completed_cells) +
+                    " cell(s) already complete" +
+                    (ckfile.torn_tail ? " (torn final record dropped)" : "");
     } catch (const Error& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
   } else if (resume) {
-    std::printf("resume: no checkpoint at %s; starting fresh\n",
-                ckpt_path.empty() ? "<out>" : ckpt_path.c_str());
+    resume_line = "resume: no checkpoint at " +
+                  (ckpt_path.empty() ? std::string("<out>") : ckpt_path) +
+                  "; starting fresh";
   }
   if (!ckpt_path.empty()) {
     try {
@@ -386,6 +382,17 @@ int main(int argc, char** argv) {
     } catch (const IoError& e) {
       std::fprintf(stderr, "warning: %s\n", e.what());
     }
+  }
+
+  std::printf("scenario suite %s | %zu scenario(s) | images %zu | seed %llu",
+              suite_label.c_str(), specs.size(), bench::bench_images(),
+              static_cast<unsigned long long>(bench::bench_seed()));
+  if (shard.count > 1) {
+    std::printf(" | shard %zu/%zu", shard.index, shard.count);
+  }
+  std::printf("%s\n", resume ? " | resume" : "");
+  if (!resume_line.empty()) {
+    std::printf("%s\n", resume_line.c_str());
   }
 
   const double zoo_before_run = engine.zoo_prep().seconds;

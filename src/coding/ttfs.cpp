@@ -56,19 +56,21 @@ void TtfsScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   const std::size_t n = activations.numel();
   out.reset(n, raster_window());
   const float* a = activations.data();
-  // Emission is neuron-major (each neuron's burst in one go), so the
-  // finalize pass counting-sorts into time-major order.
+  // Each spiking neuron's first step goes to scratch, ids ascending; the
+  // bursts are then emitted time-major in one scatter (assign_bursts).
+  std::uint32_t* ids = ws.fired_scratch(n);
+  ws.sort.first.resize(n);
+  std::int32_t* first = ws.sort.first.data();
+  std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t t1 = encode_time(a[i]);
     if (t1 < 0) {
       continue;
     }
-    for (std::size_t j = 0; j < params_.burst_duration; ++j) {
-      out.push(static_cast<std::int32_t>(t1 + static_cast<std::int64_t>(j)),
-               static_cast<std::uint32_t>(i));
-    }
+    ids[m] = static_cast<std::uint32_t>(i);
+    first[m++] = static_cast<std::int32_t>(t1);
   }
-  out.finalize(ws.sort);
+  out.assign_bursts(first, ids, m, params_.burst_duration, ws.sort);
 }
 
 void TtfsScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -118,9 +120,10 @@ void TtfsScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
   scan.subtract = false;
   scan.fired = st.fired_scratch(out_n);
   const std::size_t nf = simd::kernels().threshold_fire(scan);
+  st.sort.first.resize(nf);
+  std::int32_t* first = st.sort.first.data();
   for (std::size_t f = 0; f < nf; ++f) {
-    const std::uint32_t j = scan.fired[f];
-    const float uj = u[layout.slot(j)];
+    const float uj = u[layout.slot(scan.fired[f])];
     auto t1 = static_cast<std::int64_t>(
         std::lround(params_.tau * std::log(theta / uj)));
     if (t1 < 0) {
@@ -129,13 +132,12 @@ void TtfsScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
     if (t1 >= window) {
       t1 = window - 1;
     }
-    // Simplified integrate-and-fire-or-burst (paper Eq. 4): burst of
-    // burst_duration spikes from t1, then reset to -inf (silent forever).
-    for (std::size_t b = 0; b < params_.burst_duration; ++b) {
-      out.push(static_cast<std::int32_t>(t1 + static_cast<std::int64_t>(b)), j);
-    }
+    first[f] = static_cast<std::int32_t>(t1);
   }
-  out.finalize(st.sort);
+  // Simplified integrate-and-fire-or-burst (paper Eq. 4): burst of
+  // burst_duration spikes from t1, then reset to -inf (silent forever) --
+  // every burst emitted in fire-scan order through one scatter.
+  out.assign_bursts(first, scan.fired, nf, params_.burst_duration, st.sort);
 }
 
 void TtfsScheme::begin_readout(const EventBuffer& in,

@@ -14,6 +14,12 @@
 // The kernel-sum scale factor C_A = z(t1)/Z_hat = 1/sum_j exp(-j/tau)
 // (independent of t1 for the exponential kernel) is folded into the
 // receiving synapse so the delivered charge is unchanged.
+//
+// Emission: encode_into() and end_layer() write each firing neuron's first
+// step t1 into workspace scratch (EventSortScratch::first) and emit the
+// whole train through EventBuffer::assign_bursts -- one count, prefix sum
+// and scatter into time-major order, no per-spike push and no sort. The
+// train is the one neuron-major push() + finalize() would build.
 #pragma once
 
 #include "snn/coding_base.h"

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -22,6 +23,25 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// One xoshiro256** step: returns the next output and advances `s`.
+/// operator() and keep_mask() share it, so a batch draws the same stream.
+inline std::uint64_t xoshiro_next(std::uint64_t* s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// bernoulli()'s and keep_mask()'s one precondition, one message.
+void check_probability(double p) {
+  TSNN_CHECK_MSG(p >= 0.0 && p <= 1.0, "bernoulli p out of [0,1]: " << p);
+}
+
 /// The two halves of one Box-Muller transform; normal() and
 /// discard_normals() share them so a discarded pair caches the exact sine
 /// normal() would have.
@@ -37,17 +57,7 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
+Rng::result_type Rng::operator()() { return xoshiro_next(state_); }
 
 double Rng::uniform() {
   // 53 random mantissa bits -> uniform in [0, 1).
@@ -145,8 +155,22 @@ void Rng::discard_normals(std::size_t n) {
 }
 
 bool Rng::bernoulli(double p) {
-  TSNN_CHECK_MSG(p >= 0.0 && p <= 1.0, "bernoulli p out of [0,1]: " << p);
+  check_probability(p);
   return uniform() < p;
+}
+
+void Rng::keep_mask(double p, std::size_t n, std::uint8_t* keep) {
+  check_probability(p);
+  // bernoulli(p) is uniform() < p, i.e. (r >> 11) * 2^-53 < p. Scaling by
+  // a power of two is exact and r >> 11 is an integer, so that is
+  // (r >> 11) < ceil(p * 2^53): one integer compare per draw. The state
+  // lives in locals because stores through `keep` may alias the members.
+  const auto bound = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  std::uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+  for (std::size_t i = 0; i < n; ++i) {
+    keep[i] = (xoshiro_next(s) >> 11) >= bound ? 1 : 0;
+  }
+  std::copy(s, s + 4, state_);
 }
 
 Rng Rng::split() {

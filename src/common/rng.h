@@ -8,6 +8,12 @@
 // for normal(), across platforms with the same libm: Box-Muller calls the
 // platform's log, sin and cos).
 //
+// The batched members -- uniform_pairs(), discard_normals() and
+// keep_mask() -- are stream-compatible with their one-at-a-time
+// counterparts: a batch takes the same raw draws in the same order and
+// leaves the same generator state, so a hot loop can switch to one
+// without moving any fixed-seed result.
+//
 // Stream seeding contract
 // -----------------------
 // Batch work (notably snn::evaluate) must NOT thread one shared Rng& through
@@ -96,6 +102,12 @@ class Rng {
 
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p);
+
+  /// Batched complement of bernoulli(): keep[i] = !bernoulli(p) for i in
+  /// [0, n), in order -- the same draws, generator state and bytes as n
+  /// bernoulli(p) calls, from one inlined loop. p is checked once, before
+  /// any draw, with bernoulli()'s message. Deletion's keep mask.
+  void keep_mask(double p, std::size_t n, std::uint8_t* keep);
 
   /// Derives an independent child generator; useful for giving each
   /// subsystem its own stream that does not perturb the others.

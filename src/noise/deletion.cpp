@@ -32,15 +32,13 @@ void DeletionNoise::apply_inplace(snn::EventBuffer& events,
   }
   // Same event visit order and draw sequence as apply() -- time-major,
   // emission order within a step, which is exactly the finalized stream
-  // order -- staged as a keep mask so the compaction itself can run
+  // order -- staged as a keep mask in one batched draw (the bytes and
+  // stream of one bernoulli() per event), so the compaction itself can run
   // through the SIMD dispatch table (EventBuffer::remove_by_mask).
   const std::size_t n = events.size();
   scratch.keep.resize(n);
-  std::uint8_t* keep = scratch.keep.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    keep[i] = rng.bernoulli(p_) ? 0 : 1;
-  }
-  events.remove_by_mask(keep);
+  rng.keep_mask(p_, n, scratch.keep.data());
+  events.remove_by_mask(scratch.keep.data());
 }
 
 std::string DeletionNoise::name() const {

@@ -12,7 +12,8 @@ class DeletionNoise : public snn::NoiseModel {
   explicit DeletionNoise(double p);
 
   snn::SpikeRaster apply(const snn::SpikeRaster& in, Rng& rng) const override;
-  /// In-place stream compaction: one Bernoulli draw per event, time-major.
+  /// In-place stream compaction: one Bernoulli draw per event, time-major,
+  /// drawn as one batch (Rng::keep_mask).
   void apply_inplace(snn::EventBuffer& events, snn::EventSortScratch& scratch,
                      Rng& rng) const override;
   std::string name() const override;

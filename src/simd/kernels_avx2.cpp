@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <numbers>
 
@@ -105,18 +106,22 @@ inline void madd_row(float* u, const float* w, __m256 m) {
 // (iy, ix) feeds output (iy + 1 - ky, ix + 1 - kx) through weight ky*3 + kx,
 // so an interior position's nine output rows sit at fixed offsets from its
 // own spatial slot; border positions walk the tap table. The taps are the
-// table's, in the table's order, so the sums are the scalar leaf's.
-template <std::size_t OC>
+// table's, in the table's order, so the sums are the scalar leaf's. With
+// kShift (a power-of-two plane and width: every zoo conv layer) each spike's
+// (ic, iy, ix) split is two shifts instead of two divides.
+template <std::size_t OC, bool kShift>
 void av_conv3x3(const ConvTapCtx& ctx) {
   const auto in_hw = static_cast<std::uint32_t>(ctx.in_hw);
   const auto w = static_cast<std::uint32_t>(ctx.in_w);
   const auto h = static_cast<std::uint32_t>(ctx.in_h);
+  const int hw_bits = std::countr_zero(in_hw);
+  const int w_bits = std::countr_zero(w);
   const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(w * OC);
   for (std::size_t i = 0; i < ctx.count; ++i) {
     const std::uint32_t pre = ctx.pre[i];
-    const std::uint32_t ic = pre / in_hw;
+    const std::uint32_t ic = kShift ? pre >> hw_bits : pre / in_hw;
     const std::uint32_t sp = pre - ic * in_hw;
-    const std::uint32_t iy = sp / w;
+    const std::uint32_t iy = kShift ? sp >> w_bits : sp / w;
     const std::uint32_t ix = sp - iy * w;
     const float* wbase = ctx.wt + static_cast<std::size_t>(ic) * 9 * OC;
     const __m256 m = _mm256_set1_ps(ctx.mag[i]);
@@ -137,6 +142,15 @@ void av_conv3x3(const ConvTapCtx& ctx) {
                      wbase + static_cast<std::size_t>(tap.wofs) * OC, m);
       }
     }
+  }
+}
+
+template <std::size_t OC>
+void av_conv3x3(const ConvTapCtx& ctx) {
+  if (std::has_single_bit(ctx.in_hw) && std::has_single_bit(ctx.in_w)) {
+    av_conv3x3<OC, true>(ctx);
+  } else {
+    av_conv3x3<OC, false>(ctx);
   }
 }
 

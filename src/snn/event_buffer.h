@@ -1,24 +1,39 @@
 // Flat spike-event buffer -- the hot-path spike-train representation.
 //
-// An EventBuffer stores one layer's spike train as parallel SoA arrays
-// (times[], neurons[]) bucketed by timestep through a CSR offset table:
-// the events of step t occupy [offsets[t], offsets[t+1]) and, within a
-// step, keep their emission order. Unlike SpikeRaster's
-// vector-of-vectors buckets, the storage is three flat arrays whose
-// capacity only ever grows, so a buffer owned by a reusable SimWorkspace
-// performs zero heap allocations once warm -- the FFmpeg buffer-pool
-// discipline applied to spike trains.
+// An EventBuffer stores one layer's spike train in CSR form: the neuron ids
+// of every event in time-major order, and a per-step offset table -- the
+// events of step t occupy ids [offsets[t], offsets[t+1]) and, within a
+// step, keep their emission order. An event's time is the step whose range
+// holds it; no per-event time is stored. Unlike SpikeRaster's
+// vector-of-vectors buckets, the storage is flat arrays whose capacity only
+// ever grows, so a buffer owned by a reusable SimWorkspace performs zero
+// heap allocations once warm -- the FFmpeg buffer-pool discipline applied
+// to spike trains.
 //
-// Producers (coding schemes) push() events in any order and finalize();
-// if the pushes were already time-ordered (rate/phase/burst emit
-// timestep-major) finalizing just builds the offset table, otherwise a
-// stable counting sort re-buckets into caller-provided scratch.
-// Consumers read per-step spans (step_begin/step_count) or the flat
-// arrays. Noise models mutate the buffer in place: remove_if_not()
-// compacts the stream and shift_times() moves every event by a per-event
-// shift and re-buckets, both indexing events in time-major order so RNG
-// draw order matches the historical SpikeRaster implementations exactly
-// (fixed seeds reproduce bit-identical corruption).
+// Producers:
+//   * In order -- push_step(t, ids, n) (the fire scans' per-step emission)
+//     and push(t, id) at non-decreasing t append ids and advance the offset
+//     table as they go, so finalize() only closes the trailing steps and
+//     reads no per-event data.
+//   * Out of order -- push() accepts any order. The first push earlier than
+//     the open step stages a time for every event so far; later pushes
+//     stage theirs, and finalize() counting-sorts the ids stably into step
+//     order. These staging times are the only per-event times a buffer
+//     ever holds, and only until finalize().
+//   * One pass -- assign_bursts() emits TTFS/TTAS bursts (one burst per
+//     neuron) through one count/prefix-sum/scatter, leaving the state that
+//     neuron-major push() + finalize() would.
+// Every producer checks its ranges once per call (a reduction over its
+// inputs); the throwing path is out of line and raises push()'s message
+// for the first event push() would reject.
+//
+// Consumers read per-step spans (step/step_begin/step_count) or the flat id
+// array. Noise models mutate the buffer in place, on ids alone:
+// remove_if_not()/remove_by_mask() compact each step and rewrite the
+// offsets, and shift_times() moves every event by a per-event shift and
+// re-buckets the ids. Both index events in time-major order so RNG draw
+// order matches the historical SpikeRaster implementations exactly (fixed
+// seeds reproduce bit-identical corruption).
 //
 // SpikeRaster (spike.h) remains the conversion/reporting type for tests,
 // spike_stats, and figure-style analyses; assign_from()/to_raster()
@@ -34,22 +49,23 @@
 
 namespace tsnn::snn {
 
-/// Reusable scratch for EventBuffer::finalize's stable counting sort and
-/// assign_from, plus the noise models' staging: deletion's keep mask and
-/// jitter's uniforms and shifts. Owned by SimWorkspace so re-bucketing
-/// allocates nothing once warm; must not be shared across threads. The
-/// scatter destinations are aligned_vectors because finalize() swaps them
-/// into the buffer's own (aligned) storage. The staging vectors only grow.
+/// Reusable scratch for EventBuffer's counting sorts and scatters, plus the
+/// producers' and noise models' staging: TTFS/TTAS first steps, deletion's
+/// keep mask, and jitter's uniforms and shifts. Owned by SimWorkspace (and
+/// each StageState) so re-bucketing allocates nothing once warm; must not
+/// be shared across threads. `neurons` is an aligned_vector because the
+/// scatters swap it into the buffer's own (aligned) storage. The staging
+/// vectors only grow.
 struct EventSortScratch {
-  std::vector<std::uint32_t> cursor;       ///< per-step scatter cursors
-  aligned_vector<std::int32_t> times;      ///< scatter destination, swapped in
-  aligned_vector<std::uint32_t> neurons;   ///< scatter destination, swapped in
+  std::vector<std::uint32_t> cursor;       ///< per-step counts and cursors
+  aligned_vector<std::uint32_t> neurons;   ///< id scatter destination, swapped in
+  aligned_vector<std::int32_t> first;      ///< assign_bursts() first steps
   aligned_vector<std::uint8_t> keep;       ///< remove_by_mask() staging
   aligned_vector<double> uniforms;         ///< jitter's Box-Muller uniforms
   aligned_vector<std::int32_t> shifts;     ///< shift_times() staging
 };
 
-/// Flat spike train: SoA (time, neuron) events with per-step CSR offsets.
+/// Flat spike train: time-major neuron ids with per-step CSR offsets.
 class EventBuffer {
  public:
   EventBuffer() = default;
@@ -61,28 +77,48 @@ class EventBuffer {
   std::size_t window() const { return window_; }
 
   /// Total number of events.
-  std::size_t size() const { return times_.size(); }
-  bool empty() const { return times_.empty(); }
+  std::size_t size() const { return neurons_.size(); }
+  bool empty() const { return neurons_.empty(); }
 
   /// Appends a spike of `neuron` at step `t` (bounds-checked). Any order
   /// is accepted; time-ordered appends make finalize() sort-free.
   void push(std::int32_t t, std::uint32_t neuron) {
     check_push_time(t);
-    check_neuron(neuron);
-    sorted_ = sorted_ && (times_.empty() || t >= times_.back());
+    if (neuron >= num_neurons_) [[unlikely]] {
+      report_neuron(neuron);
+    }
     finalized_ = false;
-    times_.push_back(t);
+    if (staged_ || static_cast<std::size_t>(t) < open_) {
+      push_staged(t, &neuron, 1);
+      return;
+    }
+    open_step(static_cast<std::size_t>(t));
     neurons_.push_back(neuron);
   }
 
-  /// Appends `ids[0..n)` at step `t`, in order -- the arrays and flags
-  /// push(t, ids[i]) for each i would leave, with the time checks made once
-  /// per call and the neuron range check per id. Throws before appending
-  /// anything; n == 0 is a no-op. The fire scans' per-step emission.
+  /// Appends `ids[0..n)` at step `t`, in order -- the train push(t, ids[i])
+  /// for each i would leave, with the time checked once and the ids in one
+  /// reduction. Throws push()'s message before appending anything; n == 0
+  /// is a no-op. The fire scans' per-step emission.
   void push_step(std::int32_t t, const std::uint32_t* ids, std::size_t n);
 
-  /// Buckets the events by time (stable within a step) and builds the CSR
-  /// offset table. Idempotent; required before per-step access.
+  /// Replaces the train with one burst per neuron: neuron ids[k] spikes at
+  /// steps first[k], first[k] + 1, ..., first[k] + duration - 1. Leaves
+  /// exactly the state reset(num_neurons(), window()), push() of every
+  /// burst neuron-major (k ascending, then step) and finalize() leave -- a
+  /// finalized train, each step's ids in k order -- through one count,
+  /// prefix sum and scatter. The ranges are checked in one reduction
+  /// before anything changes; a bad first step or id throws the message
+  /// that push sequence would throw first, and leaves the buffer as it
+  /// was. `first` and `ids` must not alias `scratch.cursor`.
+  void assign_bursts(const std::int32_t* first, const std::uint32_t* ids,
+                     std::size_t n, std::size_t duration,
+                     EventSortScratch& scratch);
+
+  /// Closes the offset table (and, after out-of-order pushes, buckets the
+  /// staged events by time, stable within a step). Idempotent; required
+  /// before per-step access. On an in-order train it touches O(window)
+  /// offsets and no event.
   void finalize(EventSortScratch& scratch);
   bool finalized() const { return finalized_; }
 
@@ -91,18 +127,14 @@ class EventBuffer {
   /// step_count before the train is finalized. Requires time-ordered pushes
   /// (every scheme's layer loop emits timestep-major, so this holds by
   /// construction); once a step is closed, push() rejects events landing in
-  /// it. finalize() still rebuilds the whole offset table, so a partially
-  /// closed buffer finalizes to the exact same state as a batch-produced one.
+  /// it. finalize() completes the same offset table, so a partially closed
+  /// buffer finalizes to the exact same state as a batch-produced one.
   void close_step() {
-    TSNN_CHECK_MSG(sorted_ && !finalized_,
+    TSNN_CHECK_MSG(!staged_ && !finalized_,
                    "close_step requires time-ordered, unfinalized pushes");
     TSNN_CHECK_MSG(closed_ < window_, "all steps already closed");
-    if (closed_ == 0) {
-      offsets_.resize(window_ + 1);
-      offsets_[0] = 0;
-    }
-    offsets_[closed_ + 1] = static_cast<std::uint32_t>(times_.size());
     ++closed_;
+    open_step(closed_);
   }
   /// Number of leading steps readable on an unfinalized buffer.
   std::size_t steps_closed() const { return closed_; }
@@ -131,8 +163,7 @@ class EventBuffer {
     return offsets_[t + 1] - offsets_[t];
   }
 
-  /// Flat views over the finalized (time-major) event arrays.
-  const std::int32_t* times() const { return times_.data(); }
+  /// Flat view of the ids (time-major once finalized).
   const std::uint32_t* neurons() const { return neurons_.data(); }
 
   /// In-place compaction: keeps exactly the events for which
@@ -148,15 +179,12 @@ class EventBuffer {
       offsets_[t] = static_cast<std::uint32_t>(w);
       for (std::uint32_t i = read_begin; i < read_end; ++i) {
         if (keep(static_cast<std::int32_t>(t), neurons_[i])) {
-          neurons_[w] = neurons_[i];
-          times_[w] = static_cast<std::int32_t>(t);
-          ++w;
+          neurons_[w++] = neurons_[i];
         }
       }
       read_begin = read_end;
     }
     offsets_[window_] = static_cast<std::uint32_t>(w);
-    times_.resize(w);
     neurons_.resize(w);
   }
 
@@ -165,7 +193,8 @@ class EventBuffer {
   /// time-major event stream (size() entries). Callers whose predicate
   /// draws randomness pre-generate the mask in one serial pass -- same
   /// draw order as remove_if_not() -- and the compaction itself runs
-  /// through the dispatch table's mask_compact kernel. Stays finalized.
+  /// through the dispatch table's mask_compact kernel, one step at a time,
+  /// moving ids only. Stays finalized.
   void remove_by_mask(const std::uint8_t* keep);
 
   /// In-place time shift: event i of the finalized time-major stream
@@ -173,7 +202,7 @@ class EventBuffer {
   /// then the buffer re-buckets. Events that land in the same step keep
   /// their stream order (stable), matching the historical jitter semantics
   /// of appending to raster buckets in draw order. One pass clamps and
-  /// counts, one scatter re-buckets. Stays finalized.
+  /// counts, one scatters the ids. Stays finalized.
   void shift_times(const std::int32_t* shifts, EventSortScratch& scratch);
 
   /// Conversion bridges to the reporting type.
@@ -185,35 +214,46 @@ class EventBuffer {
     TSNN_CHECK_MSG(finalized_, "EventBuffer not finalized");
   }
   void check_push_time(std::int32_t t) const {
-    TSNN_CHECK_MSG(t >= 0 && static_cast<std::size_t>(t) < window_,
-                   "event time " << t << " outside window " << window_);
-    TSNN_CHECK_MSG(static_cast<std::size_t>(t) >= closed_,
-                   "event time " << t << " in already-closed step (closed "
-                                 << closed_ << ")");
+    if (t < 0 || static_cast<std::size_t>(t) >= window_ ||
+        static_cast<std::size_t>(t) < closed_) [[unlikely]] {
+      report_push_time(t);
+    }
   }
-  void check_neuron(std::uint32_t neuron) const {
-    TSNN_CHECK_MSG(neuron < num_neurons_,
-                   "neuron " << neuron << " out of range " << num_neurons_);
-  }
-  /// Finishes a finalize: turns the per-step counts in offsets_[t + 1]
-  /// into the CSR table and, unless the events are time-ordered already,
-  /// scatters them stably into step order.
-  void bucket_counted(EventSortScratch& scratch);
   void check_step_readable(std::size_t t) const {
     TSNN_CHECK_MSG(finalized_ || t < closed_,
                    "EventBuffer step " << t << " not finalized or closed");
   }
+  // The out-of-line throwing halves of push()'s checks; each throws only
+  // if its own condition fails, so push() calls them in its check order.
+  [[gnu::noinline, gnu::cold]] void report_push_time(std::int32_t t) const;
+  [[gnu::noinline, gnu::cold]] void report_time_in_window(std::int32_t t) const;
+  [[gnu::noinline, gnu::cold]] void report_neuron(std::uint32_t neuron) const;
+
+  /// In-order append: steps [open_, t) end at the current size, and `t`
+  /// becomes the open step. Requires t >= open_.
+  void open_step(std::size_t t) {
+    const auto end = static_cast<std::uint32_t>(neurons_.size());
+    while (open_ < t) {
+      offsets_[++open_] = end;
+    }
+  }
+  /// Out-of-order append of ids[0..n) at `t`, staging every event's time
+  /// first if this is the first out-of-order append.
+  void push_staged(std::int32_t t, const std::uint32_t* ids, std::size_t n);
 
   std::size_t num_neurons_ = 0;
   std::size_t window_ = 0;
   std::size_t closed_ = 0;  ///< leading steps closed by close_step()
-  bool sorted_ = true;     ///< pushes so far are non-decreasing in time
+  /// In-order appends go to this step: offsets_[s + 1] is final for every
+  /// s < open_, and ids [offsets_[open_], size()) are its events.
+  std::size_t open_ = 0;
+  bool staged_ = false;     ///< out-of-order: staged_times_ holds every time
   bool finalized_ = false;
   // Aligned so the propagation and compaction kernels stream whole cache
   // lines (see common/aligned.h).
-  aligned_vector<std::int32_t> times_;
   aligned_vector<std::uint32_t> neurons_;
-  aligned_vector<std::uint32_t> offsets_;  ///< window+1 entries once finalized
+  aligned_vector<std::uint32_t> offsets_;  ///< window+1 entries
+  aligned_vector<std::int32_t> staged_times_;  ///< out-of-order staging only
 };
 
 }  // namespace tsnn::snn

@@ -1,5 +1,7 @@
 #include "snn/topology.h"
 
+#include <algorithm>
+
 #include "common/aligned.h"
 #include "common/error.h"
 #include "simd/kernels.h"
@@ -24,13 +26,41 @@ GatherScratch& gather_scratch(std::size_t n) {
   return g;
 }
 
-/// Bounds-validates a batch once up front so the kernel leaf functions
-/// (simd/kernels.h) run branch-free over trusted indices.
-void check_batch_bounds(const SpikeBatch& batch, std::size_t in_size) {
+/// Largest presynaptic id of a batch (0 if empty): the one reduction a
+/// batch's range check costs.
+std::uint32_t max_pre(const SpikeBatch& batch) {
+  const std::uint32_t* pre = batch.pre();
+  std::uint32_t top = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    top = std::max(top, pre[i]);
+  }
+  return top;
+}
+
+/// Throws for the first out-of-range id of a batch max_pre() rejected.
+[[gnu::noinline, gnu::cold]] void report_batch_bounds(const SpikeBatch& batch,
+                                                      std::size_t in_size) {
   const std::uint32_t* pre = batch.pre();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     TSNN_CHECK_MSG(pre[i] < in_size,
                    "pre neuron " << pre[i] << " out of range " << in_size);
+  }
+}
+
+/// PoolTopology's twin of report_batch_bounds(), with its own message.
+[[gnu::noinline, gnu::cold]] void report_pool_bounds(const SpikeBatch& batch,
+                                                     std::size_t in_size) {
+  const std::uint32_t* pre = batch.pre();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    TSNN_CHECK_MSG(pre[i] < in_size, "pre neuron out of range");
+  }
+}
+
+/// Bounds-validates a batch once up front, in one reduction, so the kernel
+/// leaf functions (simd/kernels.h) run branch-free over trusted indices.
+void check_batch_bounds(const SpikeBatch& batch, std::size_t in_size) {
+  if (max_pre(batch) >= in_size) [[unlikely]] {
+    report_batch_bounds(batch, in_size);
   }
 }
 
@@ -305,6 +335,7 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
   if (batch.empty()) {
     return;
   }
+  check_batch_bounds(batch, in_size());
   const std::uint32_t* pre = batch.pre();
   const float* mag = batch.magnitude();
   std::size_t count = batch.size();
@@ -316,8 +347,6 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
     const std::size_t in = in_size();
     GatherScratch& g = gather_scratch(in);
     for (std::size_t i = 0; i < count; ++i) {
-      TSNN_CHECK_MSG(pre[i] < in,
-                     "pre neuron " << pre[i] << " out of range " << in);
       g.sum[pre[i]] += mag[i];
     }
     count = 0;
@@ -329,8 +358,6 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
     }
     pre = g.ids.data();
     mag = g.sum.data();
-  } else {
-    check_batch_bounds(batch, in_size());
   }
   // Each accumulator slot is touched at most once per spike, and spikes
   // run in order, so per-slot addition order is spike order on every
@@ -490,13 +517,15 @@ const std::uint32_t* PoolTopology::post_map() const {
 
 void PoolTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
   // Pool fan-out is O(1) per spike; batching removes the virtual dispatch
-  // and div/mod.
+  // and div/mod, and the range check is one reduction per batch.
+  if (max_pre(batch) >= in_size()) [[unlikely]] {
+    report_pool_bounds(batch, in_size());
+  }
+  const std::uint32_t* pre = batch.pre();
   const std::uint32_t* post = post_map();
   const float w = weight_;
-  const std::uint32_t* pre = batch.pre();
   const float* mag = batch.magnitude();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    TSNN_CHECK_MSG(pre[i] < in_size(), "pre neuron out of range");
     u[post[pre[i]]] += mag[i] * w;
   }
 }

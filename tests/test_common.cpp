@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/env.h"
 #include "common/error.h"
@@ -225,6 +227,65 @@ TEST(Rng, DiscardNormalsMatchesNormalCalls) {
         EXPECT_EQ(got(), want()) << where;
       }
     }
+  }
+}
+
+/// what() of the InvalidArgument `f` throws ("" when it does not throw).
+template <typename F>
+std::string invalid_argument_of(F&& f) {
+  try {
+    f();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Rng, KeepMaskMatchesBernoulliCalls) {
+  // Each byte is !bernoulli(p) on a twin generator, and both generators
+  // stand at the same raw draw afterwards. Besides the fixed p, each seed
+  // puts p on its own first uniform, k * 2^-53, and one ulp to each side,
+  // so the first draw sits exactly on the keep/drop boundary.
+  std::vector<double> fixed = {0.0, 0x1.0p-53, 0.2, 0.5, 0.8,
+                               1.0 - 0x1.0p-53, 1.0};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng probe(seed);
+    const double k = static_cast<double>(probe() >> 11);
+    std::vector<double> ps = fixed;
+    for (const double kk : {k, 1.0, 0x1.0p52, 0x1.0p53 - 1.0}) {
+      const double p = kk * 0x1.0p-53;
+      ps.push_back(p);
+      ps.push_back(std::nextafter(p, 0.0));
+      ps.push_back(std::nextafter(p, 1.0));
+    }
+    for (const double p : ps) {
+      for (const std::size_t n : {0u, 1u, 7u, 4001u}) {
+        const std::string where = "p " + std::to_string(p) + " n " +
+                                  std::to_string(n) + " seed " +
+                                  std::to_string(seed);
+        Rng got(seed);
+        Rng want(seed);
+        std::vector<std::uint8_t> keep(n, 2);
+        got.keep_mask(p, n, keep.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(keep[i], want.bernoulli(p) ? 0 : 1) << where << " i " << i;
+        }
+        EXPECT_EQ(got(), want()) << where;
+      }
+    }
+  }
+  // A p outside [0, 1], or NaN, throws bernoulli's message before any draw.
+  for (const double p : {-0.25, -0x1.0p-1074, std::nextafter(1.0, 2.0), 1.5,
+                         std::nan("")}) {
+    Rng got(7);
+    Rng want(7);
+    std::uint8_t keep[3] = {5, 5, 5};
+    const std::string message =
+        invalid_argument_of([&] { got.keep_mask(p, 3, keep); });
+    EXPECT_FALSE(message.empty()) << p;
+    EXPECT_EQ(message, invalid_argument_of([&] { want.bernoulli(p); })) << p;
+    EXPECT_EQ(keep[0], 5) << p;
+    EXPECT_EQ(got(), want()) << p;
   }
 }
 

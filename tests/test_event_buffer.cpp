@@ -11,6 +11,7 @@
 
 #include "coding/registry.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/ttas.h"
 #include "noise/deletion.h"
 #include "noise/jitter.h"
@@ -36,12 +37,26 @@ SpikeRaster golden_input() {
   return r;
 }
 
+/// Every event of a finalized buffer, time-major, read through its
+/// per-step spans.
 std::vector<SpikeEvent> events_of(const EventBuffer& buf) {
   std::vector<SpikeEvent> out;
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    out.push_back(SpikeEvent{buf.neurons()[i], buf.times()[i]});
+  for (std::size_t t = 0; t < buf.window(); ++t) {
+    const EventBuffer::StepSpan span = buf.step(t);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      out.push_back(SpikeEvent{span.ids[i], static_cast<std::int32_t>(t)});
+    }
   }
   return out;
+}
+
+/// events_of() a finalized copy: the (time, neuron) stream an unfinalized
+/// buffer holds, in the order finalize() buckets it.
+std::vector<SpikeEvent> finalized_events_of(const EventBuffer& buf) {
+  EventBuffer copy = buf;
+  EventSortScratch scratch;
+  copy.finalize(scratch);
+  return events_of(copy);
 }
 
 TEST(EventBuffer, PushFinalizeBucketsSortedInput) {
@@ -110,9 +125,10 @@ TEST(EventBuffer, PushStepMatchesPerIdPush) {
       }
       ASSERT_EQ(bulk.size(), each.size()) << "t=" << t;
       for (std::size_t i = 0; i < each.size(); ++i) {
-        EXPECT_EQ(bulk.times()[i], each.times()[i]) << "t=" << t << " i=" << i;
         EXPECT_EQ(bulk.neurons()[i], each.neurons()[i]) << "t=" << t;
       }
+      EXPECT_EQ(finalized_events_of(bulk), finalized_events_of(each))
+          << "t=" << t;
       EXPECT_EQ(bulk.finalized(), each.finalized());
     }
   };
@@ -174,6 +190,127 @@ TEST(EventBuffer, PushStepThrowsLikePush) {
       1);
   expect_same_throw(nothing, 8);
   expect_same_throw(nothing, -1);
+}
+
+/// The reference emission assign_bursts() must reproduce: reset, then every
+/// burst pushed neuron-major, then finalize.
+EventBuffer pushed_bursts(std::size_t num_neurons, std::size_t window,
+                          const std::vector<std::int32_t>& first,
+                          const std::vector<std::uint32_t>& ids,
+                          std::size_t duration) {
+  EventBuffer buf;
+  EventSortScratch scratch;
+  buf.reset(num_neurons, window);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    for (std::size_t b = 0; b < duration; ++b) {
+      buf.push(first[k] + static_cast<std::int32_t>(b), ids[k]);
+    }
+  }
+  buf.finalize(scratch);
+  return buf;
+}
+
+TEST(EventBuffer, AssignBurstsMatchesNeuronMajorPush) {
+  // Random bursts over ascending ids with gaps, TTFS's duration 1 and
+  // TTAS's 5 and 10, some ending at window - 1; the empty emission too.
+  // The target buffer starts out holding another train, which the
+  // emission must replace.
+  const std::size_t num_neurons = 48;
+  Rng rng(2024);
+  for (const std::size_t duration : {1u, 5u, 10u}) {
+    const std::size_t window = 12 + duration - 1;
+    const auto last_first = static_cast<std::int64_t>(window - duration);
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<std::uint32_t> ids;
+      std::vector<std::int32_t> first;
+      for (std::uint32_t i = 0; i < num_neurons && trial > 0; ++i) {
+        if (rng.bernoulli(0.55)) {
+          ids.push_back(i);
+          first.push_back(static_cast<std::int32_t>(
+              rng.bernoulli(0.2) ? last_first
+                                 : rng.uniform_int(0, last_first)));
+        }
+      }
+      const std::string where = "duration " + std::to_string(duration) +
+                                " trial " + std::to_string(trial) + " n " +
+                                std::to_string(ids.size());
+      const EventBuffer want =
+          pushed_bursts(num_neurons, window, first, ids, duration);
+      EventBuffer got;
+      EventSortScratch scratch;
+      got.assign_from(golden_input(), scratch);
+      got.reset(num_neurons, window);
+      got.push(3, 7);
+      got.push(1, 2);  // out of order: staged times must not survive
+      got.assign_bursts(first.data(), ids.data(), ids.size(), duration,
+                        scratch);
+      ASSERT_TRUE(got.finalized()) << where;
+      EXPECT_EQ(got.num_neurons(), want.num_neurons()) << where;
+      EXPECT_EQ(got.window(), want.window()) << where;
+      EXPECT_EQ(got.size(), want.size()) << where;
+      EXPECT_EQ(got.size(), ids.size() * duration) << where;
+      EXPECT_EQ(events_of(got), events_of(want)) << where;
+      // The emitted train behaves like the pushed one downstream.
+      EventBuffer got_next = got;
+      EventBuffer want_next = want;
+      got_next.push(static_cast<std::int32_t>(window - 1), 0);
+      want_next.push(static_cast<std::int32_t>(window - 1), 0);
+      got_next.finalize(scratch);
+      want_next.finalize(scratch);
+      EXPECT_EQ(events_of(got_next), events_of(want_next)) << where;
+    }
+  }
+}
+
+TEST(EventBuffer, AssignBurstsThrowsLikePushAndKeepsTheBuffer) {
+  // A bad id or first step throws the message the neuron-major push
+  // sequence throws first, and the buffer keeps the train it held.
+  const std::size_t num_neurons = 9;
+  const std::size_t window = 8;
+  struct Case {
+    std::vector<std::int32_t> first;
+    std::vector<std::uint32_t> ids;
+    std::size_t duration;
+  };
+  const std::vector<Case> cases = {
+      {{0, 1, 2}, {1, 4, 9}, 3},   // id out of range
+      {{0, 6, 2}, {1, 4, 5}, 3},   // burst runs past the window
+      {{0, -1, 2}, {1, 4, 5}, 3},  // negative first step
+      {{0, 9, 2}, {1, 4, 5}, 1},   // first step past the window
+      {{0, 9}, {12, 4}, 2},        // bad id before a bad step
+      {{6}, {20}, 3},              // bad id at a step inside the window
+      {{0, 3, 5}, {8, 0, 2}, 4},   // overrun in the last burst
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Case& bad = cases[c];
+    EventBuffer reference;
+    reference.reset(num_neurons, window);
+    const std::string want = invalid_argument_of([&] {
+      for (std::size_t k = 0; k < bad.ids.size(); ++k) {
+        for (std::size_t b = 0; b < bad.duration; ++b) {
+          reference.push(bad.first[k] + static_cast<std::int32_t>(b),
+                         bad.ids[k]);
+        }
+      }
+    });
+    ASSERT_FALSE(want.empty()) << "case " << c;
+    EventBuffer buf;
+    EventSortScratch scratch;
+    buf.reset(num_neurons, window);
+    buf.push(2, 3);
+    buf.push(5, 8);
+    buf.finalize(scratch);
+    const std::vector<SpikeEvent> before = events_of(buf);
+    EXPECT_EQ(invalid_argument_of([&] {
+                buf.assign_bursts(bad.first.data(), bad.ids.data(),
+                                  bad.ids.size(), bad.duration, scratch);
+              }),
+              want)
+        << "case " << c;
+    ASSERT_TRUE(buf.finalized()) << "case " << c;
+    EXPECT_EQ(buf.window(), window) << "case " << c;
+    EXPECT_EQ(events_of(buf), before) << "case " << c;
+  }
 }
 
 TEST(EventBuffer, RasterRoundTripPreservesEverything) {
@@ -252,8 +389,10 @@ TEST(EventBuffer, ShiftTimesClampsIntoWindow) {
   EXPECT_EQ(buf.step_begin(3)[0], 2u);
   ASSERT_EQ(buf.step_count(4), 1u);
   EXPECT_EQ(buf.step_begin(4)[0], 1u);
-  EXPECT_EQ(buf.times()[0], 0);
-  EXPECT_EQ(buf.times()[2], 4);
+  const std::vector<SpikeEvent> events = events_of(buf);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].time, 0);
+  EXPECT_EQ(events[2].time, 4);
 }
 
 // ---------------------------------------------------------------------------
