@@ -475,6 +475,35 @@ void BM_JitterNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_JitterNoise);
 
+/// The gauss_shifts leaf alone: 4096 Box-Muller pairs at sigma 2 and limit
+/// 63 (a 64-step window), turned into shifts by the active table. Items
+/// are pairs.
+void BM_GaussShifts(benchmark::State& state) {
+  constexpr std::size_t kPairs = 4096;
+  static const std::vector<double> uniforms = [] {
+    std::vector<double> u(2 * kPairs);
+    Rng rng(11);
+    rng.uniform_pairs(kPairs, u.data());
+    return u;
+  }();
+  std::vector<std::int32_t> out(2 * kPairs);
+  simd::GaussShiftCtx ctx;
+  ctx.u = uniforms.data();
+  ctx.pairs = kPairs;
+  ctx.sigma = 2.0;
+  ctx.limit = 63;
+  ctx.out = out.data();
+  const auto leaf = simd::kernels().gauss_shifts;
+  for (auto _ : state) {
+    leaf(ctx);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPairs));
+}
+BENCHMARK(BM_GaussShifts);
+
 /// Registers one copy of the spike-propagation, fire-scan and noise benches
 /// per runnable dispatch table, each pinned via ScopedKernelOverride for the
 /// duration of its run -- BM_DenseSpikePropagate<scalar>/512/350 next to
@@ -515,6 +544,8 @@ void register_isa_variants() {
                                  pinned(BM_DeletionNoise));
     benchmark::RegisterBenchmark(("BM_JitterNoise" + suffix).c_str(),
                                  pinned(BM_JitterNoise));
+    benchmark::RegisterBenchmark(("BM_GaussShifts" + suffix).c_str(),
+                                 pinned(BM_GaussShifts));
   }
 }
 

@@ -11,10 +11,17 @@
 //
 //   <id> <model> <coding> <image_index> <seed>
 //
-// e.g. "17 s-mnist ttas(5) 3 42". Each completion prints exactly one line:
+// e.g. "17 s-mnist ttas(5) 3 42": exactly five whitespace-separated
+// fields, with <id>, <image_index> and <seed> plain decimal digits that
+// fit 64 bits (no sign, no prefix). Each request line gets exactly one
+// answer:
 //
 //   ok <id> <predicted> <decision_ts> <spikes> <queue_us> <run_us> <batch>
 //   err <id> <reason>
+//
+// A line that breaks the grammar answers "err <id> bad_request_line" when
+// its first field parses as an id, and "err 0 bad_request_line" when it
+// does not.
 //
 // Responses arrive in *completion* order, not submission order -- clients
 // match on <id>. "stats" prints a one-line counter snapshot. Determinism:
@@ -25,6 +32,8 @@
 //
 // Flags: --models a,b,... --images N --threads N --max-batch N
 //        --deadline-us N --queue N  (see usage()).
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +44,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -61,9 +71,55 @@ using tsnn::core::InferenceServer;
       "  --threads      serving workers, 0 = hardware (default 1)\n"
       "  --max-batch    micro-batch size cap per worker pull (default 8)\n"
       "  --deadline-us  hold underfull batches open this long (default 0)\n"
-      "  --queue        admission queue capacity, 0 = auto (default 0)\n",
+      "  --queue        admission queue capacity, 0 = auto (default 0)\n"
+      "stdin, one request per line (or stats, or quit):\n"
+      "  <id> <model> <coding> <image> <seed>\n"
+      "  exactly five fields; id, image and seed are plain decimal digits\n"
+      "  that fit 64 bits. A line that breaks this answers\n"
+      "  'err <id> bad_request_line', or 'err 0 bad_request_line' when the\n"
+      "  id itself does not parse.\n",
       prog);
   std::exit(exit_code);
+}
+
+/// A request line's fields: `id_ok` once the first field parsed as an id,
+/// `ok` once the whole line did.
+struct RequestLine {
+  bool id_ok = false;
+  bool ok = false;
+  std::uint64_t id = 0;
+  std::string model;
+  std::string coding;
+  std::uint64_t image = 0;
+  std::uint64_t seed = 0;
+};
+
+/// Plain decimal digits that fit 64 bits: no sign, no prefix, no space.
+bool parse_decimal(std::string_view field, std::uint64_t& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return !field.empty() && ec == std::errc() && ptr == end;
+}
+
+RequestLine parse_request_line(std::string_view line) {
+  std::vector<std::string_view> fields;
+  constexpr std::string_view kSpace = " \t\r\v\f";
+  for (std::size_t pos = line.find_first_not_of(kSpace);
+       pos != std::string_view::npos;
+       pos = line.find_first_not_of(kSpace, pos)) {
+    const std::size_t end = std::min(line.find_first_of(kSpace, pos), line.size());
+    fields.push_back(line.substr(pos, end - pos));
+    pos = end;
+  }
+  RequestLine req;
+  req.id_ok = !fields.empty() && parse_decimal(fields[0], req.id);
+  if (req.id_ok && fields.size() == 5 && parse_decimal(fields[3], req.image) &&
+      parse_decimal(fields[4], req.seed)) {
+    req.model = fields[1];
+    req.coding = fields[2];
+    req.ok = true;
+  }
+  return req;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -234,23 +290,21 @@ int main(int argc, char** argv) {
       out.push(std::string(buf));
       continue;
     }
-    std::istringstream in(line);
-    std::uint64_t id = 0;
-    std::string model_name;
-    std::string coding;
-    std::size_t image = 0;
-    std::uint64_t seed = 0;
-    if (!(in >> id >> model_name >> coding >> image >> seed)) {
-      out.push("err 0 bad_request_line\n");
+    const RequestLine request = parse_request_line(line);
+    const std::uint64_t id = request.id;
+    if (!request.ok) {
+      out.push("err " + std::to_string(request.id_ok ? id : 0) +
+               " bad_request_line\n");
       continue;
     }
-    const auto it = workloads.find(model_name);
+    const std::string& coding = request.coding;
+    const auto it = workloads.find(request.model);
     if (it == workloads.end()) {
       out.push("err " + std::to_string(id) + " unknown_model\n");
       continue;
     }
     const tsnn::core::ZooWorkload& w = it->second;
-    if (image >= w.test_images.size()) {
+    if (request.image >= w.test_images.size()) {
       out.push("err " + std::to_string(id) + " image_out_of_range\n");
       continue;
     }
@@ -274,8 +328,8 @@ int main(int argc, char** argv) {
     req.sink = &sink;
     req.work.sim.model = &w.conversion.model;
     req.work.sim.scheme = scheme->second.get();
-    req.work.image = &w.test_images[image];
-    req.work.seed = seed;
+    req.work.image = &w.test_images[request.image];
+    req.work.seed = request.seed;
     req.work.stream = 0;
     if (!server->submit(req)) {  // blocking admission = backpressure
       out.push("err " + std::to_string(id) + " server_closed\n");

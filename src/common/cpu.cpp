@@ -16,6 +16,9 @@ std::uint32_t detect_features() {
     if (__builtin_cpu_supports("avx2")) {
       f |= kAvx2;
     }
+    if (__builtin_cpu_supports("avx512f")) {
+      f |= kAvx512;
+    }
 #endif
     return f;
   }();
@@ -24,13 +27,19 @@ std::uint32_t detect_features() {
 
 std::uint32_t parse_cpuflags(const std::string& flags) {
   const std::string value = str::trim(flags);
-  if (value.empty() || value == "native" || value == "avx2") {
+  if (value.empty() || value == "native") {
     return ~0u;
+  }
+  if (value == "avx2") {
+    return kAvx2;
+  }
+  if (value == "avx512") {
+    return kAvx2 | kAvx512;
   }
   if (value != "scalar") {
     std::fprintf(stderr,
                  "warning: TSNN_CPUFLAGS value '%s' not recognized "
-                 "(known: scalar, avx2, native); using scalar\n",
+                 "(known: scalar, avx2, avx512, native); using scalar\n",
                  value.c_str());
   }
   return 0;

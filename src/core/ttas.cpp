@@ -5,11 +5,11 @@
 
 namespace tsnn::core {
 
-// TTAS's run_layer/readout inner loops are TtfsScheme's stepped charge
-// phase (step_layer/step_readout), which assembles one SpikeBatch per
-// timestep and drives SynapseTopology::propagate_accum() -- the burst only
-// widens the encode/fire windows, so TTAS rides the same batched hot path
-// as TTFS.
+// TTAS's layer and readout runs are TtfsScheme's: each hidden layer
+// charges its whole input train in one SynapseTopology::propagate_train()
+// call (end_layer), and the readout steps through propagate_accum() -- the
+// burst only widens the encode/fire windows, so TTAS rides the same
+// batched hot path as TTFS.
 TtasScheme::TtasScheme(snn::CodingParams params) : coding::TtfsScheme(params) {
   TSNN_CHECK_MSG(params_.burst_duration >= 1,
                  "TTAS burst duration must be at least 1");

@@ -13,6 +13,9 @@ namespace {
 
 // Best first; selection walks this in order.
 const KernelDispatch* const kRegistry[] = {
+#if defined(TSNN_SIMD_AVX512)
+    &kAvx512Table,
+#endif
 #if defined(TSNN_SIMD_AVX2)
     &kAvx2Table,
 #endif

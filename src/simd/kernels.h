@@ -6,9 +6,10 @@
 // draw (gauss_shifts) -- plus the axpy building block are leaf functions
 // behind a KernelDispatch table of function pointers, the FFmpeg DSP-table
 // idiom: callers marshal their state into a plain KernelCtx view and invoke
-// through kernels(), and the variant that runs (scalar reference or AVX2)
-// is chosen once at startup from cpu::allowed_features() -- so adding an
-// ISA means adding leaf functions, never touching the class hierarchy.
+// through kernels(), and the variant that runs (the scalar reference,
+// AVX2, or AVX-512 -- the AVX2 table with a 512-bit-row conv_taps leaf) is
+// chosen once at startup from cpu::allowed_features() -- so adding an ISA
+// means adding leaf functions, never touching the class hierarchy.
 //
 // Exactness contract
 // ------------------
@@ -19,9 +20,10 @@
 // across lanes. The simd translation units are compiled with
 // -ffp-contract=off so the "scalar" semantics stay scalar under any
 // -march. gauss_shifts outputs integers: a vector leaf may approximate its
-// transcendentals internally, within a stated error bound, provided it
-// recomputes with the scalar leaf's libm expressions every value that lies
-// within that bound of a rounding boundary -- the integers stay exact.
+// transcendentals internally (the avx2 leaf works in single precision),
+// within a stated error bound, provided it recomputes with the scalar
+// leaf's libm expressions every value that lies within a margin of that
+// bound of a rounding boundary -- the integers stay exact.
 //
 // Ctx buffers should honor kSimdAlign (common/aligned.h) -- the kernels use
 // unaligned loads, so alignment is a performance guarantee, not a
@@ -158,7 +160,7 @@ inline std::int32_t round_shift(double v, std::int32_t limit) {
 /// populated (a variant may reuse the scalar leaf where vectorizing does
 /// not pay).
 struct KernelDispatch {
-  const char* isa = "scalar";  ///< "scalar" or "avx2"
+  const char* isa = "scalar";  ///< "scalar", "avx2" or "avx512"
   std::uint32_t features = 0;  ///< cpu::Feature bits this table requires
 
   void (*dense_scatter)(const DenseScatterCtx&) = nullptr;

@@ -1,7 +1,7 @@
-// AVX2 kernel variants. Compiled with -mavx2 -ffp-contract=off (the only TU
-// in the tree with vector ISA flags); dispatch only ever selects this table
-// when cpu::allowed_features() includes the bit, so no AVX2 instruction
-// executes on a host without it.
+// AVX2 kernel variants. Compiled with -mavx2 -ffp-contract=off; dispatch
+// only ever selects this table (or the avx512 table, which reuses every
+// leaf here but conv_taps) when cpu::allowed_features() includes the bit,
+// so no AVX2 instruction executes on a host without it.
 //
 // Bit-exactness discipline (see simd/kernels.h): every kernel here
 // vectorizes across independent destination slots -- the fan-out
@@ -489,68 +489,92 @@ std::size_t av_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
 
 // -------------------------------------------------------- gauss shifts ----
 //
-// Box-Muller through hand-written double-precision polynomials, four pairs
+// Box-Muller through hand-written single-precision polynomials, eight pairs
 // per step, approximate-then-verify (the bounded-error design of vector
-// math libraries such as SLEEF, https://sleef.org; none of its code):
+// math libraries such as SLEEF, https://sleef.org; none of its code). The
+// range reductions run in double, where they are exact; everything after
+// them runs in float, eight lanes wide:
 //
 //   ln u1  u1 = 2^e * m with m in [sqrt(1/2), sqrt(2)) -- u1 >= 1e-300 is a
-//          normal double, so e and m come straight from its bits -- and
-//          ln m = 2 atanh(s), s = (m - 1) / (m + 1), |s| < 0.1716, summed
-//          through s^19. The dropped tail is below 3e-17 of ln m.
-//   theta  2 pi u2 is reduced by quadrant on u2 itself: q = round(4 u2) and
-//          f = u2 - q / 4 are exact, and x = 2 pi f lies in [-pi/4, pi/4].
-//          sin x and cos x are Taylor sums through x^15 and x^16; the
-//          dropped tails are below 5e-17.
+//          normal double, so e and m come straight from its bits, and m - 1
+//          is exact. In float, ln m = 2 atanh(s), s = (m - 1) / (m + 1),
+//          |s| < 0.1716, summed through s^11 (the dropped tail is below
+//          1e-9 of ln m), and ln u1 = e ln 2 + ln m.
+//   theta  2 pi u2 is reduced by quadrant on u2 rounded to float (an
+//          absolute error below 3e-8): q = round(4 u2) and f = u2 - q / 4
+//          are exact, and x = 2 pi f lies in [-pi/4, pi/4]. sin x and cos x
+//          are Taylor sums through x^9 and x^10; the dropped tails are below
+//          2e-9.
 //
 // Error bound. Against the scalar leaf's v = sigma * (r * cos theta) (and
-// likewise sin), the approximation v' obeys |v - v'| <= 1e-14 * sigma * r.
-// The angle's error is absolute (reducing q against pi's double and the
-// reference's own rounding of 2 pi u2, about 1e-15), the radius's error is
-// relative (a few ulps), and libm adds an ulp: every term scales with
-// sigma * r, not with |v|, which is small near a zero of cos or sin while
-// the angle error is not. A pair with either value within
-// kGaussMargin * (1 + sigma * r) of a half-integer -- 1e5 times the bound;
-// the 1 covers the ulp the fraction test itself may round away -- is
+// likewise sin), the approximation v' obeys |v - v'| <= 2e-6 * sigma * r:
+// the radius's error is relative (a few float ulps of ln u1, halved by the
+// square root), the angle's and the polynomials' errors are absolute (a
+// few float ulps of 1, the rounding of u2 included), and each product adds
+// half an ulp. Every term
+// scales with sigma * r, not with |v|, which is small near a zero of cos or
+// sin while the angle error is not. A pair with either value within
+// kGaussMargin * (1 + sigma * r) of a half-integer -- ten times the bound;
+// the 1 covers the ulp the float fraction test itself may round away -- is
 // recomputed with libm (sc_gauss_pair). Every other value rounds to the
-// integer libm's would, so the shifts are exact.
+// integer libm's would, so the shifts are exact. Since the margin grows
+// with sigma * r, every value of magnitude 25000 or more is recomputed:
+// floats that large hold no half-integers, and a limit that large need not
+// be a float. A sigma too large for floats (> 1e30) takes the scalar leaf.
 
-constexpr double kGaussMargin = 1e-9;
+constexpr float kGaussMargin = 2e-5f;
+constexpr double kGaussMaxSigma = 1e30;
 
-inline __m256d horner(__m256d x, __m256d acc, double c) {
-  return _mm256_add_pd(_mm256_mul_pd(acc, x), _mm256_set1_pd(c));
+// c0 + c1 y + ... + c5 y^5 (c5 = 0 for a quartic) in Estrin's form: three
+// independent linear terms, then y^2 and y^4 -- a dependency chain of five
+// operations instead of Horner's ten, which bounds this leaf's throughput.
+inline __m256 poly5(__m256 y, float c0, float c1, float c2, float c3, float c4,
+                    float c5) {
+  const auto lin = [y](float a, float b) {
+    return _mm256_add_ps(_mm256_set1_ps(a),
+                         _mm256_mul_ps(_mm256_set1_ps(b), y));
+  };
+  const __m256 y2 = _mm256_mul_ps(y, y);
+  const __m256 y4 = _mm256_mul_ps(y2, y2);
+  return _mm256_add_ps(_mm256_add_ps(lin(c0, c1), _mm256_mul_ps(y2, lin(c2, c3))),
+                       _mm256_mul_ps(y4, lin(c4, c5)));
 }
 
 // Lanes of v within `margin` of a half-integer (all-ones), else zero. The
-// fraction v - floor(v) is exact, or off by an ulp of 1 for v in (-1/2, 0).
-inline __m256d near_half(__m256d v, __m256d margin) {
-  const __m256d frac = _mm256_sub_pd(v, _mm256_floor_pd(v));
-  const __m256d d = _mm256_andnot_pd(_mm256_set1_pd(-0.0),
-                                     _mm256_sub_pd(frac, _mm256_set1_pd(0.5)));
-  return _mm256_cmp_pd(d, margin, _CMP_LE_OQ);
+// fraction v - floor(v) is exact, or off by an ulp of 1 for v in (-1, 0).
+inline __m256 near_half(__m256 v, __m256 margin) {
+  const __m256 frac = _mm256_sub_ps(v, _mm256_floor_ps(v));
+  const __m256 d = _mm256_andnot_ps(_mm256_set1_ps(-0.0f),
+                                    _mm256_sub_ps(frac, _mm256_set1_ps(0.5f)));
+  return _mm256_cmp_ps(d, margin, _CMP_LE_OQ);
 }
 
-// round_shift of four values whose distance from every half-integer
+// round_shift of eight values whose distance from every half-integer
 // exceeds the approximation error: clamp to +-limit, round to nearest
 // (ties cannot occur, so nearest-even agrees with lround), truncate.
-inline __m128i round_clamped(__m256d v, __m256d limit) {
-  const __m256d c = _mm256_min_pd(_mm256_max_pd(v, _mm256_sub_pd(
-                                                       _mm256_setzero_pd(), limit)),
-                                  limit);
-  return _mm256_cvttpd_epi32(
-      _mm256_round_pd(c, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+inline __m256i round_clamped(__m256 v, __m256 limit) {
+  const __m256 c = _mm256_min_ps(
+      _mm256_max_ps(v, _mm256_sub_ps(_mm256_setzero_ps(), limit)), limit);
+  return _mm256_cvttps_epi32(
+      _mm256_round_ps(c, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
 }
 
-// The shifts of the four pairs at u[0..8) into out[0..8). Returns the lane
-// mask of pairs the caller must recompute with libm.
-inline unsigned gauss_block(const double* u, __m256d sigma, __m256d limit,
-                            std::int32_t* out) {
-  const __m256d one = _mm256_set1_pd(1.0);
+// The u1 and u2 of the four pairs at u[0..8), each in pair order.
+inline void split_pairs(const double* u, __m256d& u1, __m256d& u2) {
   const __m256d a = _mm256_loadu_pd(u);
   const __m256d b = _mm256_loadu_pd(u + 4);
-  const __m256d u1 = _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0xD8);
-  const __m256d u2 = _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0xD8);
+  u1 = _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0xD8);
+  u2 = _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0xD8);
+}
 
-  // r = sqrt(-2 ln u1).
+// The exact double range reduction of four u1 = 2^e * m (num = m - 1,
+// den = m + 1, rounded to float afterwards), and the four u2 in float.
+struct Reduced {
+  __m128 num, den, e, u2;
+};
+
+inline Reduced reduce(__m256d u1, __m256d u2) {
+  const __m256d one = _mm256_set1_pd(1.0);
   const __m256i bits = _mm256_castpd_si256(u1);
   __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
       _mm256_and_si256(bits, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
@@ -565,77 +589,79 @@ inline unsigned gauss_block(const double* u, __m256d sigma, __m256d limit,
   const __m256d e = _mm256_add_pd(
       _mm256_sub_pd(biased, _mm256_set1_pd(0x1p52 + 1023.0)),
       _mm256_and_pd(high, one));
-  const __m256d s =
-      _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
-  const __m256d s2 = _mm256_mul_pd(s, s);
-  __m256d p = _mm256_set1_pd(1.0 / 19);
-  p = horner(s2, p, 1.0 / 17);
-  p = horner(s2, p, 1.0 / 15);
-  p = horner(s2, p, 1.0 / 13);
-  p = horner(s2, p, 1.0 / 11);
-  p = horner(s2, p, 1.0 / 9);
-  p = horner(s2, p, 1.0 / 7);
-  p = horner(s2, p, 1.0 / 5);
-  p = horner(s2, p, 1.0 / 3);
-  p = horner(s2, p, 1.0);
-  const __m256d ln_u1 =
-      _mm256_add_pd(_mm256_mul_pd(e, _mm256_set1_pd(std::numbers::ln2)),
-                    _mm256_mul_pd(_mm256_add_pd(s, s), p));
-  const __m256d r =
-      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln_u1));
+  return {_mm256_cvtpd_ps(_mm256_sub_pd(m, one)),
+          _mm256_cvtpd_ps(_mm256_add_pd(m, one)), _mm256_cvtpd_ps(e),
+          _mm256_cvtpd_ps(u2)};
+}
 
-  // sin and cos of x = 2 pi (u2 - q / 4).
-  const __m256d q = _mm256_round_pd(
-      _mm256_mul_pd(u2, _mm256_set1_pd(4.0)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  const __m256d x = _mm256_mul_pd(
-      _mm256_sub_pd(u2, _mm256_mul_pd(q, _mm256_set1_pd(0.25))),
-      _mm256_set1_pd(2.0 * std::numbers::pi));
-  const __m256d x2 = _mm256_mul_pd(x, x);
-  __m256d ps = _mm256_set1_pd(-1.0 / 1307674368000.0);
-  ps = horner(x2, ps, 1.0 / 6227020800.0);
-  ps = horner(x2, ps, -1.0 / 39916800.0);
-  ps = horner(x2, ps, 1.0 / 362880.0);
-  ps = horner(x2, ps, -1.0 / 5040.0);
-  ps = horner(x2, ps, 1.0 / 120.0);
-  ps = horner(x2, ps, -1.0 / 6.0);
-  ps = horner(x2, ps, 1.0);
-  const __m256d sin_x = _mm256_mul_pd(x, ps);
-  __m256d pc = _mm256_set1_pd(1.0 / 20922789888000.0);
-  pc = horner(x2, pc, -1.0 / 87178291200.0);
-  pc = horner(x2, pc, 1.0 / 479001600.0);
-  pc = horner(x2, pc, -1.0 / 3628800.0);
-  pc = horner(x2, pc, 1.0 / 40320.0);
-  pc = horner(x2, pc, -1.0 / 720.0);
-  pc = horner(x2, pc, 1.0 / 24.0);
-  pc = horner(x2, pc, -1.0 / 2.0);
-  const __m256d cos_x = horner(x2, pc, 1.0);
+inline __m256 join(__m128 lo, __m128 hi) {
+  return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
+}
+
+// The shifts of the eight pairs at u[0..16) into out[0..16). Returns the
+// lane mask of pairs the caller must recompute with libm.
+inline unsigned gauss_block(const double* u, __m256 sigma, __m256 limit,
+                            std::int32_t* out) {
+  __m256d u1a, u2a, u1b, u2b;
+  split_pairs(u, u1a, u2a);
+  split_pairs(u + 8, u1b, u2b);
+  const Reduced ra = reduce(u1a, u2a);
+  const Reduced rb = reduce(u1b, u2b);
+
+  // r = sqrt(-2 ln u1).
+  const __m256 s = _mm256_div_ps(join(ra.num, rb.num), join(ra.den, rb.den));
+  const __m256 s2 = _mm256_mul_ps(s, s);
+  const __m256 p =
+      poly5(s2, 1.0f, 1.0f / 3, 1.0f / 5, 1.0f / 7, 1.0f / 9, 1.0f / 11);
+  const __m256 ln_u1 = _mm256_add_ps(
+      _mm256_mul_ps(join(ra.e, rb.e), _mm256_set1_ps(std::numbers::ln2_v<float>)),
+      _mm256_mul_ps(_mm256_add_ps(s, s), p));
+  const __m256 r = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0f), ln_u1));
+
+  // sin and cos of x = 2 pi f, u2 = q / 4 + f.
+  const __m256 u2 = join(ra.u2, rb.u2);
+  const __m256 q = _mm256_round_ps(_mm256_mul_ps(u2, _mm256_set1_ps(4.0f)),
+                                   _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  const __m256 f = _mm256_sub_ps(u2, _mm256_mul_ps(q, _mm256_set1_ps(0.25f)));
+  const __m256 x =
+      _mm256_mul_ps(f, _mm256_set1_ps(2.0f * std::numbers::pi_v<float>));
+  const __m256 x2 = _mm256_mul_ps(x, x);
+  const __m256 sin_x = _mm256_mul_ps(
+      x, poly5(x2, 1.0f, -1.0f / 6, 1.0f / 120, -1.0f / 5040, 1.0f / 362880,
+               0.0f));
+  const __m256 cos_x = poly5(x2, 1.0f, -1.0f / 2, 1.0f / 24, -1.0f / 720,
+                             1.0f / 40320, -1.0f / 3628800);
   // theta = q pi/2 + x: odd quadrants swap sin and cos; cos theta is
   // negated in quadrants 1 and 2 (bit 1 of q + 1), sin theta in 2 and 3
   // (bit 1 of q). q = 4 is quadrant 0.
-  const __m256i qi = _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(q));
-  const __m256d odd = _mm256_castsi256_pd(_mm256_slli_epi64(qi, 63));
-  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
-  const __m256d cos_sign = _mm256_castsi256_pd(_mm256_and_si256(
-      _mm256_slli_epi64(_mm256_add_epi64(qi, _mm256_set1_epi64x(1)), 62), sign));
-  const __m256d sin_sign =
-      _mm256_castsi256_pd(_mm256_and_si256(_mm256_slli_epi64(qi, 62), sign));
-  const __m256d cos_t =
-      _mm256_xor_pd(_mm256_blendv_pd(cos_x, sin_x, odd), cos_sign);
-  const __m256d sin_t =
-      _mm256_xor_pd(_mm256_blendv_pd(sin_x, cos_x, odd), sin_sign);
+  const __m256i qi = _mm256_cvttps_epi32(q);
+  const __m256 odd = _mm256_castsi256_ps(_mm256_slli_epi32(qi, 31));
+  const __m256i sign = _mm256_set1_epi32(static_cast<int>(0x80000000u));
+  const __m256 cos_sign = _mm256_castsi256_ps(_mm256_and_si256(
+      _mm256_slli_epi32(_mm256_add_epi32(qi, _mm256_set1_epi32(1)), 30), sign));
+  const __m256 sin_sign =
+      _mm256_castsi256_ps(_mm256_and_si256(_mm256_slli_epi32(qi, 30), sign));
+  const __m256 cos_t =
+      _mm256_xor_ps(_mm256_blendv_ps(cos_x, sin_x, odd), cos_sign);
+  const __m256 sin_t =
+      _mm256_xor_ps(_mm256_blendv_ps(sin_x, cos_x, odd), sin_sign);
 
-  const __m256d vc = _mm256_mul_pd(sigma, _mm256_mul_pd(r, cos_t));
-  const __m256d vs = _mm256_mul_pd(sigma, _mm256_mul_pd(r, sin_t));
-  const __m256d margin = _mm256_mul_pd(
-      _mm256_set1_pd(kGaussMargin), _mm256_add_pd(one, _mm256_mul_pd(sigma, r)));
-  const __m128i ic = round_clamped(vc, limit);
-  const __m128i is = round_clamped(vs, limit);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm_unpacklo_epi32(ic, is));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4),
-                   _mm_unpackhi_epi32(ic, is));
-  return static_cast<unsigned>(_mm256_movemask_pd(
-      _mm256_or_pd(near_half(vc, margin), near_half(vs, margin))));
+  const __m256 sr = _mm256_mul_ps(sigma, r);
+  const __m256 vc = _mm256_mul_ps(sr, cos_t);
+  const __m256 vs = _mm256_mul_ps(sr, sin_t);
+  const __m256 margin = _mm256_mul_ps(
+      _mm256_set1_ps(kGaussMargin), _mm256_add_ps(_mm256_set1_ps(1.0f), sr));
+  const __m256i ic = round_clamped(vc, limit);
+  const __m256i is = round_clamped(vs, limit);
+  // Interleave (cos, sin) per pair back into pair order.
+  const __m256i lo = _mm256_unpacklo_epi32(ic, is);  // pairs 0, 1 | 4, 5
+  const __m256i hi = _mm256_unpackhi_epi32(ic, is);  // pairs 2, 3 | 6, 7
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permute2x128_si256(lo, hi, 0x20));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8),
+                      _mm256_permute2x128_si256(lo, hi, 0x31));
+  return static_cast<unsigned>(_mm256_movemask_ps(
+      _mm256_or_ps(near_half(vc, margin), near_half(vs, margin))));
 }
 
 // Recomputes the flagged pairs of the block at pair `first` with libm.
@@ -649,10 +675,13 @@ inline void recompute_pairs(unsigned near, const GaussShiftCtx& ctx,
 }
 
 void av_gauss_shifts(const GaussShiftCtx& ctx) {
-  const __m256d sigma = _mm256_set1_pd(ctx.sigma);
-  const __m256d limit = _mm256_set1_pd(static_cast<double>(ctx.limit));
+  if (!(ctx.sigma <= kGaussMaxSigma)) {
+    return sc_gauss_shifts(ctx);
+  }
+  const __m256 sigma = _mm256_set1_ps(static_cast<float>(ctx.sigma));
+  const __m256 limit = _mm256_set1_ps(static_cast<float>(ctx.limit));
   std::size_t i = 0;
-  for (; i + 4 <= ctx.pairs; i += 4) {
+  for (; i + 8 <= ctx.pairs; i += 8) {
     recompute_pairs(gauss_block(ctx.u + 2 * i, sigma, limit, ctx.out + 2 * i),
                     ctx, i);
   }
@@ -660,8 +689,9 @@ void av_gauss_shifts(const GaussShiftCtx& ctx) {
     // The last partial block runs padded with (1/2, 1/2) pairs; only the
     // real pairs' shifts and recomputes are kept.
     const std::size_t rest = ctx.pairs - i;
-    alignas(32) double u[8] = {0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5};
-    alignas(16) std::int32_t out[8];
+    alignas(32) double u[16];
+    alignas(32) std::int32_t out[16];
+    std::fill(u, u + 16, 0.5);
     std::memcpy(u, ctx.u + 2 * i, 2 * rest * sizeof(double));
     const unsigned near = gauss_block(u, sigma, limit, out);
     std::memcpy(ctx.out + 2 * i, out, 2 * rest * sizeof(std::int32_t));
@@ -671,7 +701,7 @@ void av_gauss_shifts(const GaussShiftCtx& ctx) {
 
 }  // namespace
 
-const KernelDispatch kAvx2Table = [] {
+constinit const KernelDispatch kAvx2Table = [] {
   KernelDispatch t;
   t.isa = "avx2";
   t.features = cpu::kAvx2;

@@ -23,11 +23,16 @@ void sc_gauss_pair(double u1, double u2, double sigma, std::int32_t limit,
 
 extern const KernelDispatch kScalarTable;
 
-// Defined in kernels_avx2.cpp, which CMake compiles with -mavx2 only on
-// toolchains that support it; the define keeps dispatch.cpp (built without
-// that flag) from referencing a table that was never built.
+// Defined in kernels_avx2.cpp and kernels_avx512.cpp, which CMake compiles
+// with -mavx2 and -mavx512f only on toolchains that support them; the
+// defines keep dispatch.cpp (built without those flags) from referencing a
+// table that was never built. kAvx2Table is constant-initialized, so the
+// avx512 table can copy it during dynamic initialization.
 #if defined(TSNN_SIMD_AVX2)
 extern const KernelDispatch kAvx2Table;
+#endif
+#if defined(TSNN_SIMD_AVX512)
+extern const KernelDispatch kAvx512Table;
 #endif
 
 }  // namespace tsnn::simd

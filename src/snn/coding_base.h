@@ -176,8 +176,10 @@ class CodingScheme {
 using CodingSchemePtr = std::unique_ptr<CodingScheme>;
 
 /// Propagates step `t` of `in` through `syn` at uniform magnitude `m` --
-/// the shared hot-path shape of rate/phase/TTFS/TTAS inner loops, where the
-/// PSC magnitude depends on the timestep but not on the individual spike.
+/// the shared hot-path shape of the rate/phase layer loops and of the
+/// rate/phase/TTFS/TTAS readouts, where the PSC magnitude depends on the
+/// timestep but not on the individual spike. (TTFS/TTAS hidden layers
+/// charge a whole train at once: SynapseTopology::propagate_train.)
 /// `batch` is caller-owned scratch (reused across steps so the per-step
 /// assembly allocates only on growth); must not be shared across threads.
 /// Writes `u` in the topology's accumulator layout (propagate_accum) --

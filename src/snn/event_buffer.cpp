@@ -176,32 +176,34 @@ void EventBuffer::shift_times(const std::int32_t* shifts,
                               EventSortScratch& scratch) {
   check_finalized();
   // Event i of step t lands on t + clamp(shifts[i], -t, last - t), which
-  // is clamp(t + shifts[i], 0, last) without leaving int32. Both passes
-  // recompute it: one counts the destination steps, one scatters the ids
-  // stably, in stream order.
+  // is clamp(t + shifts[i], 0, last) without leaving int32. One pass
+  // computes it once per event and counts the steps; one scatters the ids
+  // stably, in stream order, from the stored steps.
   const auto last = static_cast<std::int32_t>(window_ - 1);
-  const std::uint32_t* off = offsets_.data();
-  const auto for_each_event = [&](auto&& visit) {
-    for (std::size_t t = 0; t < window_; ++t) {
-      const auto ti = static_cast<std::int32_t>(t);
-      const std::uint32_t end = off[t + 1];
-      for (std::uint32_t i = off[t]; i < end; ++i) {
-        visit(i, static_cast<std::size_t>(
-                     ti + std::clamp(shifts[i], -ti, last - ti)));
-      }
-    }
-  };
+  const std::size_t n = neurons_.size();
+  scratch.dest.resize(n);
   scratch.cursor.assign(window_ + 1, 0);
+  std::uint32_t* dest = scratch.dest.data();
   std::uint32_t* cursor = scratch.cursor.data();
-  for_each_event([&](std::uint32_t, std::size_t d) { ++cursor[d + 1]; });
+  for (std::size_t t = 0; t < window_; ++t) {
+    const auto ti = static_cast<std::int32_t>(t);
+    const std::uint32_t end = offsets_[t + 1];
+    for (std::uint32_t i = offsets_[t]; i < end; ++i) {
+      const auto d =
+          static_cast<std::uint32_t>(ti + std::clamp(shifts[i], -ti, last - ti));
+      dest[i] = d;
+      ++cursor[d + 1];
+    }
+  }
   for (std::size_t t = 0; t < window_; ++t) {
     cursor[t + 1] += cursor[t];
   }
-  scratch.neurons.resize(neurons_.size());
+  scratch.neurons.resize(n);
   std::uint32_t* out = scratch.neurons.data();
   const std::uint32_t* ids = neurons_.data();
-  for_each_event(
-      [&](std::uint32_t i, std::size_t d) { out[cursor[d]++] = ids[i]; });
+  for (std::size_t i = 0; i < n; ++i) {
+    out[cursor[dest[i]]++] = ids[i];
+  }
   // The scatter left each step's end in its cursor.
   std::copy(cursor, cursor + window_, offsets_.begin() + 1);
   neurons_.swap(scratch.neurons);

@@ -63,6 +63,7 @@ struct EventSortScratch {
   aligned_vector<std::uint8_t> keep;       ///< remove_by_mask() staging
   aligned_vector<double> uniforms;         ///< jitter's Box-Muller uniforms
   aligned_vector<std::int32_t> shifts;     ///< shift_times() staging
+  aligned_vector<std::uint32_t> dest;      ///< shift_times() destination steps
 };
 
 /// Flat spike train: time-major neuron ids with per-step CSR offsets.
@@ -166,6 +167,14 @@ class EventBuffer {
   /// Flat view of the ids (time-major once finalized).
   const std::uint32_t* neurons() const { return neurons_.data(); }
 
+  /// The per-step offset table (window() + 1 entries): step t's events are
+  /// neurons()[offsets()[t] .. offsets()[t + 1]). Requires a finalized
+  /// buffer.
+  const std::uint32_t* offsets() const {
+    check_finalized();
+    return offsets_.data();
+  }
+
   /// In-place compaction: keeps exactly the events for which
   /// `keep(time, neuron)` returns true, visiting events in time-major
   /// emission order (the RNG draw-order contract). Stays finalized.
@@ -201,8 +210,9 @@ class EventBuffer {
   /// (size() entries) moves to step clamp(t_i + shifts[i], 0, window - 1),
   /// then the buffer re-buckets. Events that land in the same step keep
   /// their stream order (stable), matching the historical jitter semantics
-  /// of appending to raster buckets in draw order. One pass clamps and
-  /// counts, one scatters the ids. Stays finalized.
+  /// of appending to raster buckets in draw order. One pass computes each
+  /// event's destination once (into scratch.dest) and counts the steps,
+  /// one scatters the ids from the stored steps. Stays finalized.
   void shift_times(const std::int32_t* shifts, EventSortScratch& scratch);
 
   /// Conversion bridges to the reporting type.

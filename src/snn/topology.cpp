@@ -26,42 +26,68 @@ GatherScratch& gather_scratch(std::size_t n) {
   return g;
 }
 
-/// Largest presynaptic id of a batch (0 if empty): the one reduction a
-/// batch's range check costs.
-std::uint32_t max_pre(const SpikeBatch& batch) {
-  const std::uint32_t* pre = batch.pre();
+/// Largest of ids[0..n) (0 if n == 0): the one reduction a batch's or a
+/// train's range check costs.
+std::uint32_t max_id(const std::uint32_t* ids, std::size_t n) {
   std::uint32_t top = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    top = std::max(top, pre[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    top = std::max(top, ids[i]);
   }
   return top;
 }
 
-/// Throws for the first out-of-range id of a batch max_pre() rejected.
-[[gnu::noinline, gnu::cold]] void report_batch_bounds(const SpikeBatch& batch,
-                                                      std::size_t in_size) {
-  const std::uint32_t* pre = batch.pre();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    TSNN_CHECK_MSG(pre[i] < in_size,
-                   "pre neuron " << pre[i] << " out of range " << in_size);
+/// Throws for the first out-of-range id of ids[0..n) max_id() rejected.
+[[gnu::noinline, gnu::cold]] void report_bounds(const std::uint32_t* ids,
+                                                std::size_t n,
+                                                std::size_t in_size) {
+  for (std::size_t i = 0; i < n; ++i) {
+    TSNN_CHECK_MSG(ids[i] < in_size,
+                   "pre neuron " << ids[i] << " out of range " << in_size);
   }
 }
 
-/// PoolTopology's twin of report_batch_bounds(), with its own message.
-[[gnu::noinline, gnu::cold]] void report_pool_bounds(const SpikeBatch& batch,
+/// PoolTopology's twin of report_bounds(), with its own message.
+[[gnu::noinline, gnu::cold]] void report_pool_bounds(const std::uint32_t* ids,
+                                                     std::size_t n,
                                                      std::size_t in_size) {
-  const std::uint32_t* pre = batch.pre();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    TSNN_CHECK_MSG(pre[i] < in_size, "pre neuron out of range");
+  for (std::size_t i = 0; i < n; ++i) {
+    TSNN_CHECK_MSG(ids[i] < in_size, "pre neuron out of range");
   }
 }
 
-/// Bounds-validates a batch once up front, in one reduction, so the kernel
-/// leaf functions (simd/kernels.h) run branch-free over trusted indices.
-void check_batch_bounds(const SpikeBatch& batch, std::size_t in_size) {
-  if (max_pre(batch) >= in_size) [[unlikely]] {
-    report_batch_bounds(batch, in_size);
+/// Bounds-validates ids[0..n) once up front, in one reduction, so the
+/// kernel leaf functions (simd/kernels.h) run branch-free over trusted
+/// indices.
+void check_bounds(const std::uint32_t* ids, std::size_t n,
+                  std::size_t in_size) {
+  if (max_id(ids, n) >= in_size) [[unlikely]] {
+    report_bounds(ids, n, in_size);
   }
+}
+
+/// The events of a train, from its first step's start to its last step's
+/// end.
+struct TrainEvents {
+  const std::uint32_t* ids;
+  std::size_t count;
+};
+
+TrainEvents train_events(const TrainView& train) {
+  const std::uint32_t begin = train.offsets[0];
+  return {train.ids + begin, train.offsets[train.steps] - begin};
+}
+
+/// Per-event magnitudes of a train, indexed like its ids: mag[t] for every
+/// event of step t (the kernels take one magnitude per spike). A
+/// thread-local, grow-only buffer, so a warm thread allocates nothing.
+const float* event_magnitudes(const TrainView& train, const float* mag) {
+  thread_local aligned_vector<float> m;
+  const std::uint32_t* off = train.offsets;
+  m.resize(off[train.steps]);
+  for (std::size_t t = 0; t < train.steps; ++t) {
+    std::fill(m.begin() + off[t], m.begin() + off[t + 1], mag[t]);
+  }
+  return m.data();
 }
 
 }  // namespace
@@ -152,7 +178,7 @@ void DenseTopology::propagate_accum(const SpikeBatch& batch,
   }
   const std::size_t out = weight_.dim(0);
   const std::size_t in = weight_.dim(1);
-  check_batch_bounds(batch, in);
+  check_bounds(batch.pre(), batch.size(), in);
   simd::DenseScatterCtx ctx;
   ctx.wt = transposed();
   ctx.pre = batch.pre();
@@ -161,6 +187,30 @@ void DenseTopology::propagate_accum(const SpikeBatch& batch,
   ctx.out = out;
   ctx.u = u;
   simd::kernels().dense_scatter(ctx);
+}
+
+void DenseTopology::propagate_train(const TrainView& train, const float* mag,
+                                    float* u) const {
+  const TrainEvents events = train_events(train);
+  if (events.count == 0) {
+    return;
+  }
+  check_bounds(events.ids, events.count, weight_.dim(1));
+  const float* mags = event_magnitudes(train, mag);
+  const auto scatter = simd::kernels().dense_scatter;
+  simd::DenseScatterCtx ctx;
+  ctx.wt = transposed();
+  ctx.out = weight_.dim(0);
+  ctx.u = u;
+  for (std::size_t t = 0; t < train.steps; ++t) {
+    const std::uint32_t begin = train.offsets[t];
+    ctx.count = train.offsets[t + 1] - begin;
+    if (ctx.count != 0) {
+      ctx.pre = train.ids + begin;
+      ctx.mag = mags + begin;
+      scatter(ctx);
+    }
+  }
 }
 
 void DenseTopology::apply_dense(const float* x, float* y) const {
@@ -331,14 +381,9 @@ void ConvTopology::invalidate_cache() {
   cache_ready_.store(false, std::memory_order_release);
 }
 
-void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
-  if (batch.empty()) {
-    return;
-  }
-  check_batch_bounds(batch, in_size());
-  const std::uint32_t* pre = batch.pre();
-  const float* mag = batch.magnitude();
-  std::size_t count = batch.size();
+void ConvTopology::run_taps(simd::ConvTapCtx& ctx, TapLeaf leaf,
+                            const std::uint32_t* pre, const float* mag,
+                            std::size_t count) const {
   if (count >= canonical_threshold()) {
     // Canonical order: sum each neuron's magnitudes in batch order, then
     // emit the neurons ascending, so each slot adds its products in
@@ -362,14 +407,18 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
   // Each accumulator slot is touched at most once per spike, and spikes
   // run in order, so per-slot addition order is spike order on every
   // table -- the conv_taps kernel contract in simd/kernels.h.
+  ctx.pre = pre;
+  ctx.mag = mag;
+  ctx.count = count;
+  leaf(ctx);
+}
+
+simd::ConvTapCtx ConvTopology::taps_ctx(float* u) const {
   const PropagateCache& c = cache();
   simd::ConvTapCtx ctx;
   ctx.wt = c.weight_acc.data();
   ctx.tap_offset = c.tap_offset.data();
   ctx.taps = c.taps.data();
-  ctx.pre = pre;
-  ctx.mag = mag;
-  ctx.count = count;
   ctx.in_hw = in_h_ * in_w_;
   ctx.k2 = kernel_ * kernel_;
   ctx.oc = out_ch_;
@@ -378,7 +427,36 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
     ctx.in_h = in_h_;
   }
   ctx.u = u;
-  simd::kernels().conv_taps(ctx);
+  return ctx;
+}
+
+void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
+  if (batch.empty()) {
+    return;
+  }
+  check_bounds(batch.pre(), batch.size(), in_size());
+  simd::ConvTapCtx ctx = taps_ctx(u);
+  run_taps(ctx, simd::kernels().conv_taps, batch.pre(), batch.magnitude(),
+           batch.size());
+}
+
+void ConvTopology::propagate_train(const TrainView& train, const float* mag,
+                                   float* u) const {
+  const TrainEvents events = train_events(train);
+  if (events.count == 0) {
+    return;
+  }
+  check_bounds(events.ids, events.count, in_size());
+  const float* mags = event_magnitudes(train, mag);
+  simd::ConvTapCtx ctx = taps_ctx(u);
+  const TapLeaf leaf = simd::kernels().conv_taps;
+  for (std::size_t t = 0; t < train.steps; ++t) {
+    const std::uint32_t begin = train.offsets[t];
+    const std::size_t count = train.offsets[t + 1] - begin;
+    if (count != 0) {
+      run_taps(ctx, leaf, train.ids + begin, mags + begin, count);
+    }
+  }
 }
 
 void ConvTopology::apply_dense(const float* x, float* y) const {
@@ -518,8 +596,8 @@ const std::uint32_t* PoolTopology::post_map() const {
 void PoolTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
   // Pool fan-out is O(1) per spike; batching removes the virtual dispatch
   // and div/mod, and the range check is one reduction per batch.
-  if (max_pre(batch) >= in_size()) [[unlikely]] {
-    report_pool_bounds(batch, in_size());
+  if (max_id(batch.pre(), batch.size()) >= in_size()) [[unlikely]] {
+    report_pool_bounds(batch.pre(), batch.size(), in_size());
   }
   const std::uint32_t* pre = batch.pre();
   const std::uint32_t* post = post_map();
@@ -527,6 +605,22 @@ void PoolTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
   const float* mag = batch.magnitude();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     u[post[pre[i]]] += mag[i] * w;
+  }
+}
+
+void PoolTopology::propagate_train(const TrainView& train, const float* mag,
+                                   float* u) const {
+  const TrainEvents events = train_events(train);
+  if (max_id(events.ids, events.count) >= in_size()) [[unlikely]] {
+    report_pool_bounds(events.ids, events.count, in_size());
+  }
+  const std::uint32_t* post = post_map();
+  const float w = weight_;
+  for (std::size_t t = 0; t < train.steps; ++t) {
+    const float m = mag[t];
+    for (std::uint32_t i = train.offsets[t]; i < train.offsets[t + 1]; ++i) {
+      u[post[train.ids[i]]] += m * w;
+    }
   }
 }
 

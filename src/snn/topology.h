@@ -7,13 +7,14 @@
 // simulator is topology-agnostic and event-driven (cost scales with spike
 // count, not layer size).
 //
-// Two entry points exist: accumulate() applies a single spike and is the
-// readable reference implementation; propagate_accum(), the one batched
-// entry point, applies one timestep's whole SpikeBatch at once through
-// cache-resident kernels (transposed weights for dense, precomputed tap
-// tables for conv, a pre->post map for pooling) and is what the coding
-// schemes' hot loops call. See docs/ARCHITECTURE.md "Hot path & batched
-// propagation".
+// Three entry points exist: accumulate() applies a single spike and is the
+// readable reference implementation; propagate_accum() applies one
+// timestep's whole SpikeBatch at once through cache-resident kernels
+// (transposed weights for dense, precomputed tap tables for conv, a
+// pre->post map for pooling) and is what the per-step hot loops call; and
+// propagate_train() applies a whole time-major train, step after step, for
+// the barrier stages (TTFS/TTAS) that charge their full input window in one
+// call. See docs/ARCHITECTURE.md "Hot path & batched propagation".
 #pragma once
 
 #include <algorithm>
@@ -73,6 +74,14 @@ class SpikeBatch {
   std::vector<float> mag_;
 };
 
+/// A time-major spike train in CSR form (an EventBuffer's storage): the
+/// spikes of step t are ids[offsets[t] .. offsets[t + 1]).
+struct TrainView {
+  const std::uint32_t* ids = nullptr;
+  const std::uint32_t* offsets = nullptr;  ///< steps + 1 entries
+  std::size_t steps = 0;
+};
+
 /// Layout of a topology's *internal* potential accumulator, used by the
 /// propagate_accum() hot path: `rows` channels x `cols` positions, with
 /// canonical postsynaptic neuron j = c*cols + s at accumulator slot
@@ -114,6 +123,15 @@ class SynapseTopology {
   /// ConvTopology runs a batch of canonical_threshold() spikes or more in
   /// ascending neuron order instead (see there).
   virtual void propagate_accum(const SpikeBatch& batch, float* u) const = 0;
+
+  /// A whole train at per-step magnitudes: step t's spikes, each at
+  /// magnitude mag[t], for t = 0 .. steps - 1. Slot for slot it adds what
+  /// propagate_accum() of each step's batch (its ids at uniform magnitude
+  /// mag[t]) adds, step after step -- bit for bit, the canonical order
+  /// included -- with the bounds check, the caches and the kernel table
+  /// resolved once.
+  virtual void propagate_train(const TrainView& train, const float* mag,
+                               float* u) const = 0;
 
   /// Dense reference: y += W x. Used by tests and the activation-transport
   /// analysis; must agree with accumulate() summed over inputs.
@@ -182,6 +200,8 @@ class DenseTopology : public SynapseTopology {
   std::size_t out_size() const override { return weight_.dim(0); }
   void accumulate(std::size_t pre, float m, float* u) const override;
   void propagate_accum(const SpikeBatch& batch, float* u) const override;
+  void propagate_train(const TrainView& train, const float* mag,
+                       float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override;
   void map_weights(const std::function<float(float)>& f) override;
@@ -226,6 +246,10 @@ class ConvTopology : public SynapseTopology {
   /// the pinned outputs were produced in. A smaller batch runs in batch
   /// order. Either way it is one conv_taps call.
   void propagate_accum(const SpikeBatch& batch, float* u) const override;
+  /// Decides the canonical order step by step, as propagate_accum() does
+  /// for each step's batch.
+  void propagate_train(const TrainView& train, const float* mag,
+                       float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override;
   void map_weights(const std::function<float(float)>& f) override;
@@ -264,6 +288,15 @@ class ConvTopology : public SynapseTopology {
   };
   const PropagateCache& cache() const;
   void invalidate_cache();
+  using TapLeaf = void (*)(const simd::ConvTapCtx&);
+  /// The conv_taps context of this layer into `u`, with the cache
+  /// resolved; the spikes are left to run_taps().
+  simd::ConvTapCtx taps_ctx(float* u) const;
+  /// One `leaf` call over `count` bounds-checked spikes, in the canonical
+  /// order when count >= canonical_threshold() -- the body of
+  /// propagate_accum() and of each propagate_train() step.
+  void run_taps(simd::ConvTapCtx& ctx, TapLeaf leaf, const std::uint32_t* pre,
+                const float* mag, std::size_t count) const;
 
   WeightBlock weight_;
   std::size_t in_ch_, in_h_, in_w_;
@@ -289,6 +322,8 @@ class PoolTopology : public SynapseTopology {
   std::size_t out_size() const override { return channels_ * out_h_ * out_w_; }
   void accumulate(std::size_t pre, float m, float* u) const override;
   void propagate_accum(const SpikeBatch& batch, float* u) const override;
+  void propagate_train(const TrainView& train, const float* mag,
+                       float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override { weight_ *= c; }
   void map_weights(const std::function<float(float)>& f) override {

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "coding/burst.h"
@@ -184,6 +185,121 @@ TEST(TtfsScheme, EncodeTimeIsLogarithmic) {
   EXPECT_EQ(scheme->encode_time(scheme->min_activation() * 0.5f), -1);
   // Above 1 saturates at slot 0.
   EXPECT_EQ(scheme->encode_time(1.5f), 0);
+}
+
+/// The float expressions the spike-time tables stand for: the encoder's
+/// clamp(lroundf(-tau logf(a)), 0, T-1) above min_activation(), and the
+/// fire phase's clamp(lroundf(tau logf(theta / u)), 0, T-1) above the
+/// floor theta * min_activation(); -1 below either.
+std::int64_t clamp_time(long t, std::size_t window) {
+  return std::clamp<std::int64_t>(t, 0, static_cast<std::int64_t>(window) - 1);
+}
+
+std::int64_t encode_time_expr(const TtfsScheme& s, float a) {
+  if (a < s.min_activation()) {
+    return -1;
+  }
+  const float tau = s.params().tau;
+  return clamp_time(std::lround(-tau * std::log(std::max(a, 1e-20f))),
+                    s.params().window);
+}
+
+std::int64_t fire_time_expr(const TtfsScheme& s, float u) {
+  const float theta = s.params().threshold;
+  if (!(u >= theta * s.min_activation())) {
+    return -1;
+  }
+  const float tau = s.params().tau;
+  return clamp_time(std::lround(tau * std::log(theta / u)), s.params().window);
+}
+
+float step_floats(float x, std::int32_t n) {
+  return std::bit_cast<float>(std::bit_cast<std::int32_t>(x) + n);
+}
+
+// Every float within 64 ulps (and well past: 256) of each rounding boundary
+// k + 1/2 of both expressions, then a million random floats, at (tau,
+// theta, T) = (3, 0.8, 64) and at tau = 2, 4, 6, 8: the tables give the
+// expressions' integers. The boundaries are located in double; the float
+// expressions cross within a few ulps of them.
+TEST(TtfsScheme, FireAndEncodeTimesEqualTheFloatExpressions) {
+  for (const float tau : {3.0f, 2.0f, 4.0f, 6.0f, 8.0f}) {
+    CodingParams params = default_params(Coding::kTtfs);
+    params.tau = tau;
+    params.threshold = 0.8f;
+    params.window = 64;
+    const TtfsScheme scheme(params);
+    std::size_t checked = 0;
+    for (int k = 0; k + 1 < 64; ++k) {
+      const double x = std::exp(-(k + 0.5) / tau);
+      const auto a0 = static_cast<float>(x);
+      const auto u0 = static_cast<float>(0.8 * x);
+      for (std::int32_t d = -256; d <= 256; ++d) {
+        const float a = step_floats(a0, d);
+        const float u = step_floats(u0, d);
+        ASSERT_EQ(scheme.encode_time(a), encode_time_expr(scheme, a))
+            << "tau " << tau << " boundary " << k << " a " << a;
+        ASSERT_EQ(scheme.fire_time(u), fire_time_expr(scheme, u))
+            << "tau " << tau << " boundary " << k << " u " << u;
+        ++checked;
+      }
+    }
+    EXPECT_EQ(checked, 63u * 513u);
+    Rng rng(static_cast<std::uint64_t>(tau * 1000));
+    for (int i = 0; i < 1000000; ++i) {
+      // Uniform in [0, 1.25), and uniform over the bit patterns of the
+      // positive floats below 4 (every binade equally).
+      const auto a = static_cast<float>(rng.uniform(0.0, 1.25));
+      const float b = std::bit_cast<float>(static_cast<std::int32_t>(
+          rng.uniform_index(static_cast<std::uint64_t>(
+              std::bit_cast<std::int32_t>(4.0f)))));
+      for (const float x : {a, b}) {
+        ASSERT_EQ(scheme.encode_time(x), encode_time_expr(scheme, x))
+            << "tau " << tau << " a " << x;
+        ASSERT_EQ(scheme.fire_time(x), fire_time_expr(scheme, x))
+            << "tau " << tau << " u " << x;
+      }
+    }
+  }
+}
+
+// A tau small enough that the floor theta * exp(-(T-1)/tau) underflows to
+// 0: theta / u overflows for tiny potentials and the fire time wraps to 0
+// there, which the table leaves to the expression.
+TEST(TtfsScheme, SpikeTimesWithAnUnderflowingFloor) {
+  CodingParams params = default_params(Coding::kTtfs);
+  params.tau = 0.25f;
+  params.threshold = 0.8f;
+  params.window = 64;
+  const TtfsScheme scheme(params);
+  Rng rng(3);
+  for (int i = 0; i < 200000; ++i) {
+    const float x = std::bit_cast<float>(static_cast<std::int32_t>(
+        rng.uniform_index(static_cast<std::uint64_t>(
+            std::bit_cast<std::int32_t>(4.0f)))));
+    ASSERT_EQ(scheme.encode_time(x), encode_time_expr(scheme, x)) << x;
+    ASSERT_EQ(scheme.fire_time(x), fire_time_expr(scheme, x)) << x;
+  }
+  for (const float x : {0.0f, 1e-45f, 1e-39f, 1e-30f, 1e-20f, 1e-19f}) {
+    EXPECT_EQ(scheme.encode_time(x), encode_time_expr(scheme, x)) << x;
+    EXPECT_EQ(scheme.fire_time(x), fire_time_expr(scheme, x)) << x;
+  }
+}
+
+TEST(TtfsScheme, SpikeTimesOfSpecialFloats) {
+  const TtfsScheme scheme(default_params(Coding::kTtfs));
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float x : {0.0f, -0.0f, -1.0f, -inf, 1e-45f, 1.0f, 1.5f, 3e38f,
+                        inf, scheme.min_activation(),
+                        std::nextafter(scheme.min_activation(), 0.0f)}) {
+    EXPECT_EQ(scheme.encode_time(x), encode_time_expr(scheme, x)) << x;
+    EXPECT_EQ(scheme.fire_time(x), fire_time_expr(scheme, x)) << x;
+  }
+  // A NaN activation takes the expression (its lround saturates to 0); a
+  // NaN potential never passes the floor scan.
+  EXPECT_EQ(scheme.encode_time(nan), 0);
+  EXPECT_EQ(scheme.fire_time(nan), -1);
 }
 
 TEST(TtfsScheme, OneSpikePerActiveNeuron) {

@@ -241,6 +241,44 @@ TEST(Jitter, HugeSigmaSplitsBetweenBothEnds) {
   }
 }
 
+// The in-place re-bucket against the raster reference on a dense train
+// whose shifts pile events onto both window edges and onto shared steps:
+// sigma 6 over a 16-step window, so every step sends events past step 0
+// and past step 15, on every table.
+TEST(Jitter, InplaceRebucketMatchesRasterWithClampingAtBothEnds) {
+  const std::size_t window = 16;
+  snn::SpikeRaster in(300, window);
+  Rng fill(17);
+  for (std::size_t t = 0; t < window; ++t) {
+    for (std::uint32_t n = 0; n < 300; ++n) {
+      if (fill.bernoulli(0.4)) {
+        in.add(t, n);
+      }
+    }
+  }
+  const JitterNoise noise(6.0);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng_raster(seed);
+    const snn::SpikeRaster want = noise.apply(in, rng_raster);
+    ASSERT_GT(want.at(0).size(), in.at(0).size());
+    ASSERT_GT(want.at(window - 1).size(), in.at(window - 1).size());
+    for (const simd::KernelDispatch* table : simd::runnable_tables()) {
+      const simd::ScopedKernelOverride pin(*table);
+      snn::EventBuffer buf;
+      snn::EventSortScratch scratch;
+      buf.assign_from(in, scratch);
+      Rng rng(seed);
+      noise.apply_inplace(buf, scratch, rng);
+      for (std::size_t t = 0; t < window; ++t) {
+        const snn::EventBuffer::StepSpan span = buf.step(t);
+        EXPECT_EQ(std::vector<std::uint32_t>(span.ids, span.ids + span.count),
+                  want.at(t))
+            << table->isa << " seed " << seed << " step " << t;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The batched draw against the per-call reference: shifts, and the stream
 // afterwards (cache presence, cached value, next raw draw), on every table.

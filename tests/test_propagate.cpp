@@ -17,10 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "simd/kernels.h"
 #include "snn/topology.h"
@@ -449,6 +451,117 @@ TEST_P(PropagateIsa, ScatterBitExactVsScalar) {
           << GetParam()->isa << " batch " << batch.size() << " of "
           << syn->in_size();
     }
+  }
+}
+
+/// A random time-major train over `syn`'s input: `steps` steps of random
+/// sizes (empty ones included, duplicates allowed), one step with the
+/// whole input -- at or above conv's canonical threshold -- and one with
+/// exactly the threshold's count.
+struct RandomTrain {
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<float> mag;  ///< one magnitude per step
+};
+
+RandomTrain random_train(const SynapseTopology& syn, std::size_t steps,
+                         std::uint64_t seed) {
+  const auto* conv = dynamic_cast<const ConvTopology*>(&syn);
+  const std::size_t threshold =
+      conv != nullptr ? conv->canonical_threshold() : syn.in_size();
+  Rng rng(seed);
+  RandomTrain train;
+  for (std::size_t t = 0; t < steps; ++t) {
+    std::size_t count = rng.uniform_index(syn.in_size() / 4 + 2);
+    if (t == 2) {
+      count = syn.in_size();
+    } else if (t == 5) {
+      count = threshold;
+    } else if (t % 4 == 3) {
+      count = 0;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      train.ids.push_back(static_cast<std::uint32_t>(
+          rng.uniform_index(static_cast<std::uint64_t>(syn.in_size()))));
+    }
+    train.offsets.push_back(static_cast<std::uint32_t>(train.ids.size()));
+    train.mag.push_back(static_cast<float>(rng.uniform(0.01, 1.0)));
+  }
+  return train;
+}
+
+/// propagate_train equals, slot for slot with ==, one propagate_accum per
+/// step of the train's batches at their step's magnitude, in step order.
+void expect_train_matches_steps(const SynapseTopology& syn,
+                                std::uint64_t seed) {
+  const RandomTrain train = random_train(syn, 12, seed);
+  std::vector<float> stepped(syn.out_size(), 0.0f);
+  SpikeBatch batch;
+  for (std::size_t t = 0; t + 1 < train.offsets.size(); ++t) {
+    const std::uint32_t begin = train.offsets[t];
+    const std::size_t count = train.offsets[t + 1] - begin;
+    if (count != 0) {
+      batch.assign(train.ids.data() + begin, count, train.mag[t]);
+      syn.propagate_accum(batch, stepped.data());
+    }
+  }
+  std::vector<float> whole(syn.out_size(), 0.0f);
+  syn.propagate_train(
+      TrainView{train.ids.data(), train.offsets.data(), train.mag.size()},
+      train.mag.data(), whole.data());
+  for (std::size_t j = 0; j < whole.size(); ++j) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(whole[j]),
+              std::bit_cast<std::uint32_t>(stepped[j]))
+        << simd::active_isa() << " slot " << j << " of " << whole.size();
+  }
+}
+
+TEST_P(PropagateIsa, TrainMatchesPerStepPropagateAccum) {
+  std::uint64_t seed = 1000;
+  // Every zoo conv shape (3x3, stride 1, pad 1) at every zoo channel count,
+  // plus shapes the fixed-geometry leaves do not cover.
+  for (const std::size_t oc : {8ul, 12ul, 16ul, 24ul, 32ul, 64ul}) {
+    for (const std::size_t ic : {1ul, 3ul, 16ul}) {
+      for (const std::size_t hw : {16ul, 8ul, 4ul}) {
+        const ConvTopology conv(random_tensor(Shape{oc, ic, 3, 3}, seed), hw,
+                                hw, 1, 1);
+        expect_train_matches_steps(conv, seed++);
+      }
+    }
+  }
+  const ConvTopology odd(random_tensor(Shape{5, 2, 3, 3}, seed), 6, 10, 1, 1);
+  expect_train_matches_steps(odd, seed++);
+  const ConvTopology strided(random_tensor(Shape{4, 2, 3, 3}, seed), 9, 9, 2, 1);
+  expect_train_matches_steps(strided, seed++);
+  const PoolTopology pool(8, 16, 16, 2);
+  expect_train_matches_steps(pool, seed++);
+  const DenseTopology dense(random_tensor(Shape{37, 53}, seed));
+  expect_train_matches_steps(dense, seed++);
+  // An empty train adds nothing.
+  const std::vector<std::uint32_t> none(4, 0);
+  const float mags[3] = {1.0f, 2.0f, 3.0f};
+  std::vector<float> u(dense.out_size(), 0.5f);
+  dense.propagate_train(TrainView{nullptr, none.data(), 3}, mags, u.data());
+  EXPECT_EQ(u, std::vector<float>(dense.out_size(), 0.5f));
+}
+
+TEST(Propagate, TrainOutOfRangeThrowsBeforeAnyCharge) {
+  const ConvTopology conv(random_tensor(Shape{4, 2, 3, 3}, 1), 5, 5, 1, 1);
+  const PoolTopology pool(2, 4, 4, 2);
+  const DenseTopology dense(random_tensor(Shape{6, 9}, 2));
+  for (const SynapseTopology* syn :
+       {static_cast<const SynapseTopology*>(&conv),
+        static_cast<const SynapseTopology*>(&pool),
+        static_cast<const SynapseTopology*>(&dense)}) {
+    const auto bad = static_cast<std::uint32_t>(syn->in_size());
+    const std::vector<std::uint32_t> ids = {0, 1, bad};
+    const std::vector<std::uint32_t> offsets = {0, 2, 3};
+    const float mags[2] = {1.0f, 1.0f};
+    std::vector<float> u(syn->out_size(), 0.0f);
+    EXPECT_THROW(syn->propagate_train(TrainView{ids.data(), offsets.data(), 2},
+                                      mags, u.data()),
+                 InvalidArgument);
+    EXPECT_EQ(u, std::vector<float>(syn->out_size(), 0.0f));
   }
 }
 

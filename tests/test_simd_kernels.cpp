@@ -608,7 +608,7 @@ TEST_P(SimdEquivalence, GaussShiftsRecomputeInsideTheMargin) {
     const double sigma = (k + 0.5) / r;
     ASSERT_NEAR(0.0 + sigma * (r * std::cos(0.0)), k + 0.5, 1e-14);
     for (const double u2 : {0.0, 0.5}) {
-      for (const std::size_t pairs : {1ul, 4ul, 7ul}) {
+      for (const std::size_t pairs : {1ul, 4ul, 7ul, 8ul, 9ul, 17ul}) {
         std::vector<double> all(2 * pairs);
         for (std::size_t i = 0; i < pairs; ++i) {
           all[2 * i] = 0.5;
@@ -623,6 +623,44 @@ TEST_P(SimdEquivalence, GaussShiftsRecomputeInsideTheMargin) {
           expect_gauss_shifts_exact(table(), one, sigma, 1 << 30);
         }
       }
+    }
+  }
+}
+
+// At sigma = 1, 2 and 3 (the jitter grid's levels): random pairs, and
+// pairs built to land a shift a distance delta from a half-integer, with
+// delta swept from 1e-9 to 1e-3 of sigma * r across every vector leaf's
+// recompute margin -- inside it the leaf must recompute, just outside it
+// its approximation alone must round right. Blocks of 1 to 19 pairs cover
+// whole blocks and the padded tail.
+TEST_P(SimdEquivalence, GaussShiftsNearHalfIntegersAtJitterSigmas) {
+  Rng rng(0x5e1au);
+  for (const double sigma : {1.0, 2.0, 3.0}) {
+    std::vector<double> random(2 * 20000);
+    rng.uniform_pairs(20000, random.data());
+    expect_gauss_shifts_exact(table(), random, sigma, 63);
+    std::vector<double> near;
+    for (int i = 0; i < 20000; ++i) {
+      const double u2 = rng.uniform();
+      const double c = (i % 2 == 0 ? std::cos(2.0 * std::numbers::pi * u2)
+                                   : std::sin(2.0 * std::numbers::pi * u2));
+      const double k = static_cast<double>(rng.uniform_index(8)) + 0.5;
+      const double rel = std::pow(10.0, -9.0 + 6.0 * rng.uniform());
+      const double v = (c < 0 ? -k : k);
+      // r with sigma * r * c = v (1 + rel) or v (1 - rel).
+      const double r = v * (1.0 + (i % 4 < 2 ? rel : -rel)) / (sigma * c);
+      const double u1 = std::exp(-0.5 * r * r);
+      if (!(std::fabs(c) > 1e-3) || !(u1 >= 1e-300 && u1 < 1.0)) {
+        continue;
+      }
+      near.push_back(u1);
+      near.push_back(u2);
+    }
+    expect_gauss_shifts_exact(table(), near, sigma, 63);
+    for (std::size_t pairs = 1; pairs <= 19; ++pairs) {
+      const std::vector<double> head(near.begin(),
+                                     near.begin() + 2 * static_cast<long>(pairs));
+      expect_gauss_shifts_exact(table(), head, sigma, 63);
     }
   }
 }
@@ -671,18 +709,23 @@ TEST(SimdDispatch, ScopedOverrideSwapsAndRestores) {
 // CPU flag parsing (pure function, independent of the host).
 
 TEST(CpuFlags, ParseCpuflags) {
-  // The trimmed value as a whole: unset, native and avx2 allow the vector
-  // table; scalar forces the reference table.
+  // The trimmed value as a whole: unset and native allow every table,
+  // avx2 caps the choice at the avx2 table (so an AVX-512 host can still
+  // run it), avx512 allows both vector tables, and scalar forces the
+  // reference table.
   EXPECT_EQ(cpu::parse_cpuflags(""), ~0u);
   EXPECT_EQ(cpu::parse_cpuflags("  "), ~0u);
   EXPECT_EQ(cpu::parse_cpuflags("native"), ~0u);
-  EXPECT_EQ(cpu::parse_cpuflags("avx2"), ~0u);
-  EXPECT_EQ(cpu::parse_cpuflags(" avx2\n"), ~0u);
+  EXPECT_EQ(cpu::parse_cpuflags("avx2"), std::uint32_t{cpu::kAvx2});
+  EXPECT_EQ(cpu::parse_cpuflags(" avx2\n"), std::uint32_t{cpu::kAvx2});
+  EXPECT_EQ(cpu::parse_cpuflags("avx512"), cpu::kAvx2 | cpu::kAvx512);
+  EXPECT_EQ(cpu::parse_cpuflags("\tavx512 "), cpu::kAvx2 | cpu::kAvx512);
   EXPECT_EQ(cpu::parse_cpuflags("scalar"), 0u);
   // Anything else warns and forces the reference table: there are no
   // separators, no case folding, and no other names.
   EXPECT_EQ(cpu::parse_cpuflags("scalar,avx2"), 0u);
   EXPECT_EQ(cpu::parse_cpuflags("avx2+fma"), 0u);
+  EXPECT_EQ(cpu::parse_cpuflags("avx512f"), 0u);
   EXPECT_EQ(cpu::parse_cpuflags("AVX2"), 0u);
   EXPECT_EQ(cpu::parse_cpuflags("all"), 0u);
   EXPECT_EQ(cpu::parse_cpuflags("none"), 0u);
