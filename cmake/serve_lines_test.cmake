@@ -5,7 +5,8 @@
 #   cmake -DSERVE=<tsnn_serve> -DWORK_DIR=<dir> -P serve_lines_test.cmake
 #
 # The environment (TSNN_FAST, TSNN_ZOO_DIR) comes from the caller.
-# tsnn_add_serve_lines_test in the root CMakeLists.txt registers it.
+# The root CMakeLists.txt registers it with add_test as
+# smoke_serve_request_lines.
 cmake_minimum_required(VERSION 3.20)
 
 if(NOT SERVE OR NOT WORK_DIR)

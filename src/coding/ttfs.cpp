@@ -240,8 +240,7 @@ void TtfsScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
     mag = longer.data();
   }
   float* u = st.u.data();
-  syn.propagate_train(snn::TrainView{in.neurons(), in.offsets(), steps}, mag,
-                      u);
+  syn.propagate_train(in, mag, u);
 
   const std::size_t out_n = syn.out_size();
   const snn::AccumLayout layout = syn.accum_layout();

@@ -1,7 +1,8 @@
 // AVX2 kernel variants. Compiled with -mavx2 -ffp-contract=off; dispatch
 // only ever selects this table (or the avx512 table, which reuses every
-// leaf here but conv_taps) when cpu::allowed_features() includes the bit,
-// so no AVX2 instruction executes on a host without it.
+// leaf here but conv_taps and is defined at the end of this file) when
+// cpu::allowed_features() includes the bit, so no AVX2 instruction
+// executes on a host without it.
 //
 // Bit-exactness discipline (see simd/kernels.h): every kernel here
 // vectorizes across independent destination slots -- the fan-out
@@ -699,9 +700,7 @@ void av_gauss_shifts(const GaussShiftCtx& ctx) {
   }
 }
 
-}  // namespace
-
-constinit const KernelDispatch kAvx2Table = [] {
+constexpr KernelDispatch avx2_table() {
   KernelDispatch t;
   t.isa = "avx2";
   t.features = cpu::kAvx2;
@@ -713,7 +712,24 @@ constinit const KernelDispatch kAvx2Table = [] {
   t.mask_compact = av_mask_compact;
   t.gauss_shifts = av_gauss_shifts;
   return t;
+}
+
+}  // namespace
+
+// constinit: the compiler rejects a run-time initializer, which would run
+// at load on every host (see kernels_internal.h).
+constinit const KernelDispatch kAvx2Table = avx2_table();
+
+#if defined(TSNN_SIMD_AVX512)
+// The avx2 table with the 512-bit conv_taps leaf (kernels_avx512.cpp).
+constinit const KernelDispatch kAvx512Table = [] {
+  KernelDispatch t = avx2_table();
+  t.isa = "avx512";
+  t.features = cpu::kAvx2 | cpu::kAvx512;
+  t.conv_taps = ax_conv_taps;
+  return t;
 }();
+#endif
 
 }  // namespace tsnn::simd
 

@@ -1,7 +1,9 @@
-// AVX-512 kernel table. Compiled with -mavx512f -ffp-contract=off; dispatch
-// selects it only when cpu::allowed_features() includes kAvx512 (an
-// AVX-512F host, with TSNN_CPUFLAGS unset, native or avx512), so no
-// AVX-512 instruction executes anywhere else.
+// AVX-512 kernel leaf. Compiled with -mavx512f -ffp-contract=off; dispatch
+// selects the avx512 table only when cpu::allowed_features() includes
+// kAvx512 (an AVX-512F host, with TSNN_CPUFLAGS unset, native or avx512),
+// so no AVX-512 instruction executes anywhere else. This file therefore
+// holds no object with a run-time initializer (one would run at load, on
+// every host): the table itself is constinit in kernels_avx2.cpp.
 //
 // The table is the avx2 table with one entry replaced: conv_taps. The 3x3
 // leaf is bound by loads and stores of accumulator rows, not by the
@@ -16,8 +18,6 @@
 #include <immintrin.h>
 
 #include <bit>
-
-#include "common/cpu.h"
 
 namespace tsnn::simd {
 namespace {
@@ -82,6 +82,8 @@ void ax_conv3x3(const ConvTapCtx& ctx) {
   }
 }
 
+}  // namespace
+
 // 16, 32 and 64 channels fill whole 512-bit rows; every other shape runs
 // the avx2 leaf.
 void ax_conv_taps(const ConvTapCtx& ctx) {
@@ -95,18 +97,6 @@ void ax_conv_taps(const ConvTapCtx& ctx) {
   }
   kAvx2Table.conv_taps(ctx);
 }
-
-}  // namespace
-
-// kAvx2Table is constant-initialized (constinit), so copying it here, during
-// dynamic initialization, cannot observe it unset.
-const KernelDispatch kAvx512Table = [] {
-  KernelDispatch t = kAvx2Table;
-  t.isa = "avx512";
-  t.features = cpu::kAvx2 | cpu::kAvx512;
-  t.conv_taps = ax_conv_taps;
-  return t;
-}();
 
 }  // namespace tsnn::simd
 

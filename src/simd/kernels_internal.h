@@ -23,16 +23,20 @@ void sc_gauss_pair(double u1, double u2, double sigma, std::int32_t limit,
 
 extern const KernelDispatch kScalarTable;
 
-// Defined in kernels_avx2.cpp and kernels_avx512.cpp, which CMake compiles
-// with -mavx2 and -mavx512f only on toolchains that support them; the
+// Defined in kernels_avx2.cpp, which CMake compiles with -mavx2 only on
+// toolchains that support it (and kernels_avx512.cpp with -mavx512f); the
 // defines keep dispatch.cpp (built without those flags) from referencing a
-// table that was never built. kAvx2Table is constant-initialized, so the
-// avx512 table can copy it during dynamic initialization.
+// table that was never built. Both vector tables are constinit there, so
+// neither TU runs code at load: a run-time initializer compiled with a
+// vector ISA flag would execute on every host, before dispatch checks a
+// CPU bit.
 #if defined(TSNN_SIMD_AVX2)
 extern const KernelDispatch kAvx2Table;
 #endif
 #if defined(TSNN_SIMD_AVX512)
 extern const KernelDispatch kAvx512Table;
+/// The avx512 table's one leaf of its own (kernels_avx512.cpp).
+void ax_conv_taps(const ConvTapCtx& ctx);
 #endif
 
 }  // namespace tsnn::simd

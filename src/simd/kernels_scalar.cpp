@@ -113,7 +113,7 @@ void sc_gauss_shifts(const GaussShiftCtx& ctx) {
   }
 }
 
-const KernelDispatch kScalarTable = [] {
+constinit const KernelDispatch kScalarTable = [] {
   KernelDispatch t;
   t.isa = "scalar";
   t.features = 0;

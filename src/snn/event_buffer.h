@@ -167,14 +167,6 @@ class EventBuffer {
   /// Flat view of the ids (time-major once finalized).
   const std::uint32_t* neurons() const { return neurons_.data(); }
 
-  /// The per-step offset table (window() + 1 entries): step t's events are
-  /// neurons()[offsets()[t] .. offsets()[t + 1]). Requires a finalized
-  /// buffer.
-  const std::uint32_t* offsets() const {
-    check_finalized();
-    return offsets_.data();
-  }
-
   /// In-place compaction: keeps exactly the events for which
   /// `keep(time, neuron)` returns true, visiting events in time-major
   /// emission order (the RNG draw-order contract). Stays finalized.

@@ -65,27 +65,15 @@ void check_bounds(const std::uint32_t* ids, std::size_t n,
   }
 }
 
-/// The events of a train, from its first step's start to its last step's
-/// end.
-struct TrainEvents {
-  const std::uint32_t* ids;
-  std::size_t count;
-};
-
-TrainEvents train_events(const TrainView& train) {
-  const std::uint32_t begin = train.offsets[0];
-  return {train.ids + begin, train.offsets[train.steps] - begin};
-}
-
-/// Per-event magnitudes of a train, indexed like its ids: mag[t] for every
-/// event of step t (the kernels take one magnitude per spike). A
+/// Per-event magnitudes of a finalized train, indexed like its ids: mag[t]
+/// for every event of step t (the kernels take one magnitude per spike). A
 /// thread-local, grow-only buffer, so a warm thread allocates nothing.
-const float* event_magnitudes(const TrainView& train, const float* mag) {
+const float* event_magnitudes(const EventBuffer& train, const float* mag) {
   thread_local aligned_vector<float> m;
-  const std::uint32_t* off = train.offsets;
-  m.resize(off[train.steps]);
-  for (std::size_t t = 0; t < train.steps; ++t) {
-    std::fill(m.begin() + off[t], m.begin() + off[t + 1], mag[t]);
+  m.resize(train.size());
+  float* out = m.data();
+  for (std::size_t t = 0; t < train.window(); ++t) {
+    out = std::fill_n(out, train.step(t).count, mag[t]);
   }
   return m.data();
 }
@@ -189,25 +177,24 @@ void DenseTopology::propagate_accum(const SpikeBatch& batch,
   simd::kernels().dense_scatter(ctx);
 }
 
-void DenseTopology::propagate_train(const TrainView& train, const float* mag,
+void DenseTopology::propagate_train(const EventBuffer& train, const float* mag,
                                     float* u) const {
-  const TrainEvents events = train_events(train);
-  if (events.count == 0) {
+  if (train.empty()) {
     return;
   }
-  check_bounds(events.ids, events.count, weight_.dim(1));
+  check_bounds(train.neurons(), train.size(), weight_.dim(1));
   const float* mags = event_magnitudes(train, mag);
   const auto scatter = simd::kernels().dense_scatter;
   simd::DenseScatterCtx ctx;
   ctx.wt = transposed();
   ctx.out = weight_.dim(0);
   ctx.u = u;
-  for (std::size_t t = 0; t < train.steps; ++t) {
-    const std::uint32_t begin = train.offsets[t];
-    ctx.count = train.offsets[t + 1] - begin;
-    if (ctx.count != 0) {
-      ctx.pre = train.ids + begin;
-      ctx.mag = mags + begin;
+  for (std::size_t t = 0; t < train.window(); ++t) {
+    const EventBuffer::StepSpan step = train.step(t);
+    if (step.count != 0) {
+      ctx.pre = step.ids;
+      ctx.mag = mags + (step.ids - train.neurons());
+      ctx.count = step.count;
       scatter(ctx);
     }
   }
@@ -440,21 +427,20 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
            batch.size());
 }
 
-void ConvTopology::propagate_train(const TrainView& train, const float* mag,
+void ConvTopology::propagate_train(const EventBuffer& train, const float* mag,
                                    float* u) const {
-  const TrainEvents events = train_events(train);
-  if (events.count == 0) {
+  if (train.empty()) {
     return;
   }
-  check_bounds(events.ids, events.count, in_size());
+  check_bounds(train.neurons(), train.size(), in_size());
   const float* mags = event_magnitudes(train, mag);
   simd::ConvTapCtx ctx = taps_ctx(u);
   const TapLeaf leaf = simd::kernels().conv_taps;
-  for (std::size_t t = 0; t < train.steps; ++t) {
-    const std::uint32_t begin = train.offsets[t];
-    const std::size_t count = train.offsets[t + 1] - begin;
-    if (count != 0) {
-      run_taps(ctx, leaf, train.ids + begin, mags + begin, count);
+  for (std::size_t t = 0; t < train.window(); ++t) {
+    const EventBuffer::StepSpan step = train.step(t);
+    if (step.count != 0) {
+      run_taps(ctx, leaf, step.ids, mags + (step.ids - train.neurons()),
+               step.count);
     }
   }
 }
@@ -608,18 +594,18 @@ void PoolTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
   }
 }
 
-void PoolTopology::propagate_train(const TrainView& train, const float* mag,
+void PoolTopology::propagate_train(const EventBuffer& train, const float* mag,
                                    float* u) const {
-  const TrainEvents events = train_events(train);
-  if (max_id(events.ids, events.count) >= in_size()) [[unlikely]] {
-    report_pool_bounds(events.ids, events.count, in_size());
+  if (max_id(train.neurons(), train.size()) >= in_size()) [[unlikely]] {
+    report_pool_bounds(train.neurons(), train.size(), in_size());
   }
   const std::uint32_t* post = post_map();
   const float w = weight_;
-  for (std::size_t t = 0; t < train.steps; ++t) {
+  for (std::size_t t = 0; t < train.window(); ++t) {
+    const EventBuffer::StepSpan step = train.step(t);
     const float m = mag[t];
-    for (std::uint32_t i = train.offsets[t]; i < train.offsets[t + 1]; ++i) {
-      u[post[train.ids[i]]] += m * w;
+    for (std::size_t i = 0; i < step.count; ++i) {
+      u[post[step.ids[i]]] += m * w;
     }
   }
 }

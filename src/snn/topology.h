@@ -28,6 +28,7 @@
 
 #include "common/aligned.h"
 #include "simd/kernels.h"
+#include "snn/event_buffer.h"
 #include "tensor/tensor.h"
 
 namespace tsnn::snn {
@@ -74,14 +75,6 @@ class SpikeBatch {
   std::vector<float> mag_;
 };
 
-/// A time-major spike train in CSR form (an EventBuffer's storage): the
-/// spikes of step t are ids[offsets[t] .. offsets[t + 1]).
-struct TrainView {
-  const std::uint32_t* ids = nullptr;
-  const std::uint32_t* offsets = nullptr;  ///< steps + 1 entries
-  std::size_t steps = 0;
-};
-
 /// Layout of a topology's *internal* potential accumulator, used by the
 /// propagate_accum() hot path: `rows` channels x `cols` positions, with
 /// canonical postsynaptic neuron j = c*cols + s at accumulator slot
@@ -124,13 +117,13 @@ class SynapseTopology {
   /// ascending neuron order instead (see there).
   virtual void propagate_accum(const SpikeBatch& batch, float* u) const = 0;
 
-  /// A whole train at per-step magnitudes: step t's spikes, each at
-  /// magnitude mag[t], for t = 0 .. steps - 1. Slot for slot it adds what
+  /// A whole finalized train at per-step magnitudes: step t's spikes, each
+  /// at magnitude mag[t], for t < train.window(). Slot for slot it adds what
   /// propagate_accum() of each step's batch (its ids at uniform magnitude
   /// mag[t]) adds, step after step -- bit for bit, the canonical order
   /// included -- with the bounds check, the caches and the kernel table
   /// resolved once.
-  virtual void propagate_train(const TrainView& train, const float* mag,
+  virtual void propagate_train(const EventBuffer& train, const float* mag,
                                float* u) const = 0;
 
   /// Dense reference: y += W x. Used by tests and the activation-transport
@@ -200,7 +193,7 @@ class DenseTopology : public SynapseTopology {
   std::size_t out_size() const override { return weight_.dim(0); }
   void accumulate(std::size_t pre, float m, float* u) const override;
   void propagate_accum(const SpikeBatch& batch, float* u) const override;
-  void propagate_train(const TrainView& train, const float* mag,
+  void propagate_train(const EventBuffer& train, const float* mag,
                        float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override;
@@ -248,7 +241,7 @@ class ConvTopology : public SynapseTopology {
   void propagate_accum(const SpikeBatch& batch, float* u) const override;
   /// Decides the canonical order step by step, as propagate_accum() does
   /// for each step's batch.
-  void propagate_train(const TrainView& train, const float* mag,
+  void propagate_train(const EventBuffer& train, const float* mag,
                        float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override;
@@ -322,7 +315,7 @@ class PoolTopology : public SynapseTopology {
   std::size_t out_size() const override { return channels_ * out_h_ * out_w_; }
   void accumulate(std::size_t pre, float m, float* u) const override;
   void propagate_accum(const SpikeBatch& batch, float* u) const override;
-  void propagate_train(const TrainView& train, const float* mag,
+  void propagate_train(const EventBuffer& train, const float* mag,
                        float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override { weight_ *= c; }

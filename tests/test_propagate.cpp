@@ -25,6 +25,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "simd/kernels.h"
+#include "snn/event_buffer.h"
 #include "snn/topology.h"
 
 namespace tsnn::snn {
@@ -454,13 +455,12 @@ TEST_P(PropagateIsa, ScatterBitExactVsScalar) {
   }
 }
 
-/// A random time-major train over `syn`'s input: `steps` steps of random
+/// A random finalized train over `syn`'s input: `steps` steps of random
 /// sizes (empty ones included, duplicates allowed), one step with the
 /// whole input -- at or above conv's canonical threshold -- and one with
-/// exactly the threshold's count.
+/// exactly the threshold's count; and one magnitude per step.
 struct RandomTrain {
-  std::vector<std::uint32_t> ids;
-  std::vector<std::uint32_t> offsets{0};
+  EventBuffer events;
   std::vector<float> mag;  ///< one magnitude per step
 };
 
@@ -471,6 +471,8 @@ RandomTrain random_train(const SynapseTopology& syn, std::size_t steps,
       conv != nullptr ? conv->canonical_threshold() : syn.in_size();
   Rng rng(seed);
   RandomTrain train;
+  train.events.reset(syn.in_size(), steps);
+  std::vector<std::uint32_t> ids;
   for (std::size_t t = 0; t < steps; ++t) {
     std::size_t count = rng.uniform_index(syn.in_size() / 4 + 2);
     if (t == 2) {
@@ -480,13 +482,17 @@ RandomTrain random_train(const SynapseTopology& syn, std::size_t steps,
     } else if (t % 4 == 3) {
       count = 0;
     }
+    ids.clear();
     for (std::size_t i = 0; i < count; ++i) {
-      train.ids.push_back(static_cast<std::uint32_t>(
+      ids.push_back(static_cast<std::uint32_t>(
           rng.uniform_index(static_cast<std::uint64_t>(syn.in_size()))));
     }
-    train.offsets.push_back(static_cast<std::uint32_t>(train.ids.size()));
+    train.events.push_step(static_cast<std::int32_t>(t), ids.data(),
+                           ids.size());
     train.mag.push_back(static_cast<float>(rng.uniform(0.01, 1.0)));
   }
+  EventSortScratch scratch;
+  train.events.finalize(scratch);
   return train;
 }
 
@@ -497,18 +503,15 @@ void expect_train_matches_steps(const SynapseTopology& syn,
   const RandomTrain train = random_train(syn, 12, seed);
   std::vector<float> stepped(syn.out_size(), 0.0f);
   SpikeBatch batch;
-  for (std::size_t t = 0; t + 1 < train.offsets.size(); ++t) {
-    const std::uint32_t begin = train.offsets[t];
-    const std::size_t count = train.offsets[t + 1] - begin;
-    if (count != 0) {
-      batch.assign(train.ids.data() + begin, count, train.mag[t]);
+  for (std::size_t t = 0; t < train.events.window(); ++t) {
+    const EventBuffer::StepSpan step = train.events.step(t);
+    if (step.count != 0) {
+      batch.assign(step.ids, step.count, train.mag[t]);
       syn.propagate_accum(batch, stepped.data());
     }
   }
   std::vector<float> whole(syn.out_size(), 0.0f);
-  syn.propagate_train(
-      TrainView{train.ids.data(), train.offsets.data(), train.mag.size()},
-      train.mag.data(), whole.data());
+  syn.propagate_train(train.events, train.mag.data(), whole.data());
   for (std::size_t j = 0; j < whole.size(); ++j) {
     ASSERT_EQ(std::bit_cast<std::uint32_t>(whole[j]),
               std::bit_cast<std::uint32_t>(stepped[j]))
@@ -538,10 +541,13 @@ TEST_P(PropagateIsa, TrainMatchesPerStepPropagateAccum) {
   const DenseTopology dense(random_tensor(Shape{37, 53}, seed));
   expect_train_matches_steps(dense, seed++);
   // An empty train adds nothing.
-  const std::vector<std::uint32_t> none(4, 0);
+  EventBuffer none;
+  none.reset(dense.in_size(), 3);
+  EventSortScratch scratch;
+  none.finalize(scratch);
   const float mags[3] = {1.0f, 2.0f, 3.0f};
   std::vector<float> u(dense.out_size(), 0.5f);
-  dense.propagate_train(TrainView{nullptr, none.data(), 3}, mags, u.data());
+  dense.propagate_train(none, mags, u.data());
   EXPECT_EQ(u, std::vector<float>(dense.out_size(), 0.5f));
 }
 
@@ -553,14 +559,18 @@ TEST(Propagate, TrainOutOfRangeThrowsBeforeAnyCharge) {
        {static_cast<const SynapseTopology*>(&conv),
         static_cast<const SynapseTopology*>(&pool),
         static_cast<const SynapseTopology*>(&dense)}) {
+    // The train's own range is one wider than the synapse's input.
     const auto bad = static_cast<std::uint32_t>(syn->in_size());
-    const std::vector<std::uint32_t> ids = {0, 1, bad};
-    const std::vector<std::uint32_t> offsets = {0, 2, 3};
+    const std::uint32_t ids[3] = {0, 1, bad};
+    EventBuffer train;
+    train.reset(syn->in_size() + 1, 2);
+    train.push_step(0, ids, 2);
+    train.push_step(1, ids + 2, 1);
+    EventSortScratch scratch;
+    train.finalize(scratch);
     const float mags[2] = {1.0f, 1.0f};
     std::vector<float> u(syn->out_size(), 0.0f);
-    EXPECT_THROW(syn->propagate_train(TrainView{ids.data(), offsets.data(), 2},
-                                      mags, u.data()),
-                 InvalidArgument);
+    EXPECT_THROW(syn->propagate_train(train, mags, u.data()), InvalidArgument);
     EXPECT_EQ(u, std::vector<float>(syn->out_size(), 0.0f));
   }
 }
