@@ -253,11 +253,24 @@ BENCHMARK(BM_Encode)
     ->Arg(static_cast<int>(snn::Coding::kTtfs))
     ->Arg(static_cast<int>(snn::Coding::kTtas));
 
-/// Prepared fire-scan inputs on an S-CIFAR10 stage's accumulator layout:
-/// arg 0 picks conv1a (16 channels x 256 positions, the {spatial, channel}
-/// conv layout) or pool1 (1 x 1024, identity); arg 1 is the share of
-/// neurons that fire, in percent. Eight states per config, because one
-/// replayed state lets the branch predictor learn its fire pattern.
+/// A zoo stage's accumulator layout, rows channels x cols positions (the
+/// {spatial, channel} conv layout; rows 1 is the identity).
+struct FireScanLayout {
+  const char* stage;
+  std::size_t rows;
+  std::size_t cols;
+};
+
+/// Every layout shape the zoo's fire scans see: S-CIFAR10's conv1a, pool1
+/// (identity), conv2 and conv3 stages and S-MNIST's conv1 and conv2 stages.
+constexpr FireScanLayout kFireScanLayouts[] = {
+    {"conv1a", 16, 256}, {"pool1", 1, 1024},  {"mnist-conv1", 12, 256},
+    {"mnist-conv2", 24, 64}, {"conv2a", 32, 64}, {"conv3a", 64, 16}};
+
+/// Prepared fire-scan inputs on the accumulator layout kFireScanLayouts[arg
+/// 0]; arg 1 is the share of neurons that fire, in percent. Eight states
+/// per config, because one replayed state lets the branch predictor learn
+/// its fire pattern.
 struct FireScanStates {
   static constexpr std::size_t kStates = 8;
   std::size_t rows = 0;
@@ -269,9 +282,10 @@ struct FireScanStates {
   template <typename Quantum>
   FireScanStates(const benchmark::State& state, std::uint32_t max_k,
                  Quantum&& quantum) {
-    const bool pool = state.range(0) != 0;
-    rows = pool ? 1 : 16;
-    cols = pool ? 1024 : 256;
+    const FireScanLayout& layout =
+        kFireScanLayouts[static_cast<std::size_t>(state.range(0))];
+    rows = layout.rows;
+    cols = layout.cols;
     const double density = static_cast<double>(state.range(1)) / 100.0;
     Rng rng(17);
     for (std::size_t s = 0; s < kStates; ++s) {
@@ -291,7 +305,10 @@ struct FireScanStates {
 
 void label_fire_scan(benchmark::State& state, std::size_t fired,
                      std::size_t n) {
-  state.SetLabel(state.range(0) != 0 ? "pool1" : "conv1a");
+  const FireScanLayout& layout =
+      kFireScanLayouts[static_cast<std::size_t>(state.range(0))];
+  state.SetLabel(std::string(layout.stage) + " " + std::to_string(layout.rows) +
+                 "x" + std::to_string(layout.cols));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
   state.counters["fired"] = static_cast<double>(fired);
@@ -366,7 +383,8 @@ void BM_BurstFire(benchmark::State& state) {
 
 /// {layout, firing percent} configs of the fire-scan benches.
 void fire_scan_args(benchmark::internal::Benchmark* b) {
-  for (const int layout : {0, 1}) {
+  for (int layout = 0; layout < static_cast<int>(std::size(kFireScanLayouts));
+       ++layout) {
     for (const int percent : {2, 8, 15}) {
       b->Args({layout, percent});
     }

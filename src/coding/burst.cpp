@@ -61,30 +61,35 @@ void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   fire.cols = n;
   fire.quanta = gain_.data();
   fire.cap = static_cast<std::uint32_t>(params_.burst_cap);
-  fire.fired = ws.fired_scratch(n);
   for (std::size_t t = 0; t < params_.window; ++t) {
     kern.axpy(fire.u, a, 1.0f, n);
-    out.push_step(static_cast<std::int32_t>(t), fire.fired,
-                  kern.burst_fire(fire));
+    out.append_step(static_cast<std::int32_t>(t), n, [&](std::uint32_t* ids) {
+      fire.fired = ids;
+      return kern.burst_fire(fire);
+    });
   }
   out.finalize(ws.sort);
 }
 
-void BurstScheme::decode_arrivals(const EventBuffer& in, std::size_t t,
-                                  LayerRole role, snn::StageState& st) const {
-  // Burst magnitudes depend on each sender's ISI history, so the batch is
-  // assembled spike by spike (unlike the uniform-magnitude schemes).
-  st.batch.clear();
+snn::SpikeSpan BurstScheme::decode_arrivals(const EventBuffer& in,
+                                            std::size_t t, LayerRole role,
+                                            snn::StageState& st) const {
+  // Burst magnitudes depend on each sender's ISI history, so they are
+  // decoded spike by spike (unlike the uniform-magnitude schemes); the ids
+  // are the step's own.
   const float* ladder =
       role == LayerRole::kFirstHidden ? gain_.data() : quantum_.data();
   const std::size_t cap = params_.burst_cap;
   const EventBuffer::StepSpan span = in.step(t);
+  st.mag.resize(span.count);
+  float* mag = st.mag.data();
   for (std::size_t i = 0; i < span.count; ++i) {
     const std::uint32_t pre = span.ids[i];
     const std::size_t k = isi_on_arrival(static_cast<std::int64_t>(t),
                                          st.isi_last[pre], st.isi_k[pre]);
-    st.batch.add(pre, ladder[std::min(k, cap)]);
+    mag[i] = ladder[std::min(k, cap)];
   }
+  return {span.ids, mag, span.count, 1};
 }
 
 void BurstScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -98,15 +103,13 @@ void BurstScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   st.isi_last.assign(in.num_neurons(), -10);
   st.isi_k.assign(in.num_neurons(), 0);
   st.k.assign(out_n, 0);
-  st.fired_scratch(out_n);
 }
 
 void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
                              LayerRole role, std::size_t t, snn::StageState& st,
                              EventBuffer& out) const {
   if (t < in.window()) {
-    decode_arrivals(in, t, role, st);
-    syn.propagate_accum(st.batch, st.u.data());
+    syn.propagate_accum(decode_arrivals(in, t, role, st), st.u.data());
   }
   // Escalating fire scan at the threshold scale: quantum theta * g^min(k,cap),
   // over the accumulator layout (the counters st.k are indexed like st.u).
@@ -118,9 +121,11 @@ void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   fire.cols = layout.cols;
   fire.quanta = quantum_.data();
   fire.cap = static_cast<std::uint32_t>(params_.burst_cap);
-  fire.fired = st.fired.data();
-  out.push_step(static_cast<std::int32_t>(t), fire.fired,
-                simd::kernels().burst_fire(fire));
+  out.append_step(static_cast<std::int32_t>(t), syn.out_size(),
+                  [&](std::uint32_t* ids) {
+                    fire.fired = ids;
+                    return simd::kernels().burst_fire(fire);
+                  });
 }
 
 void BurstScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -145,8 +150,7 @@ void BurstScheme::begin_readout(const EventBuffer& in,
 void BurstScheme::step_readout(const EventBuffer& in,
                                const SynapseTopology& syn, LayerRole role,
                                std::size_t t, snn::StageState& st) const {
-  decode_arrivals(in, t, role, st);
-  syn.propagate_accum(st.batch, st.u.data());
+  syn.propagate_accum(decode_arrivals(in, t, role, st), st.u.data());
 }
 
 Tensor BurstScheme::decode(const snn::SpikeRaster& in) const {

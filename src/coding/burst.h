@@ -64,11 +64,13 @@ class BurstScheme : public snn::CodingScheme {
   }
 
  private:
-  /// Assembles the ISI-decoded arrival batch of step `t`: each sender's
-  /// escalation counter k is reconstructed from its arrival history in
-  /// st.isi_last/st.isi_k (sized to `in`, reset by begin_layer/begin_readout).
-  void decode_arrivals(const snn::EventBuffer& in, std::size_t t,
-                       snn::LayerRole role, snn::StageState& st) const;
+  /// The ISI-decoded arrivals of step `t`: the step's ids, each at its
+  /// sender's gain (in st.mag). Each sender's escalation counter k is
+  /// reconstructed from its arrival history in st.isi_last/st.isi_k (sized
+  /// to `in`, reset by begin_layer/begin_readout).
+  snn::SpikeSpan decode_arrivals(const snn::EventBuffer& in, std::size_t t,
+                                 snn::LayerRole role,
+                                 snn::StageState& st) const;
 
   // The ladders a sender's spikes drain and weigh: gain_ at the encoder's
   // base 1.0, quantum_ at the hidden layers' base theta.

@@ -40,14 +40,15 @@ void PhaseScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   fire.u = ws.acc.data();
   fire.cols = n;
   fire.subtract = true;
-  fire.fired = ws.fired_scratch(n);
   for (std::size_t t = 0; t < params_.window; ++t) {
     if ((t % params_.phase_period) == 0) {
       kern.axpy(fire.u, a, 1.0f, n);
     }
     fire.threshold = phase_weight(t);
-    out.push_step(static_cast<std::int32_t>(t), fire.fired,
-                  kern.threshold_fire(fire));
+    out.append_step(static_cast<std::int32_t>(t), n, [&](std::uint32_t* ids) {
+      fire.fired = ids;
+      return kern.threshold_fire(fire);
+    });
   }
   out.finalize(ws.sort);
 }
@@ -60,7 +61,6 @@ void PhaseScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   const std::size_t out_n = syn.out_size();
   out.reset(out_n, params_.window);
   st.potentials(out_n);
-  st.fired_scratch(out_n);
 }
 
 void PhaseScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -70,12 +70,11 @@ void PhaseScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   // Encoder spikes are worth pw(t); hidden spikes are worth theta*pw(t).
   const float base_in = role == LayerRole::kFirstHidden ? 1.0f : theta;
   if (t < in.window()) {
-    snn::propagate_step(in, t, base_in * phase_weight(t), syn, st.batch,
-                        st.u.data());
+    snn::propagate_step(in, t, base_in * phase_weight(t), syn, st.u.data());
   }
   // Greedy weighted-spike emission: a neuron fires at phase t if its
   // potential covers the theta-scaled phase weight, draining that quantum
-  // -- a subtract-mode threshold scan per phase.
+  // -- a subtract-mode threshold scan per phase, straight into the train.
   const snn::AccumLayout layout = syn.accum_layout();
   simd::ThresholdCtx fire;
   fire.u = st.u.data();
@@ -83,9 +82,11 @@ void PhaseScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   fire.cols = layout.cols;
   fire.threshold = theta * phase_weight(t);
   fire.subtract = true;
-  fire.fired = st.fired.data();
-  out.push_step(static_cast<std::int32_t>(t), fire.fired,
-                simd::kernels().threshold_fire(fire));
+  out.append_step(static_cast<std::int32_t>(t), syn.out_size(),
+                  [&](std::uint32_t* ids) {
+                    fire.fired = ids;
+                    return simd::kernels().threshold_fire(fire);
+                  });
 }
 
 void PhaseScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -110,8 +111,7 @@ void PhaseScheme::step_readout(const EventBuffer& in,
                                std::size_t t, snn::StageState& st) const {
   const float base_in =
       role == LayerRole::kFirstHidden ? 1.0f : params_.threshold;
-  snn::propagate_step(in, t, base_in * phase_weight(t), syn, st.batch,
-                      st.u.data());
+  snn::propagate_step(in, t, base_in * phase_weight(t), syn, st.u.data());
 }
 
 Tensor PhaseScheme::decode(const snn::SpikeRaster& in) const {

@@ -32,11 +32,12 @@ void RateScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   fire.cols = n;
   fire.threshold = 1.0f;
   fire.subtract = true;
-  fire.fired = ws.fired_scratch(n);
   for (std::size_t t = 0; t < params_.window; ++t) {
     kern.axpy(fire.u, a, 1.0f, n);
-    out.push_step(static_cast<std::int32_t>(t), fire.fired,
-                  kern.threshold_fire(fire));
+    out.append_step(static_cast<std::int32_t>(t), n, [&](std::uint32_t* ids) {
+      fire.fired = ids;
+      return kern.threshold_fire(fire);
+    });
   }
   out.finalize(ws.sort);
 }
@@ -49,7 +50,6 @@ void RateScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   const std::size_t out_n = syn.out_size();
   out.reset(out_n, params_.window);
   st.potentials(out_n);
-  st.fired_scratch(out_n);
 }
 
 void RateScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -61,10 +61,10 @@ void RateScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   // gauge for rate coding (it matters for phase/burst/TTFS capacity).
   const float theta = params_.threshold;
   static_cast<void>(role);
-  snn::propagate_step(in, t, theta, syn, st.batch, st.u.data());
+  snn::propagate_step(in, t, theta, syn, st.u.data());
   // Subtract-mode threshold scan over the accumulator layout: fire where
   // u >= theta and soft-reset by draining theta (residual preserved,
-  // RMP-SNN).
+  // RMP-SNN). The scan writes its ids straight into the train.
   const snn::AccumLayout layout = syn.accum_layout();
   simd::ThresholdCtx fire;
   fire.u = st.u.data();
@@ -72,9 +72,11 @@ void RateScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   fire.cols = layout.cols;
   fire.threshold = theta;
   fire.subtract = true;
-  fire.fired = st.fired.data();
-  out.push_step(static_cast<std::int32_t>(t), fire.fired,
-                simd::kernels().threshold_fire(fire));
+  out.append_step(static_cast<std::int32_t>(t), syn.out_size(),
+                  [&](std::uint32_t* ids) {
+                    fire.fired = ids;
+                    return simd::kernels().threshold_fire(fire);
+                  });
 }
 
 void RateScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -98,7 +100,7 @@ void RateScheme::step_readout(const EventBuffer& in, const SynapseTopology& syn,
                               LayerRole role, std::size_t t,
                               snn::StageState& st) const {
   static_cast<void>(role);
-  snn::propagate_step(in, t, params_.threshold, syn, st.batch, st.u.data());
+  snn::propagate_step(in, t, params_.threshold, syn, st.u.data());
 }
 
 Tensor RateScheme::decode(const snn::SpikeRaster& in) const {

@@ -290,7 +290,7 @@ void TtfsScheme::begin_readout(const EventBuffer& in,
 void TtfsScheme::step_readout(const EventBuffer& in, const SynapseTopology& syn,
                               LayerRole role, std::size_t t,
                               snn::StageState& st) const {
-  snn::propagate_step(in, t, charge(role, t), syn, st.batch, st.u.data());
+  snn::propagate_step(in, t, charge(role, t), syn, st.u.data());
 }
 
 Tensor TtfsScheme::decode(const snn::SpikeRaster& in) const {

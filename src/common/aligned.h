@@ -13,6 +13,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tsnn {
@@ -27,7 +29,12 @@ inline bool is_simd_aligned(const void* p) {
 
 /// Minimal std::allocator drop-in handing out kSimdAlign-aligned blocks via
 /// C++17 aligned operator new (so allocation counters that intercept the
-/// global operators still see these allocations).
+/// global operators still see these allocations). Elements a vector adds
+/// without a value are default-initialized, not value-initialized:
+/// resize(n) and the size constructor leave trivial elements (floats, ids)
+/// indeterminate instead of zero-filling them, so a producer that writes
+/// into fresh room pays no fill. Ask for zeros explicitly (assign(n, 0),
+/// resize(n, 0)).
 template <typename T>
 class AlignedAllocator {
  public:
@@ -44,6 +51,15 @@ class AlignedAllocator {
   }
   void deallocate(T* p, std::size_t n) noexcept {
     ::operator delete(p, n * sizeof(T), std::align_val_t{kSimdAlign});
+  }
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <typename U>

@@ -7,9 +7,10 @@
 // behind a KernelDispatch table of function pointers, the FFmpeg DSP-table
 // idiom: callers marshal their state into a plain KernelCtx view and invoke
 // through kernels(), and the variant that runs (the scalar reference,
-// AVX2, or AVX-512 -- the AVX2 table with a 512-bit-row conv_taps leaf) is
-// chosen once at startup from cpu::allowed_features() -- so adding an ISA
-// means adding leaf functions, never touching the class hierarchy.
+// AVX2, or AVX-512 -- the AVX2 table with 512-bit conv_taps, threshold_fire
+// and burst_fire leaves) is chosen once at startup from
+// cpu::allowed_features() -- so adding an ISA means adding leaf functions,
+// never touching the class hierarchy.
 //
 // Exactness contract
 // ------------------
@@ -40,14 +41,20 @@ namespace tsnn::simd {
 
 // ------------------------------------------------------------ ctx views ----
 
+// Spike i of a batch carries magnitude mag[i * mag_stride]: stride 1 is
+// one magnitude per spike (burst coding's ISI-decoded gains), stride 0 one
+// magnitude for the whole batch (rate, phase, TTFS and TTAS, whose
+// magnitude depends on the step alone), read from mag[0] by every spike.
+
 /// Dense fan-out scatter: for each spike i in batch order,
-/// u[j] += mag[i] * wt[pre[i]*out + j] for all j. `wt` is the {in, out}
-/// transposed weight copy (unit-stride rows). Every pre[i] < in has been
-/// validated by the caller.
+/// u[j] += m_i * wt[pre[i]*out + j] for all j, m_i = mag[i * mag_stride].
+/// `wt` is the {in, out} transposed weight copy (unit-stride rows). Every
+/// pre[i] < in has been validated by the caller.
 struct DenseScatterCtx {
   const float* wt = nullptr;
   const std::uint32_t* pre = nullptr;
   const float* mag = nullptr;
+  std::size_t mag_stride = 1;  ///< 0: mag[0] for every spike
   std::size_t count = 0;  ///< spikes in the batch
   std::size_t out = 0;    ///< fan-out length per spike
   float* u = nullptr;     ///< out accumulators
@@ -63,9 +70,10 @@ struct ConvTap {
 
 /// Conv tap accumulate into the transposed {spatial, channel} accumulator:
 /// for each spike i (ic = pre[i]/in_hw, sp = pre[i]%in_hw), for each tap of
-/// sp, u[tap.spatial*oc ..] += mag[i] * wt[(ic*k2 + tap.wofs)*oc ..] over
-/// all oc channels. Taps of one spike touch distinct rows, so per-slot
-/// addition order is spike order -- bit-exact by construction.
+/// sp, u[tap.spatial*oc ..] += m_i * wt[(ic*k2 + tap.wofs)*oc ..] over all
+/// oc channels, m_i = mag[i * mag_stride]. Taps of one spike touch distinct
+/// rows, so per-slot addition order is spike order -- bit-exact by
+/// construction.
 ///
 /// in_w/in_h are set (nonzero) only when the table describes a 3x3,
 /// stride-1, pad-1 conv of an in_h x in_w input. Then an interior input
@@ -78,6 +86,7 @@ struct ConvTapCtx {
   const ConvTap* taps = nullptr;
   const std::uint32_t* pre = nullptr;
   const float* mag = nullptr;
+  std::size_t mag_stride = 1;  ///< 0: mag[0] for every spike
   std::size_t count = 0;
   std::size_t in_hw = 0;  ///< input spatial extent (h*w)
   std::size_t k2 = 0;     ///< kernel*kernel
@@ -93,7 +102,9 @@ struct ConvTapCtx {
 // identity layout. A scan visits canonical j = 0..rows*cols in ascending
 // order, whatever the layout, and records every neuron that fires into
 // `fired` (capacity >= rows*cols) -- fired indices are canonical and
-// ascending.
+// ascending. A leaf may write anywhere in fired[0..rows*cols) past the
+// count it returns (the vector leaves store whole blocks), so `fired` may
+// be the room at the end of a train (EventBuffer::append_step).
 
 /// Potential/threshold scan: every neuron with u >= threshold fires. When
 /// `subtract`, a firing neuron is drained by threshold in place (the

@@ -1,8 +1,8 @@
 // AVX2 kernel variants. Compiled with -mavx2 -ffp-contract=off; dispatch
 // only ever selects this table (or the avx512 table, which reuses every
-// leaf here but conv_taps and is defined at the end of this file) when
-// cpu::allowed_features() includes the bit, so no AVX2 instruction
-// executes on a host without it.
+// leaf here but conv_taps, threshold_fire and burst_fire, and is defined at
+// the end of this file) when cpu::allowed_features() includes the bit, so
+// no AVX2 instruction executes on a host without it.
 //
 // Bit-exactness discipline (see simd/kernels.h): every kernel here
 // vectorizes across independent destination slots -- the fan-out
@@ -37,16 +37,21 @@ namespace {
 // the scalar loop.
 void av_dense_scatter(const DenseScatterCtx& ctx) {
   const std::size_t out = ctx.out;
+  const std::size_t stride = ctx.mag_stride;
   std::size_t i = 0;
   for (; i + 4 <= ctx.count; i += 4) {
     const float* c0 = ctx.wt + static_cast<std::size_t>(ctx.pre[i + 0]) * out;
     const float* c1 = ctx.wt + static_cast<std::size_t>(ctx.pre[i + 1]) * out;
     const float* c2 = ctx.wt + static_cast<std::size_t>(ctx.pre[i + 2]) * out;
     const float* c3 = ctx.wt + static_cast<std::size_t>(ctx.pre[i + 3]) * out;
-    const __m256 m0 = _mm256_set1_ps(ctx.mag[i + 0]);
-    const __m256 m1 = _mm256_set1_ps(ctx.mag[i + 1]);
-    const __m256 m2 = _mm256_set1_ps(ctx.mag[i + 2]);
-    const __m256 m3 = _mm256_set1_ps(ctx.mag[i + 3]);
+    const float s0 = ctx.mag[(i + 0) * stride];
+    const float s1 = ctx.mag[(i + 1) * stride];
+    const float s2 = ctx.mag[(i + 2) * stride];
+    const float s3 = ctx.mag[(i + 3) * stride];
+    const __m256 m0 = _mm256_set1_ps(s0);
+    const __m256 m1 = _mm256_set1_ps(s1);
+    const __m256 m2 = _mm256_set1_ps(s2);
+    const __m256 m3 = _mm256_set1_ps(s3);
     std::size_t j = 0;
     for (; j + 8 <= out; j += 8) {
       __m256 u = _mm256_loadu_ps(ctx.u + j);
@@ -58,16 +63,17 @@ void av_dense_scatter(const DenseScatterCtx& ctx) {
     }
     for (; j < out; ++j) {
       float u = ctx.u[j];
-      u += ctx.mag[i + 0] * c0[j];
-      u += ctx.mag[i + 1] * c1[j];
-      u += ctx.mag[i + 2] * c2[j];
-      u += ctx.mag[i + 3] * c3[j];
+      u += s0 * c0[j];
+      u += s1 * c1[j];
+      u += s2 * c2[j];
+      u += s3 * c3[j];
       ctx.u[j] = u;
     }
   }
   for (; i < ctx.count; ++i) {
     const float* col = ctx.wt + static_cast<std::size_t>(ctx.pre[i]) * out;
-    const __m256 m = _mm256_set1_ps(ctx.mag[i]);
+    const float s = ctx.mag[i * stride];
+    const __m256 m = _mm256_set1_ps(s);
     std::size_t j = 0;
     for (; j + 8 <= out; j += 8) {
       const __m256 u = _mm256_loadu_ps(ctx.u + j);
@@ -75,7 +81,7 @@ void av_dense_scatter(const DenseScatterCtx& ctx) {
       _mm256_storeu_ps(ctx.u + j, _mm256_add_ps(u, _mm256_mul_ps(m, w)));
     }
     for (; j < out; ++j) {
-      ctx.u[j] += ctx.mag[i] * col[j];
+      ctx.u[j] += s * col[j];
     }
   }
 }
@@ -125,7 +131,7 @@ void av_conv3x3(const ConvTapCtx& ctx) {
     const std::uint32_t iy = kShift ? sp >> w_bits : sp / w;
     const std::uint32_t ix = sp - iy * w;
     const float* wbase = ctx.wt + static_cast<std::size_t>(ic) * 9 * OC;
-    const __m256 m = _mm256_set1_ps(ctx.mag[i]);
+    const __m256 m = _mm256_set1_ps(ctx.mag[i * ctx.mag_stride]);
     if (iy >= 1 && iy + 1 < h && ix >= 1 && ix + 1 < w) {
       float* centre = ctx.u + static_cast<std::size_t>(sp) * OC;
       for (std::ptrdiff_t ky = 0; ky < 3; ++ky) {
@@ -721,12 +727,15 @@ constexpr KernelDispatch avx2_table() {
 constinit const KernelDispatch kAvx2Table = avx2_table();
 
 #if defined(TSNN_SIMD_AVX512)
-// The avx2 table with the 512-bit conv_taps leaf (kernels_avx512.cpp).
+// The avx2 table with the 512-bit conv_taps, threshold_fire and burst_fire
+// leaves (kernels_avx512.cpp).
 constinit const KernelDispatch kAvx512Table = [] {
   KernelDispatch t = avx2_table();
   t.isa = "avx512";
   t.features = cpu::kAvx2 | cpu::kAvx512;
   t.conv_taps = ax_conv_taps;
+  t.threshold_fire = ax_threshold_fire;
+  t.burst_fire = ax_burst_fire;
   return t;
 }();
 #endif

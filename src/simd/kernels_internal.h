@@ -35,8 +35,10 @@ extern const KernelDispatch kAvx2Table;
 #endif
 #if defined(TSNN_SIMD_AVX512)
 extern const KernelDispatch kAvx512Table;
-/// The avx512 table's one leaf of its own (kernels_avx512.cpp).
+/// The avx512 table's leaves of its own (kernels_avx512.cpp).
 void ax_conv_taps(const ConvTapCtx& ctx);
+std::size_t ax_threshold_fire(const ThresholdCtx& ctx);
+std::size_t ax_burst_fire(const BurstFireCtx& ctx);
 #endif
 
 }  // namespace tsnn::simd

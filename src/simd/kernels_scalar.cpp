@@ -14,7 +14,7 @@ namespace tsnn::simd {
 void sc_dense_scatter(const DenseScatterCtx& ctx) {
   for (std::size_t i = 0; i < ctx.count; ++i) {
     const float* col = ctx.wt + static_cast<std::size_t>(ctx.pre[i]) * ctx.out;
-    const float m = ctx.mag[i];
+    const float m = ctx.mag[i * ctx.mag_stride];
     for (std::size_t j = 0; j < ctx.out; ++j) {
       ctx.u[j] += m * col[j];
     }
@@ -26,7 +26,7 @@ void sc_conv_taps(const ConvTapCtx& ctx) {
     const std::size_t pre = ctx.pre[i];
     const std::size_t ic = pre / ctx.in_hw;
     const std::size_t sp = pre % ctx.in_hw;
-    const float m = ctx.mag[i];
+    const float m = ctx.mag[i * ctx.mag_stride];
     const float* wbase = ctx.wt + ic * ctx.k2 * ctx.oc;
     const std::uint32_t end = ctx.tap_offset[sp + 1];
     for (std::uint32_t t = ctx.tap_offset[sp]; t < end; ++t) {

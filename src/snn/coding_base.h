@@ -178,22 +178,20 @@ using CodingSchemePtr = std::unique_ptr<CodingScheme>;
 /// Propagates step `t` of `in` through `syn` at uniform magnitude `m` --
 /// the shared hot-path shape of the rate/phase layer loops and of the
 /// rate/phase/TTFS/TTAS readouts, where the PSC magnitude depends on the
-/// timestep but not on the individual spike. (TTFS/TTAS hidden layers
-/// charge a whole train at once: SynapseTopology::propagate_train.)
-/// `batch` is caller-owned scratch (reused across steps so the per-step
-/// assembly allocates only on growth); must not be shared across threads.
-/// Writes `u` in the topology's accumulator layout (propagate_accum) --
-/// consumers find neuron j at syn.accum_layout().slot(j), and the fire
-/// scans take the layout's extents.
+/// timestep but not on the individual spike. The step's span is charged
+/// as it stands, at one magnitude (SpikeSpan::uniform): nothing is copied
+/// or filled. (TTFS/TTAS hidden layers charge a whole train at once:
+/// SynapseTopology::propagate_train.) Writes `u` in the topology's
+/// accumulator layout (propagate_accum) -- consumers find neuron j at
+/// syn.accum_layout().slot(j), and the fire scans take the layout's
+/// extents.
 inline void propagate_step(const EventBuffer& in, std::size_t t, float m,
-                           const SynapseTopology& syn, SpikeBatch& batch,
-                           float* u) {
+                           const SynapseTopology& syn, float* u) {
   const EventBuffer::StepSpan span = in.step(t);
   if (span.count == 0) {
     return;
   }
-  batch.assign(span.ids, span.count, m);
-  syn.propagate_accum(batch, u);
+  syn.propagate_accum(SpikeSpan::uniform(span, &m), u);
 }
 
 }  // namespace tsnn::snn

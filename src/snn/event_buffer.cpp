@@ -1,6 +1,7 @@
 #include "snn/event_buffer.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "simd/kernels.h"
 
@@ -53,20 +54,26 @@ void EventBuffer::push_step(std::int32_t t, const std::uint32_t* ids,
       report_neuron(ids[i]);  // throws at the first id push() would reject
     }
   }
-  finalized_ = false;
-  if (staged_ || static_cast<std::size_t>(t) < open_) {
-    push_staged(t, ids, n);
-    return;
-  }
-  open_step(static_cast<std::size_t>(t));
   neurons_.insert(neurons_.end(), ids, ids + n);
+  file_tail(t, n);
 }
 
-void EventBuffer::push_staged(std::int32_t t, const std::uint32_t* ids,
-                              std::size_t n) {
+void EventBuffer::reject_tail(std::int32_t t, std::size_t n) {
+  const auto tail = neurons_.end() - static_cast<std::ptrdiff_t>(n);
+  const auto bad = std::find_if(tail, neurons_.end(), [this](std::uint32_t id) {
+    return id >= num_neurons_;
+  });
+  const std::uint32_t first_bad = bad == neurons_.end() ? 0 : *bad;
+  neurons_.erase(tail, neurons_.end());
+  check_push_time(t);
+  report_neuron(first_bad);
+  std::abort();  // unreachable: the caller saw a bad time or id
+}
+
+void EventBuffer::stage_tail(std::int32_t t, std::size_t n) {
   if (!staged_) {
     // Recover the times of the in-order prefix from the offset table.
-    staged_times_.resize(neurons_.size());
+    staged_times_.resize(neurons_.size() - n);
     for (std::size_t s = 0; s < open_; ++s) {
       std::fill(staged_times_.begin() + offsets_[s],
                 staged_times_.begin() + offsets_[s + 1],
@@ -77,7 +84,6 @@ void EventBuffer::push_staged(std::int32_t t, const std::uint32_t* ids,
     staged_ = true;
   }
   staged_times_.insert(staged_times_.end(), n, t);
-  neurons_.insert(neurons_.end(), ids, ids + n);
 }
 
 void EventBuffer::finalize(EventSortScratch& scratch) {
@@ -107,7 +113,7 @@ void EventBuffer::finalize(EventSortScratch& scratch) {
     staged_ = false;
     open_ = window_;
   } else {
-    open_step(window_);
+    open_step(window_, neurons_.size());
   }
   closed_ = 0;  // incremental closes are subsumed by the full offset table
   finalized_ = true;

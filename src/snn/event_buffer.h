@@ -11,10 +11,11 @@
 // to spike trains.
 //
 // Producers:
-//   * In order -- push_step(t, ids, n) (the fire scans' per-step emission)
-//     and push(t, id) at non-decreasing t append ids and advance the offset
-//     table as they go, so finalize() only closes the trailing steps and
-//     reads no per-event data.
+//   * In order -- append_step(t, room, scan) (the fire scans' per-step
+//     emission: the scan writes its ids straight into room at the end of
+//     the train), push_step(t, ids, n) and push(t, id) at non-decreasing t
+//     append ids and advance the offset table as they go, so finalize()
+//     only closes the trailing steps and reads no per-event data.
 //   * Out of order -- push() accepts any order. The first push earlier than
 //     the open step stages a time for every event so far; later pushes
 //     stage theirs, and finalize() counting-sorts the ids stably into step
@@ -88,20 +89,40 @@ class EventBuffer {
     if (neuron >= num_neurons_) [[unlikely]] {
       report_neuron(neuron);
     }
-    finalized_ = false;
-    if (staged_ || static_cast<std::size_t>(t) < open_) {
-      push_staged(t, &neuron, 1);
-      return;
-    }
-    open_step(static_cast<std::size_t>(t));
     neurons_.push_back(neuron);
+    file_tail(t, 1);
   }
 
   /// Appends `ids[0..n)` at step `t`, in order -- the train push(t, ids[i])
   /// for each i would leave, with the time checked once and the ids in one
   /// reduction. Throws push()'s message before appending anything; n == 0
-  /// is a no-op. The fire scans' per-step emission.
+  /// is a no-op.
   void push_step(std::int32_t t, const std::uint32_t* ids, std::size_t n);
+
+  /// The fire scans' per-step emission, in place: `scan(out)` writes step
+  /// `t`'s ids, ascending, at `out` -- room for `room` ids at the end of the
+  /// train -- and returns how many it wrote. Leaves exactly what
+  /// push_step(t, ids, n) of the same ids leaves, push()'s messages
+  /// included (a rejected step leaves the buffer as it was), but the ids
+  /// are never copied, and, since they ascend, the range check is a test of
+  /// the last one. The room is default-initialized (common/aligned.h), so
+  /// it costs no fill.
+  template <typename Scan>
+  void append_step(std::int32_t t, std::size_t room, Scan&& scan) {
+    const std::size_t base = neurons_.size();
+    neurons_.resize(base + room);
+    const std::size_t n = scan(neurons_.data() + base);
+    neurons_.resize(base + n);
+    if (n == 0) {
+      return;
+    }
+    const auto step = static_cast<std::size_t>(t);  // t < 0 wraps past window_
+    if (step >= window_ || step < closed_ || neurons_.back() >= num_neurons_)
+        [[unlikely]] {
+      reject_tail(t, n);
+    }
+    file_tail(t, n);
+  }
 
   /// Replaces the train with one burst per neuron: neuron ids[k] spikes at
   /// steps first[k], first[k] + 1, ..., first[k] + duration - 1. Leaves
@@ -135,7 +156,7 @@ class EventBuffer {
                    "close_step requires time-ordered, unfinalized pushes");
     TSNN_CHECK_MSG(closed_ < window_, "all steps already closed");
     ++closed_;
-    open_step(closed_);
+    open_step(closed_, neurons_.size());
   }
   /// Number of leading steps readable on an unfinalized buffer.
   std::size_t steps_closed() const { return closed_; }
@@ -231,17 +252,31 @@ class EventBuffer {
   [[gnu::noinline, gnu::cold]] void report_time_in_window(std::int32_t t) const;
   [[gnu::noinline, gnu::cold]] void report_neuron(std::uint32_t neuron) const;
 
-  /// In-order append: steps [open_, t) end at the current size, and `t`
-  /// becomes the open step. Requires t >= open_.
-  void open_step(std::size_t t) {
-    const auto end = static_cast<std::uint32_t>(neurons_.size());
+  /// In-order append: steps [open_, t) end at id `end`, and `t` becomes
+  /// the open step. Requires t >= open_.
+  void open_step(std::size_t t, std::size_t end) {
     while (open_ < t) {
-      offsets_[++open_] = end;
+      offsets_[++open_] = static_cast<std::uint32_t>(end);
     }
   }
-  /// Out-of-order append of ids[0..n) at `t`, staging every event's time
-  /// first if this is the first out-of-order append.
-  void push_staged(std::int32_t t, const std::uint32_t* ids, std::size_t n);
+  /// Files the last n ids appended, all at step `t` (checked): in order,
+  /// or staged when `t` is earlier than the open step or the train is
+  /// already staged.
+  void file_tail(std::int32_t t, std::size_t n) {
+    finalized_ = false;
+    if (staged_ || static_cast<std::size_t>(t) < open_) {
+      stage_tail(t, n);
+    } else {
+      open_step(static_cast<std::size_t>(t), neurons_.size() - n);
+    }
+  }
+  /// Stages the time `t` of the last n ids, staging every earlier event's
+  /// time first if they are the first out-of-order ids.
+  void stage_tail(std::int32_t t, std::size_t n);
+  /// Drops the last n ids, appended at `t`, and throws the message push()
+  /// would throw first for them.
+  [[noreturn, gnu::noinline, gnu::cold]] void reject_tail(std::int32_t t,
+                                                          std::size_t n);
 
   std::size_t num_neurons_ = 0;
   std::size_t window_ = 0;

@@ -65,19 +65,6 @@ void check_bounds(const std::uint32_t* ids, std::size_t n,
   }
 }
 
-/// Per-event magnitudes of a finalized train, indexed like its ids: mag[t]
-/// for every event of step t (the kernels take one magnitude per spike). A
-/// thread-local, grow-only buffer, so a warm thread allocates nothing.
-const float* event_magnitudes(const EventBuffer& train, const float* mag) {
-  thread_local aligned_vector<float> m;
-  m.resize(train.size());
-  float* out = m.data();
-  for (std::size_t t = 0; t < train.window(); ++t) {
-    out = std::fill_n(out, train.step(t).count, mag[t]);
-  }
-  return m.data();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------- WeightBlock ----
@@ -159,19 +146,19 @@ void DenseTopology::invalidate_cache() {
   cache_ready_.store(false, std::memory_order_release);
 }
 
-void DenseTopology::propagate_accum(const SpikeBatch& batch,
-                                    float* u) const {
-  if (batch.empty()) {
+void DenseTopology::propagate_accum(const SpikeSpan& batch, float* u) const {
+  if (batch.count == 0) {
     return;
   }
   const std::size_t out = weight_.dim(0);
   const std::size_t in = weight_.dim(1);
-  check_bounds(batch.pre(), batch.size(), in);
+  check_bounds(batch.pre, batch.count, in);
   simd::DenseScatterCtx ctx;
   ctx.wt = transposed();
-  ctx.pre = batch.pre();
-  ctx.mag = batch.magnitude();
-  ctx.count = batch.size();
+  ctx.pre = batch.pre;
+  ctx.mag = batch.mag;
+  ctx.mag_stride = batch.mag_stride;
+  ctx.count = batch.count;
   ctx.out = out;
   ctx.u = u;
   simd::kernels().dense_scatter(ctx);
@@ -183,17 +170,17 @@ void DenseTopology::propagate_train(const EventBuffer& train, const float* mag,
     return;
   }
   check_bounds(train.neurons(), train.size(), weight_.dim(1));
-  const float* mags = event_magnitudes(train, mag);
   const auto scatter = simd::kernels().dense_scatter;
   simd::DenseScatterCtx ctx;
   ctx.wt = transposed();
+  ctx.mag_stride = 0;
   ctx.out = weight_.dim(0);
   ctx.u = u;
   for (std::size_t t = 0; t < train.window(); ++t) {
     const EventBuffer::StepSpan step = train.step(t);
     if (step.count != 0) {
       ctx.pre = step.ids;
-      ctx.mag = mags + (step.ids - train.neurons());
+      ctx.mag = mag + t;
       ctx.count = step.count;
       scatter(ctx);
     }
@@ -369,34 +356,36 @@ void ConvTopology::invalidate_cache() {
 }
 
 void ConvTopology::run_taps(simd::ConvTapCtx& ctx, TapLeaf leaf,
-                            const std::uint32_t* pre, const float* mag,
-                            std::size_t count) const {
-  if (count >= canonical_threshold()) {
+                            const SpikeSpan& batch) const {
+  ctx.pre = batch.pre;
+  ctx.mag = batch.mag;
+  ctx.mag_stride = batch.mag_stride;
+  ctx.count = batch.count;
+  if (batch.count >= canonical_threshold()) {
     // Canonical order: sum each neuron's magnitudes in batch order, then
     // emit the neurons ascending, so each slot adds its products in
     // (ic, ky, kx) order. A zero sum is skipped: it would add only a
     // signed zero.
     const std::size_t in = in_size();
     GatherScratch& g = gather_scratch(in);
-    for (std::size_t i = 0; i < count; ++i) {
-      g.sum[pre[i]] += mag[i];
+    for (std::size_t i = 0; i < batch.count; ++i) {
+      g.sum[batch.pre[i]] += batch.mag[i * batch.mag_stride];
     }
-    count = 0;
+    std::size_t count = 0;
     for (std::size_t j = 0; j < in; ++j) {
       if (g.sum[j] != 0.0f) {
         g.ids[count] = static_cast<std::uint32_t>(j);
         g.sum[count++] = g.sum[j];  // in place: count <= j
       }
     }
-    pre = g.ids.data();
-    mag = g.sum.data();
+    ctx.pre = g.ids.data();
+    ctx.mag = g.sum.data();
+    ctx.mag_stride = 1;
+    ctx.count = count;
   }
   // Each accumulator slot is touched at most once per spike, and spikes
   // run in order, so per-slot addition order is spike order on every
   // table -- the conv_taps kernel contract in simd/kernels.h.
-  ctx.pre = pre;
-  ctx.mag = mag;
-  ctx.count = count;
   leaf(ctx);
 }
 
@@ -417,14 +406,13 @@ simd::ConvTapCtx ConvTopology::taps_ctx(float* u) const {
   return ctx;
 }
 
-void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
-  if (batch.empty()) {
+void ConvTopology::propagate_accum(const SpikeSpan& batch, float* u) const {
+  if (batch.count == 0) {
     return;
   }
-  check_bounds(batch.pre(), batch.size(), in_size());
+  check_bounds(batch.pre, batch.count, in_size());
   simd::ConvTapCtx ctx = taps_ctx(u);
-  run_taps(ctx, simd::kernels().conv_taps, batch.pre(), batch.magnitude(),
-           batch.size());
+  run_taps(ctx, simd::kernels().conv_taps, batch);
 }
 
 void ConvTopology::propagate_train(const EventBuffer& train, const float* mag,
@@ -433,14 +421,12 @@ void ConvTopology::propagate_train(const EventBuffer& train, const float* mag,
     return;
   }
   check_bounds(train.neurons(), train.size(), in_size());
-  const float* mags = event_magnitudes(train, mag);
   simd::ConvTapCtx ctx = taps_ctx(u);
   const TapLeaf leaf = simd::kernels().conv_taps;
   for (std::size_t t = 0; t < train.window(); ++t) {
     const EventBuffer::StepSpan step = train.step(t);
     if (step.count != 0) {
-      run_taps(ctx, leaf, step.ids, mags + (step.ids - train.neurons()),
-               step.count);
+      run_taps(ctx, leaf, SpikeSpan::uniform(step, mag + t));
     }
   }
 }
@@ -579,18 +565,17 @@ const std::uint32_t* PoolTopology::post_map() const {
   return post_.data();
 }
 
-void PoolTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
+void PoolTopology::propagate_accum(const SpikeSpan& batch, float* u) const {
   // Pool fan-out is O(1) per spike; batching removes the virtual dispatch
   // and div/mod, and the range check is one reduction per batch.
-  if (max_id(batch.pre(), batch.size()) >= in_size()) [[unlikely]] {
-    report_pool_bounds(batch.pre(), batch.size(), in_size());
+  if (max_id(batch.pre, batch.count) >= in_size()) [[unlikely]] {
+    report_pool_bounds(batch.pre, batch.count, in_size());
   }
-  const std::uint32_t* pre = batch.pre();
+  const std::uint32_t* pre = batch.pre;
   const std::uint32_t* post = post_map();
   const float w = weight_;
-  const float* mag = batch.magnitude();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    u[post[pre[i]]] += mag[i] * w;
+  for (std::size_t i = 0; i < batch.count; ++i) {
+    u[post[pre[i]]] += batch.mag[i * batch.mag_stride] * w;
   }
 }
 

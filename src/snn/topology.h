@@ -9,12 +9,14 @@
 //
 // Three entry points exist: accumulate() applies a single spike and is the
 // readable reference implementation; propagate_accum() applies one
-// timestep's whole SpikeBatch at once through cache-resident kernels
-// (transposed weights for dense, precomputed tap tables for conv, a
-// pre->post map for pooling) and is what the per-step hot loops call; and
-// propagate_train() applies a whole time-major train, step after step, for
-// the barrier stages (TTFS/TTAS) that charge their full input window in one
-// call. See docs/ARCHITECTURE.md "Hot path & batched propagation".
+// timestep's spikes at once (a SpikeSpan: an EventBuffer step charged at
+// one magnitude, or at one magnitude per spike) through cache-resident
+// kernels (transposed weights for dense, precomputed tap
+// tables for conv, a pre->post map for pooling) and is what the per-step
+// hot loops call; and propagate_train() applies a whole time-major train,
+// step after step, for the barrier stages (TTFS/TTAS) that charge their
+// full input window in one call. See docs/ARCHITECTURE.md "Hot path &
+// batched propagation".
 #pragma once
 
 #include <algorithm>
@@ -33,10 +35,9 @@
 
 namespace tsnn::snn {
 
-/// All spikes of one simulation timestep, as parallel (pre, magnitude)
-/// arrays. Coding schemes assemble one batch per step and hand it to
-/// SynapseTopology::propagate_accum(). Duplicate `pre` entries are allowed
-/// and their contributions sum.
+/// An owned batch of spikes assembled spike by spike, each at its own
+/// magnitude (tests and benchmarks); it converts to a SpikeSpan at stride 1.
+/// Duplicate `pre` entries are allowed and their contributions sum.
 class SpikeBatch {
  public:
   SpikeBatch() = default;
@@ -46,23 +47,10 @@ class SpikeBatch {
     mag_.clear();
   }
 
-  void reserve(std::size_t n) {
-    pre_.reserve(n);
-    mag_.reserve(n);
-  }
-
   /// Appends one spike of presynaptic neuron `pre` at magnitude `m`.
   void add(std::uint32_t pre, float m) {
     pre_.push_back(pre);
     mag_.push_back(m);
-  }
-
-  /// Replaces the contents with `ids[0..n)`, all at uniform magnitude `m`
-  /// (the common case: rate/phase/TTFS magnitudes depend on t, not on the
-  /// spike) -- an EventBuffer per-step span.
-  void assign(const std::uint32_t* ids, std::size_t n, float m) {
-    pre_.assign(ids, ids + n);
-    mag_.assign(n, m);
   }
 
   std::size_t size() const { return pre_.size(); }
@@ -73,6 +61,30 @@ class SpikeBatch {
  private:
   std::vector<std::uint32_t> pre_;
   std::vector<float> mag_;
+};
+
+/// A non-owning view of one timestep's spikes, the argument of
+/// SynapseTopology::propagate_accum(): ids pre[0..count), spike i at
+/// magnitude mag[i * mag_stride]. Stride 1 is one magnitude per spike
+/// (burst coding's ISI-decoded gains, a SpikeBatch); stride 0 is one
+/// magnitude for the whole batch, read from mag[0] -- an EventBuffer step
+/// charged as it stands, with nothing copied or filled.
+struct SpikeSpan {
+  const std::uint32_t* pre;
+  const float* mag;
+  std::size_t count;
+  std::size_t mag_stride;
+
+  SpikeSpan(const std::uint32_t* pre_ids, const float* mags, std::size_t n,
+            std::size_t stride)
+      : pre(pre_ids), mag(mags), count(n), mag_stride(stride) {}
+  /*implicit*/ SpikeSpan(const SpikeBatch& batch)
+      : SpikeSpan(batch.pre(), batch.magnitude(), batch.size(), 1) {}
+
+  /// Step `span` of a train, every spike at `*m`.
+  static SpikeSpan uniform(const EventBuffer::StepSpan& span, const float* m) {
+    return {span.ids, m, span.count, 0};
+  }
 };
 
 /// Layout of a topology's *internal* potential accumulator, used by the
@@ -109,18 +121,18 @@ class SynapseTopology {
   /// Layout of the accumulator that propagate_accum() writes into.
   virtual AccumLayout accum_layout() const { return {1, out_size()}; }
 
-  /// The batched entry point: applies every (pre, m) pair of `batch` into
-  /// `u` (out_size() floats laid out per accum_layout()). Slot for slot it
-  /// adds the same products in the same order as per-spike accumulate()
-  /// over the batch, on every kernel table, so the two agree bit for bit;
+  /// The batched entry point: applies every spike of `batch` into `u`
+  /// (out_size() floats laid out per accum_layout()). Slot for slot it adds
+  /// the same products in the same order as per-spike accumulate() over
+  /// the batch, on every kernel table, so the two agree bit for bit;
   /// ConvTopology runs a batch of canonical_threshold() spikes or more in
   /// ascending neuron order instead (see there).
-  virtual void propagate_accum(const SpikeBatch& batch, float* u) const = 0;
+  virtual void propagate_accum(const SpikeSpan& batch, float* u) const = 0;
 
   /// A whole finalized train at per-step magnitudes: step t's spikes, each
   /// at magnitude mag[t], for t < train.window(). Slot for slot it adds what
-  /// propagate_accum() of each step's batch (its ids at uniform magnitude
-  /// mag[t]) adds, step after step -- bit for bit, the canonical order
+  /// propagate_accum() of each step (SpikeSpan::uniform(train.step(t),
+  /// mag + t)) adds, step after step -- bit for bit, the canonical order
   /// included -- with the bounds check, the caches and the kernel table
   /// resolved once.
   virtual void propagate_train(const EventBuffer& train, const float* mag,
@@ -192,7 +204,7 @@ class DenseTopology : public SynapseTopology {
   std::size_t in_size() const override { return weight_.dim(1); }
   std::size_t out_size() const override { return weight_.dim(0); }
   void accumulate(std::size_t pre, float m, float* u) const override;
-  void propagate_accum(const SpikeBatch& batch, float* u) const override;
+  void propagate_accum(const SpikeSpan& batch, float* u) const override;
   void propagate_train(const EventBuffer& train, const float* mag,
                        float* u) const override;
   void apply_dense(const float* x, float* y) const override;
@@ -238,7 +250,7 @@ class ConvTopology : public SynapseTopology {
   /// adds its contributions in canonical (ic, ky, kx) order -- the order
   /// the pinned outputs were produced in. A smaller batch runs in batch
   /// order. Either way it is one conv_taps call.
-  void propagate_accum(const SpikeBatch& batch, float* u) const override;
+  void propagate_accum(const SpikeSpan& batch, float* u) const override;
   /// Decides the canonical order step by step, as propagate_accum() does
   /// for each step's batch.
   void propagate_train(const EventBuffer& train, const float* mag,
@@ -285,11 +297,11 @@ class ConvTopology : public SynapseTopology {
   /// The conv_taps context of this layer into `u`, with the cache
   /// resolved; the spikes are left to run_taps().
   simd::ConvTapCtx taps_ctx(float* u) const;
-  /// One `leaf` call over `count` bounds-checked spikes, in the canonical
-  /// order when count >= canonical_threshold() -- the body of
-  /// propagate_accum() and of each propagate_train() step.
-  void run_taps(simd::ConvTapCtx& ctx, TapLeaf leaf, const std::uint32_t* pre,
-                const float* mag, std::size_t count) const;
+  /// One `leaf` call over the bounds-checked spikes of `batch`, in the
+  /// canonical order when batch.count >= canonical_threshold() -- the body
+  /// of propagate_accum() and of each propagate_train() step.
+  void run_taps(simd::ConvTapCtx& ctx, TapLeaf leaf,
+                const SpikeSpan& batch) const;
 
   WeightBlock weight_;
   std::size_t in_ch_, in_h_, in_w_;
@@ -314,7 +326,7 @@ class PoolTopology : public SynapseTopology {
   std::size_t in_size() const override { return channels_ * in_h_ * in_w_; }
   std::size_t out_size() const override { return channels_ * out_h_ * out_w_; }
   void accumulate(std::size_t pre, float m, float* u) const override;
-  void propagate_accum(const SpikeBatch& batch, float* u) const override;
+  void propagate_accum(const SpikeSpan& batch, float* u) const override;
   void propagate_train(const EventBuffer& train, const float* mag,
                        float* u) const override;
   void apply_dense(const float* x, float* y) const override;

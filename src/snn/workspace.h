@@ -3,8 +3,8 @@
 // One SimWorkspace owns every piece of mutable scratch the per-image hot
 // path needs -- the layer-to-layer EventBuffer ping-pong pair, the
 // counting-sort scratch, the encoder state arrays, and one StageState
-// (per-step SpikeBatch, membrane potentials, decoder state) per stage in
-// flight. All members are
+// (membrane potentials, burst's decoder state) per stage in flight. All
+// members are
 // grow-only: vectors are re-dimensioned with assign()/resize() which never
 // release capacity, so after a warm-up image the steady state performs
 // zero heap allocations per image (see docs/ARCHITECTURE.md,
@@ -36,7 +36,6 @@ namespace tsnn::snn {
 /// the workspace itself.
 struct StageState {
   EventSortScratch sort;  ///< counting-sort scratch for out.finalize()
-  SpikeBatch batch;       ///< per-step propagation batch
   EventBuffer out;        ///< stage output train (wavefront only; the
                           ///< whole-window loops emit into a caller buffer)
 
@@ -46,7 +45,8 @@ struct StageState {
   aligned_vector<std::uint32_t> k;     ///< burst escalation counters, by slot
   std::vector<std::int64_t> isi_last;  ///< burst ISI decoder: last arrival
   std::vector<std::uint32_t> isi_k;    ///< burst ISI decoder: run length
-  aligned_vector<std::uint32_t> fired;  ///< fire-scan kernel output
+  aligned_vector<float> mag;  ///< burst ISI decoder: a step's magnitudes
+  aligned_vector<std::uint32_t> fired;  ///< TTFS/TTAS floor-scan output
 
   /// Zeroed potential array of length `n` (recycles capacity).
   float* potentials(std::size_t n) {
@@ -54,8 +54,9 @@ struct StageState {
     return u.data();
   }
 
-  /// Uninitialized fired-index scratch of capacity `n` for the
-  /// threshold_fire/burst_fire kernels (recycles capacity).
+  /// Uninitialized fired-index scratch of capacity `n` for the TTFS/TTAS
+  /// floor scan (recycles capacity). Rate, phase and burst scan straight
+  /// into their output train (EventBuffer::append_step).
   std::uint32_t* fired_scratch(std::size_t n) {
     fired.resize(n);
     return fired.data();
@@ -72,16 +73,16 @@ struct SimWorkspace {
   EventBuffer next;       ///< spike train the current stage emits
   EventSortScratch sort;  ///< counting-sort / conversion scratch
 
-  // The SIMD-streamed buffers (encoder charge and counters, the firing
-  // scan's outputs) are aligned_vectors so the dispatch-table kernels
-  // (simd/kernels.h) never split cache lines.
+  // The SIMD-streamed buffers (encoder charge and counters, the TTFS/TTAS
+  // encoder's spiking ids) are aligned_vectors so the dispatch-table
+  // kernels (simd/kernels.h) never split cache lines.
   aligned_vector<float> acc;            ///< encoder charge accumulators
   aligned_vector<std::uint32_t> k;      ///< burst escalation counters
-  aligned_vector<std::uint32_t> fired;  ///< fire-scan kernel output
+  aligned_vector<std::uint32_t> fired;  ///< TTFS/TTAS encoder's spiking ids
 
-  /// Uninitialized fired-index scratch of capacity `n` for the
-  /// threshold_fire/burst_fire kernels (recycles capacity; contents are
-  /// overwritten by the kernel up to its returned count).
+  /// Uninitialized id scratch of capacity `n` for the TTFS/TTAS encoder
+  /// (recycles capacity; the encoder writes it up to its count). Rate,
+  /// phase and burst encoders scan straight into their output train.
   std::uint32_t* fired_scratch(std::size_t n) {
     fired.resize(n);
     return fired.data();

@@ -4,6 +4,7 @@
 // implementation (PR 2) -- pinning that the rewrite is bit-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -188,6 +189,117 @@ TEST(EventBuffer, PushStepThrowsLikePush) {
         b.close_step();
       },
       1);
+  expect_same_throw(nothing, 8);
+  expect_same_throw(nothing, -1);
+}
+
+/// append_step() of `ids` at `t`, written the way a fire scan writes them:
+/// into the room at the end of the train, with the last room - n entries
+/// left as they were.
+void append_ids(EventBuffer& buf, std::int32_t t,
+                const std::vector<std::uint32_t>& ids, std::size_t room) {
+  buf.append_step(t, room, [&](std::uint32_t* out) {
+    std::copy(ids.begin(), ids.end(), out);
+    return ids.size();
+  });
+}
+
+TEST(EventBuffer, AppendStepMatchesPushStep) {
+  // In-order steps -- an empty one, a full one (ids fill the whole room),
+  // a repeated one -- a close, appends after the close, then an earlier
+  // step after a later one (staged): both buffers hold the same arrays,
+  // spans and flags throughout, and finalize to the same train.
+  constexpr std::size_t kNeurons = 10;
+  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
+      in_order = {{0, {1, 3, 4}},
+                  {1, {}},
+                  {2, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+                  {2, {9}},
+                  {4, {6}}};
+  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
+      after_close = {{4, {2, 7}}, {6, {}}, {6, {0, 5, 8}}};
+  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
+      earlier = {{5, {3, 4}}, {7, {1}}};
+  EventBuffer appended;
+  EventBuffer pushed;
+  appended.reset(kNeurons, 8);
+  pushed.reset(kNeurons, 8);
+  const auto append = [&](const auto& steps) {
+    for (const auto& [t, ids] : steps) {
+      append_ids(appended, t, ids, kNeurons);
+      pushed.push_step(t, ids.data(), ids.size());
+      ASSERT_EQ(appended.size(), pushed.size()) << "t=" << t;
+      for (std::size_t i = 0; i < pushed.size(); ++i) {
+        EXPECT_EQ(appended.neurons()[i], pushed.neurons()[i]) << "t=" << t;
+      }
+      EXPECT_EQ(appended.finalized(), pushed.finalized()) << "t=" << t;
+      EXPECT_EQ(appended.steps_closed(), pushed.steps_closed()) << "t=" << t;
+      for (std::size_t s = 0; s < pushed.steps_closed(); ++s) {
+        EXPECT_EQ(appended.step_count(s), pushed.step_count(s)) << "t=" << t;
+      }
+      EXPECT_EQ(finalized_events_of(appended), finalized_events_of(pushed))
+          << "t=" << t;
+    }
+  };
+  append(in_order);
+  appended.close_step();
+  pushed.close_step();
+  appended.close_step();
+  pushed.close_step();
+  append(after_close);
+  appended.close_step();  // time-ordered so far: closing still works
+  pushed.close_step();
+  append(earlier);
+  EXPECT_THROW(appended.close_step(), InvalidArgument);  // now staged
+  EXPECT_THROW(pushed.close_step(), InvalidArgument);
+  EventSortScratch scratch;
+  appended.finalize(scratch);
+  pushed.finalize(scratch);
+  EXPECT_TRUE(appended.finalized());
+  EXPECT_EQ(events_of(appended), events_of(pushed));
+  for (std::size_t t = 0; t < pushed.window(); ++t) {
+    const EventBuffer::StepSpan a = appended.step(t);
+    const EventBuffer::StepSpan p = pushed.step(t);
+    ASSERT_EQ(a.count, p.count) << "t=" << t;
+    EXPECT_TRUE(std::equal(a.ids, a.ids + a.count, p.ids)) << "t=" << t;
+  }
+}
+
+TEST(EventBuffer, AppendStepThrowsLikePushAndKeepsTheBuffer) {
+  // A time outside the window, a closed step and an id past the range
+  // raise push()'s message, and the train is left as it was; an empty
+  // step is a no-op whatever its time, as for push_step.
+  const std::vector<std::uint32_t> ids = {1, 2, 4};
+  EventBuffer appended;
+  EventBuffer each;
+  const auto expect_same_throw = [&](auto&& prepare, std::int32_t t) {
+    appended.reset(4, 8);
+    each.reset(4, 8);
+    prepare(appended);
+    prepare(each);
+    const std::vector<SpikeEvent> before = finalized_events_of(appended);
+    const std::string want = invalid_argument_of([&] {
+      for (const std::uint32_t id : ids) {
+        each.push(t, id);
+      }
+    });
+    EXPECT_FALSE(want.empty()) << "t=" << t;
+    EXPECT_EQ(invalid_argument_of([&] { append_ids(appended, t, ids, 4); }),
+              want)
+        << "t=" << t;
+    EXPECT_EQ(finalized_events_of(appended), before) << "t=" << t;
+    append_ids(appended, t, {}, 4);
+    EXPECT_EQ(finalized_events_of(appended), before) << "t=" << t;
+  };
+  const auto nothing = [](EventBuffer&) {};
+  const auto closed_two = [](EventBuffer& b) {
+    b.push(0, 1);
+    b.close_step();
+    b.close_step();
+  };
+  expect_same_throw(nothing, 3);  // neuron 4 of 4
+  expect_same_throw(closed_two, 1);
+  expect_same_throw(closed_two, 2);  // open step, neuron 4 of 4
   expect_same_throw(nothing, 8);
   expect_same_throw(nothing, -1);
 }

@@ -496,8 +496,9 @@ RandomTrain random_train(const SynapseTopology& syn, std::size_t steps,
   return train;
 }
 
-/// propagate_train equals, slot for slot with ==, one propagate_accum per
-/// step of the train's batches at their step's magnitude, in step order.
+/// propagate_train (one magnitude per step, stride 0) equals, slot for
+/// slot with ==, one propagate_accum per step of a SpikeBatch holding the
+/// step's ids each at the step's magnitude (stride 1), in step order.
 void expect_train_matches_steps(const SynapseTopology& syn,
                                 std::uint64_t seed) {
   const RandomTrain train = random_train(syn, 12, seed);
@@ -506,7 +507,10 @@ void expect_train_matches_steps(const SynapseTopology& syn,
   for (std::size_t t = 0; t < train.events.window(); ++t) {
     const EventBuffer::StepSpan step = train.events.step(t);
     if (step.count != 0) {
-      batch.assign(step.ids, step.count, train.mag[t]);
+      batch.clear();
+      for (std::size_t i = 0; i < step.count; ++i) {
+        batch.add(step.ids[i], train.mag[t]);
+      }
       syn.propagate_accum(batch, stepped.data());
     }
   }

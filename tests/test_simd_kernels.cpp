@@ -45,6 +45,8 @@ std::vector<float> random_floats(Rng& rng, std::size_t n, float lo, float hi) {
   return v;
 }
 
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+
 // ---------------------------------------------------------------------------
 
 class SimdEquivalence : public ::testing::TestWithParam<const KernelDispatch*> {
@@ -154,15 +156,74 @@ TEST_P(SimdEquivalence, ConvTapsBitExact) {
   }
 }
 
+// One magnitude for the whole batch (stride 0) on this table against one
+// per spike (stride 1) on the scalar table, slot for slot with ==: conv at
+// every zoo channel count and input size (the fixed-geometry leaves), with
+// a batch below and one at the canonical threshold, then dense and pool.
+// The magnitude array holds other values past its first, so a leaf that
+// reads mag[i] at stride 0 shows.
+void expect_uniform_span_matches_batch(const KernelDispatch& table,
+                                       const snn::SynapseTopology& syn,
+                                       std::size_t count, Rng& rng) {
+  std::vector<std::uint32_t> ids(count);
+  for (auto& id : ids) {
+    id = static_cast<std::uint32_t>(rng.uniform_index(syn.in_size()));
+  }
+  const auto mags = random_floats(rng, count + 1, 0.05f, 2.0f);
+  snn::SpikeBatch batch;
+  for (const std::uint32_t id : ids) {
+    batch.add(id, mags[0]);
+  }
+  const auto u0 = random_floats(rng, syn.out_size(), -0.5f, 0.5f);
+  auto u_ref = u0;
+  auto u_got = u0;
+  {
+    simd::ScopedKernelOverride scalar(simd::scalar_kernels());
+    syn.propagate_accum(batch, u_ref.data());
+  }
+  simd::ScopedKernelOverride pinned(table);
+  syn.propagate_accum(snn::SpikeSpan(ids.data(), mags.data(), count, 0),
+                      u_got.data());
+  for (std::size_t j = 0; j < u_ref.size(); ++j) {
+    ASSERT_EQ(bits_of(u_ref[j]), bits_of(u_got[j]))
+        << table.isa << " in " << syn.in_size() << " out " << syn.out_size()
+        << " count " << count << " slot=" << j;
+  }
+}
+
+TEST_P(SimdEquivalence, UniformMagnitudeSpanBitExact) {
+  Rng rng(0x5a11u);
+  for (const std::size_t oc : {8ul, 12ul, 16ul, 24ul, 32ul, 64ul}) {
+    for (const std::size_t hw : {16ul, 8ul, 4ul}) {
+      const snn::ConvTopology conv(
+          Tensor{Shape{oc, 3, 3, 3}, random_floats(rng, oc * 27, -1.0f, 1.0f)},
+          hw, hw, 1, 1);
+      expect_uniform_span_matches_batch(table(), conv, 37, rng);
+      expect_uniform_span_matches_batch(table(), conv,
+                                        conv.canonical_threshold(), rng);
+    }
+  }
+  for (const std::size_t out : kFanOuts) {
+    const snn::DenseTopology dense(
+        Tensor{Shape{out, 40}, random_floats(rng, out * 40, -1.0f, 1.0f)});
+    for (const std::size_t count : kCounts) {
+      expect_uniform_span_matches_batch(table(), dense, count, rng);
+    }
+  }
+  const snn::PoolTopology pool(4, 8, 8, 2);
+  expect_uniform_span_matches_batch(table(), pool, 29, rng);
+}
+
 // Accumulator layouts the fire scans take (rows channels x cols positions,
 // slot s*rows + c): the identity (rows 1), rows that are and are not a
-// multiple of 4 (the 4-lane channel step; 6 is even but not), up to the
-// 64-channel limit of the vector tiles, and position counts below, at and
-// above the 8-position tile.
-constexpr std::size_t kLayoutRows[] = {1, 3, 4, 6, 8, 12, 16, 24, 64};
-constexpr std::size_t kLayoutCols[] = {1, 7, 8, 16, 64, 256};
-
-std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+// multiple of 4 (the 4-lane channel step; 6 is even but not) or of 16 (the
+// 512-bit lane group), every zoo channel count up to the 64-channel limit of
+// the vector tiles, and position counts below, at and above the 8- and
+// 16-position tiles: 48 is a whole number of 16-position tiles but not of
+// 32, 1024 the widest identity layout of the zoo and, at 32 and 64
+// channels, a layout at and past the 512-bit leaf's staging bound.
+constexpr std::size_t kLayoutRows[] = {1, 3, 4, 6, 8, 12, 16, 24, 32, 64};
+constexpr std::size_t kLayoutCols[] = {1, 7, 8, 16, 48, 64, 256, 1024};
 
 TEST_P(SimdEquivalence, ThresholdFireBitExact) {
   Rng rng(0x7153a11u);
@@ -250,9 +311,11 @@ TEST_P(SimdEquivalence, ThresholdFireWorkedLayout) {
   }
 }
 
+// Caps 15 and 16 are the largest ladder one 512-bit register holds and the
+// first that does not.
 TEST_P(SimdEquivalence, BurstFireBitExact) {
   Rng rng(0xb0257u);
-  for (const std::uint32_t cap : {4u, 12u}) {
+  for (const std::uint32_t cap : {4u, 12u, 15u, 16u}) {
     std::vector<float> quanta(cap + 1);
     for (std::uint32_t e = 0; e <= cap; ++e) {
       quanta[e] = 0.4f * static_cast<float>(1u << e);
