@@ -68,7 +68,7 @@ void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
       return kern.burst_fire(fire);
     });
   }
-  out.finalize(ws.sort);
+  out.finalize();
 }
 
 snn::SpikeSpan BurstScheme::decode_arrivals(const EventBuffer& in,
@@ -126,15 +126,6 @@ void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
                     fire.fired = ids;
                     return simd::kernels().burst_fire(fire);
                   });
-}
-
-void BurstScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
-                            LayerRole role, snn::StageState& st,
-                            EventBuffer& out) const {
-  static_cast<void>(in);
-  static_cast<void>(syn);
-  static_cast<void>(role);
-  out.finalize(st.sort);
 }
 
 void BurstScheme::begin_readout(const EventBuffer& in,

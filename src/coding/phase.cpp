@@ -50,7 +50,7 @@ void PhaseScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
       return kern.threshold_fire(fire);
     });
   }
-  out.finalize(ws.sort);
+  out.finalize();
 }
 
 void PhaseScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -87,15 +87,6 @@ void PhaseScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
                     fire.fired = ids;
                     return simd::kernels().threshold_fire(fire);
                   });
-}
-
-void PhaseScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
-                            LayerRole role, snn::StageState& st,
-                            EventBuffer& out) const {
-  static_cast<void>(in);
-  static_cast<void>(syn);
-  static_cast<void>(role);
-  out.finalize(st.sort);
 }
 
 void PhaseScheme::begin_readout(const EventBuffer& in,

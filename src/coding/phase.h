@@ -33,9 +33,6 @@ class PhaseScheme : public snn::CodingScheme {
   void step_layer(const snn::EventBuffer& in, const snn::SynapseTopology& syn,
                   snn::LayerRole role, std::size_t t, snn::StageState& st,
                   snn::EventBuffer& out) const override;
-  void end_layer(const snn::EventBuffer& in, const snn::SynapseTopology& syn,
-                 snn::LayerRole role, snn::StageState& st,
-                 snn::EventBuffer& out) const override;
   void begin_readout(const snn::EventBuffer& in,
                      const snn::SynapseTopology& syn, snn::LayerRole role,
                      snn::StageState& st) const override;

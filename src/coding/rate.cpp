@@ -39,7 +39,7 @@ void RateScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
       return kern.threshold_fire(fire);
     });
   }
-  out.finalize(ws.sort);
+  out.finalize();
 }
 
 void RateScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -77,15 +77,6 @@ void RateScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
                     fire.fired = ids;
                     return simd::kernels().threshold_fire(fire);
                   });
-}
-
-void RateScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
-                           LayerRole role, snn::StageState& st,
-                           EventBuffer& out) const {
-  static_cast<void>(in);
-  static_cast<void>(syn);
-  static_cast<void>(role);
-  out.finalize(st.sort);
 }
 
 void RateScheme::begin_readout(const EventBuffer& in,

@@ -18,8 +18,9 @@
 // Emission: encode_into() and end_layer() write each firing neuron's first
 // step t1 into workspace scratch (EventSortScratch::first) and emit the
 // whole train through EventBuffer::assign_bursts -- one count, prefix sum
-// and scatter into time-major order, no per-spike push and no sort. The
-// train is the one neuron-major push() + finalize() would build.
+// and scatter into time-major order, no per-spike append and no sort. The
+// train is the one a SpikeRaster filled neuron-major (each burst in turn)
+// and passed through EventBuffer::assign_from would build.
 //
 // Tables, built once per scheme with the historical float expressions, so
 // the hot paths call no libm and divide nothing:

@@ -37,6 +37,13 @@ void CodingScheme::readout_into(const EventBuffer& in,
   finish_readout(syn, st, logits);
 }
 
+void CodingScheme::end_layer(const EventBuffer& /*in*/,
+                             const SynapseTopology& /*syn*/,
+                             LayerRole /*role*/, StageState& /*st*/,
+                             EventBuffer& out) const {
+  out.finalize();
+}
+
 void CodingScheme::finish_readout(const SynapseTopology& syn, StageState& st,
                                   float* logits) const {
   const AccumLayout layout = syn.accum_layout();
@@ -56,7 +63,7 @@ SpikeRaster CodingScheme::run_layer(const SpikeRaster& in,
                                     const SynapseTopology& syn,
                                     LayerRole role) const {
   SimWorkspace ws;
-  ws.cur.assign_from(in, ws.sort);
+  ws.cur.assign_from(in);
   run_layer_into(ws.cur, syn, role, ws, ws.next);
   return ws.next.to_raster();
 }
@@ -64,7 +71,7 @@ SpikeRaster CodingScheme::run_layer(const SpikeRaster& in,
 Tensor CodingScheme::readout(const SpikeRaster& in, const SynapseTopology& syn,
                              LayerRole role) const {
   SimWorkspace ws;
-  ws.cur.assign_from(in, ws.sort);
+  ws.cur.assign_from(in);
   Tensor logits{Shape{syn.out_size()}};
   readout_into(ws.cur, syn, role, ws, logits.data());
   return logits;

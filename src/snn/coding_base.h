@@ -133,11 +133,12 @@ class CodingScheme {
   virtual void step_layer(const EventBuffer& in, const SynapseTopology& syn,
                           LayerRole role, std::size_t t, StageState& st,
                           EventBuffer& out) const = 0;
-  /// Completes the layer (e.g. the TTFS/TTAS analytic fire phase) and
-  /// finalizes `out`.
+  /// Completes the layer and finalizes `out`. The default only finalizes:
+  /// rate, phase and burst emit every spike from step_layer. TTFS/TTAS
+  /// override it with their analytic fire phase.
   virtual void end_layer(const EventBuffer& in, const SynapseTopology& syn,
                          LayerRole role, StageState& st,
-                         EventBuffer& out) const = 0;
+                         EventBuffer& out) const;
 
   virtual void begin_readout(const EventBuffer& in, const SynapseTopology& syn,
                              LayerRole role, StageState& st) const = 0;

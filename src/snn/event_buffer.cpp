@@ -13,20 +13,17 @@ void EventBuffer::reset(std::size_t num_neurons, std::size_t window) {
   num_neurons_ = num_neurons;
   window_ = window;
   neurons_.clear();
-  staged_times_.clear();
   offsets_.resize(window_ + 1);
   offsets_[0] = 0;
   open_ = 0;
   closed_ = 0;
-  staged_ = false;
   finalized_ = false;
 }
 
-void EventBuffer::report_push_time(std::int32_t t) const {
+void EventBuffer::report_time(std::int32_t t) const {
   report_time_in_window(t);
-  TSNN_CHECK_MSG(static_cast<std::size_t>(t) >= closed_,
-                 "event time " << t << " in already-closed step (closed "
-                               << closed_ << ")");
+  TSNN_CHECK_MSG(static_cast<std::size_t>(t) >= open_,
+                 "event time " << t << " before open step " << open_);
 }
 
 void EventBuffer::report_time_in_window(std::int32_t t) const {
@@ -44,18 +41,21 @@ void EventBuffer::push_step(std::int32_t t, const std::uint32_t* ids,
   if (n == 0) {
     return;
   }
-  check_push_time(t);
+  if (!time_appendable(t)) [[unlikely]] {
+    report_time(t);
+  }
   std::uint32_t top = 0;
   for (std::size_t i = 0; i < n; ++i) {
     top = std::max(top, ids[i]);
   }
   if (top >= num_neurons_) [[unlikely]] {
     for (std::size_t i = 0; i < n; ++i) {
-      report_neuron(ids[i]);  // throws at the first id push() would reject
+      report_neuron(ids[i]);  // throws at the first id out of range
     }
   }
+  const std::size_t base = neurons_.size();
   neurons_.insert(neurons_.end(), ids, ids + n);
-  file_tail(t, n);
+  open_step(static_cast<std::size_t>(t), base);
 }
 
 void EventBuffer::reject_tail(std::int32_t t, std::size_t n) {
@@ -65,58 +65,9 @@ void EventBuffer::reject_tail(std::int32_t t, std::size_t n) {
   });
   const std::uint32_t first_bad = bad == neurons_.end() ? 0 : *bad;
   neurons_.erase(tail, neurons_.end());
-  check_push_time(t);
+  report_time(t);
   report_neuron(first_bad);
   std::abort();  // unreachable: the caller saw a bad time or id
-}
-
-void EventBuffer::stage_tail(std::int32_t t, std::size_t n) {
-  if (!staged_) {
-    // Recover the times of the in-order prefix from the offset table.
-    staged_times_.resize(neurons_.size() - n);
-    for (std::size_t s = 0; s < open_; ++s) {
-      std::fill(staged_times_.begin() + offsets_[s],
-                staged_times_.begin() + offsets_[s + 1],
-                static_cast<std::int32_t>(s));
-    }
-    std::fill(staged_times_.begin() + offsets_[open_], staged_times_.end(),
-              static_cast<std::int32_t>(open_));
-    staged_ = true;
-  }
-  staged_times_.insert(staged_times_.end(), n, t);
-}
-
-void EventBuffer::finalize(EventSortScratch& scratch) {
-  if (finalized_) {
-    return;
-  }
-  if (staged_) {
-    // Stable counting sort of the ids by staged time: counts into the CSR
-    // table (offsets_[t+1] holds step t's count before the prefix sum),
-    // then a scatter through per-step cursors into scratch that is
-    // swapped in, so repeated finalizes recycle the same storage.
-    std::fill(offsets_.begin(), offsets_.end(), 0u);
-    for (const std::int32_t t : staged_times_) {
-      ++offsets_[static_cast<std::size_t>(t) + 1];
-    }
-    for (std::size_t t = 0; t < window_; ++t) {
-      offsets_[t + 1] += offsets_[t];
-    }
-    scratch.cursor.assign(offsets_.begin(), offsets_.end() - 1);
-    scratch.neurons.resize(neurons_.size());
-    for (std::size_t i = 0; i < neurons_.size(); ++i) {
-      scratch.neurons[scratch.cursor[static_cast<std::size_t>(
-          staged_times_[i])]++] = neurons_[i];
-    }
-    neurons_.swap(scratch.neurons);
-    staged_times_.clear();
-    staged_ = false;
-    open_ = window_;
-  } else {
-    open_step(window_, neurons_.size());
-  }
-  closed_ = 0;  // incremental closes are subsumed by the full offset table
-  finalized_ = true;
 }
 
 void EventBuffer::assign_bursts(const std::int32_t* first,
@@ -124,7 +75,7 @@ void EventBuffer::assign_bursts(const std::int32_t* first,
                                 std::size_t duration,
                                 EventSortScratch& scratch) {
   if (duration == 0) {
-    n = 0;  // no push at all
+    n = 0;  // no event at all
   }
   if (n > 0) {
     std::int32_t lo = first[0];
@@ -137,8 +88,8 @@ void EventBuffer::assign_bursts(const std::int32_t* first,
     }
     if (lo < 0 || static_cast<std::size_t>(hi) + duration > window_ ||
         top >= num_neurons_) [[unlikely]] {
-      // Walk the pushes neuron-major; a freshly reset buffer has no closed
-      // step, so only the window and the id can reject an event.
+      // Walk the events neuron-major; a freshly reset buffer's open step
+      // is 0, so only the window and the id can reject an event.
       for (std::size_t k = 0; k < n; ++k) {
         for (std::size_t b = 0; b < duration; ++b) {
           report_time_in_window(static_cast<std::int32_t>(
@@ -218,8 +169,7 @@ void EventBuffer::shift_times(const std::int32_t* shifts,
 void EventBuffer::remove_by_mask(const std::uint8_t* keep) {
   check_finalized();
   // Per-step left-pack through the mask_compact kernel (in-place safe:
-  // the write cursor never passes the read cursor) -- the same post-state
-  // as remove_if_not() with an equivalent predicate.
+  // the write cursor never passes the read cursor).
   const auto compact = simd::kernels().mask_compact;
   std::size_t w = 0;
   std::uint32_t read_begin = offsets_[0];
@@ -234,14 +184,13 @@ void EventBuffer::remove_by_mask(const std::uint8_t* keep) {
   neurons_.resize(w);
 }
 
-void EventBuffer::assign_from(const SpikeRaster& raster,
-                              EventSortScratch& scratch) {
+void EventBuffer::assign_from(const SpikeRaster& raster) {
   reset(raster.num_neurons(), raster.window());
   for (std::size_t t = 0; t < raster.window(); ++t) {
     const std::vector<std::uint32_t>& ids = raster.at(t);
     push_step(static_cast<std::int32_t>(t), ids.data(), ids.size());
   }
-  finalize(scratch);
+  finalize();
 }
 
 SpikeRaster EventBuffer::to_raster() const {

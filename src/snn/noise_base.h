@@ -8,10 +8,11 @@
 // The hot path is apply_inplace(): the simulator hands each stage's
 // EventBuffer to the noise model, which corrupts it in place (deletion
 // compacts the stream, jitter rewrites times and re-buckets) using only
-// the caller's scratch -- no allocation once the workspace is warm. The
-// raster-based apply() remains for tests and analyses; both paths visit
-// events in time-major emission order, so for a fixed seed they draw the
-// same randomness and produce identical corruption.
+// the caller's scratch -- no allocation once the workspace is warm. Every
+// model implements both entry points: the raster-based apply() is the
+// reference for tests and analyses, and both visit events in time-major
+// emission order, so for a fixed seed they draw the same randomness and
+// produce identical corruption.
 #pragma once
 
 #include <memory>
@@ -32,13 +33,13 @@ class NoiseModel {
   /// `rng` only, so a fixed seed reproduces the exact corruption.
   virtual SpikeRaster apply(const SpikeRaster& in, Rng& rng) const = 0;
 
-  /// Corrupts `events` in place (hot path). Must consume `rng` in the same
-  /// order as apply() -- events visited time-major -- so fixed-seed results
-  /// are identical across the two entry points. The default adapter round-
-  /// trips through apply() via SpikeRaster (allocating); TSNN's own models
-  /// override it with allocation-free implementations.
+  /// Corrupts the finalized train `events` in place (hot path), staging
+  /// through `scratch` only, so a warm workspace allocates nothing. Must
+  /// consume `rng` in the same order as apply() -- events visited
+  /// time-major -- so fixed-seed results are identical across the two
+  /// entry points.
   virtual void apply_inplace(EventBuffer& events, EventSortScratch& scratch,
-                             Rng& rng) const;
+                             Rng& rng) const = 0;
 
   /// Human-readable description ("deletion(p=0.5)").
   virtual std::string name() const = 0;

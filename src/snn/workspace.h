@@ -2,7 +2,7 @@
 //
 // One SimWorkspace owns every piece of mutable scratch the per-image hot
 // path needs -- the layer-to-layer EventBuffer ping-pong pair, the
-// counting-sort scratch, the encoder state arrays, and one StageState
+// scatter and noise scratch, the encoder state arrays, and one StageState
 // (membrane potentials, burst's decoder state) per stage in flight. All
 // members are
 // grow-only: vectors are re-dimensioned with assign()/resize() which never
@@ -35,7 +35,8 @@ namespace tsnn::snn {
 /// own potentials, scratch, and output train concurrently. Grow-only, like
 /// the workspace itself.
 struct StageState {
-  EventSortScratch sort;  ///< counting-sort scratch for out.finalize()
+  EventSortScratch sort;  ///< the TTFS/TTAS fire phase's assign_bursts()
+                          ///< scratch (first steps, cursors)
   EventBuffer out;        ///< stage output train (wavefront only; the
                           ///< whole-window loops emit into a caller buffer)
 
@@ -71,7 +72,8 @@ struct StageState {
 struct SimWorkspace {
   EventBuffer cur;        ///< spike train entering the current stage
   EventBuffer next;       ///< spike train the current stage emits
-  EventSortScratch sort;  ///< counting-sort / conversion scratch
+  EventSortScratch sort;  ///< the TTFS/TTAS encoder's assign_bursts() and
+                          ///< apply_inplace()'s scratch
 
   // The SIMD-streamed buffers (encoder charge and counters, the TTFS/TTAS
   // encoder's spiking ids) are aligned_vectors so the dispatch-table

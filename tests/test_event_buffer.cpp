@@ -1,7 +1,8 @@
 // Tests for the flat EventBuffer hot-path representation: CSR bucketing,
-// raster round trips, in-place noise equivalence against the raster path,
-// and fixed-seed golden vectors captured from the pre-event-buffer
-// implementation (PR 2) -- pinning that the rewrite is bit-identical.
+// the step-order append contract, raster round trips, in-place noise
+// equivalence against the raster path, and fixed-seed golden vectors
+// captured from the pre-event-buffer implementation -- pinning that the
+// rewrite is bit-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "noise/deletion.h"
 #include "noise/jitter.h"
 #include "noise/noise.h"
+#include "simd/kernels.h"
 #include "snn/event_buffer.h"
 #include "snn/simulator.h"
 #include "snn/topology.h"
@@ -51,99 +53,86 @@ std::vector<SpikeEvent> events_of(const EventBuffer& buf) {
   return out;
 }
 
-/// events_of() a finalized copy: the (time, neuron) stream an unfinalized
-/// buffer holds, in the order finalize() buckets it.
+/// events_of() a finalized copy: the (time, neuron) stream a buffer holds,
+/// finalized or not.
 std::vector<SpikeEvent> finalized_events_of(const EventBuffer& buf) {
   EventBuffer copy = buf;
-  EventSortScratch scratch;
-  copy.finalize(scratch);
+  copy.finalize();
   return events_of(copy);
 }
 
-TEST(EventBuffer, PushFinalizeBucketsSortedInput) {
+/// A step of ids at one time: the unit of the step-order producers.
+using Steps = std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>;
+
+/// The reference train of `steps`: a SpikeRaster filled in the same order,
+/// converted by assign_from().
+EventBuffer raster_train(std::size_t num_neurons, std::size_t window,
+                         const Steps& steps) {
+  SpikeRaster raster(num_neurons, window);
+  for (const auto& [t, ids] : steps) {
+    for (const std::uint32_t id : ids) {
+      raster.add(static_cast<std::size_t>(t), id);
+    }
+  }
   EventBuffer buf;
-  EventSortScratch scratch;
+  buf.assign_from(raster);
+  return buf;
+}
+
+TEST(EventBuffer, PushStepFinalizeBucketsSteps) {
+  EventBuffer buf;
   buf.reset(4, 8);
-  buf.push(1, 2);
-  buf.push(1, 0);
-  buf.push(5, 3);
-  buf.finalize(scratch);
+  const std::uint32_t ids[] = {2, 0, 3};
+  buf.push_step(1, ids, 2);
+  buf.push_step(5, ids + 2, 1);
+  buf.finalize();
   EXPECT_EQ(buf.size(), 3u);
-  ASSERT_EQ(buf.step_count(1), 2u);
-  EXPECT_EQ(buf.step_begin(1)[0], 2u);  // emission order kept within a step
-  EXPECT_EQ(buf.step_begin(1)[1], 0u);
-  EXPECT_EQ(buf.step_count(5), 1u);
-  EXPECT_EQ(buf.step_count(0), 0u);
+  const EventBuffer::StepSpan one = buf.step(1);
+  ASSERT_EQ(one.count, 2u);
+  EXPECT_EQ(one.ids[0], 2u);  // emission order kept within a step
+  EXPECT_EQ(one.ids[1], 0u);
+  EXPECT_EQ(buf.step(5).count, 1u);
+  EXPECT_EQ(buf.step(0).count, 0u);
 }
 
-TEST(EventBuffer, FinalizeCountingSortsUnsortedInputStably) {
-  EventBuffer buf;
-  EventSortScratch scratch;
-  buf.reset(8, 4);
-  // Neuron-major emission (the TTFS pattern): times out of order.
-  buf.push(3, 0);
-  buf.push(1, 1);
-  buf.push(3, 2);
-  buf.push(0, 3);
-  buf.push(1, 4);
-  buf.finalize(scratch);
-  const std::vector<SpikeEvent> expected{
-      {3, 0}, {1, 1}, {4, 1}, {0, 3}, {2, 3}};
-  EXPECT_EQ(events_of(buf), expected);
-  // Per-step spans agree with the flat view.
-  EXPECT_EQ(buf.step_count(0), 1u);
-  EXPECT_EQ(buf.step_count(1), 2u);
-  EXPECT_EQ(buf.step_count(2), 0u);
-  EXPECT_EQ(buf.step_count(3), 2u);
-}
-
-TEST(EventBuffer, PushValidatesBounds) {
+TEST(EventBuffer, PushStepValidatesBounds) {
   EventBuffer buf;
   buf.reset(2, 4);
-  EXPECT_THROW(buf.push(4, 0), InvalidArgument);
-  EXPECT_THROW(buf.push(-1, 0), InvalidArgument);
-  EXPECT_THROW(buf.push(0, 2), InvalidArgument);
+  const std::uint32_t ids[] = {0, 2};
+  EXPECT_THROW(buf.push_step(4, ids, 1), InvalidArgument);
+  EXPECT_THROW(buf.push_step(-1, ids, 1), InvalidArgument);
+  EXPECT_THROW(buf.push_step(0, ids + 1, 1), InvalidArgument);
+  EXPECT_TRUE(buf.empty());
 }
 
-TEST(EventBuffer, PushStepMatchesPerIdPush) {
-  // In-order steps (one empty, one repeated), a close, then an earlier step
-  // after a later one: both buffers hold the same arrays and flags
-  // throughout. The sorted flag shows through close_step(), which needs
-  // time-ordered pushes.
-  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
-      in_order = {{0, {3, 1, 4}}, {2, {}}, {2, {1, 5, 9, 2}}, {5, {6}}};
-  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
-      later = {{5, {5, 3}}, {7, {0}}, {6, {8, 8}}};
-  EventBuffer bulk;
-  EventBuffer each;
-  bulk.reset(10, 8);
-  each.reset(10, 8);
-  const auto append = [&](const auto& steps) {
+TEST(EventBuffer, PushStepMatchesRaster) {
+  // Steps in order (one empty, one repeated), a close, then later steps:
+  // the buffer holds, after every call, the train a SpikeRaster filled in
+  // the same order converts to, with the ids flat in that order.
+  const Steps in_order = {{0, {3, 1, 4}}, {2, {}}, {2, {1, 5, 9, 2}}, {5, {6}}};
+  const Steps later = {{5, {5, 3}}, {6, {8, 8}}, {7, {0}}};
+  EventBuffer buf;
+  buf.reset(10, 8);
+  Steps so_far;
+  const auto append = [&](const Steps& steps) {
     for (const auto& [t, ids] : steps) {
-      bulk.push_step(t, ids.data(), ids.size());
-      for (const std::uint32_t id : ids) {
-        each.push(t, id);
-      }
-      ASSERT_EQ(bulk.size(), each.size()) << "t=" << t;
-      for (std::size_t i = 0; i < each.size(); ++i) {
-        EXPECT_EQ(bulk.neurons()[i], each.neurons()[i]) << "t=" << t;
-      }
-      EXPECT_EQ(finalized_events_of(bulk), finalized_events_of(each))
+      buf.push_step(t, ids.data(), ids.size());
+      so_far.emplace_back(t, ids);
+      const EventBuffer want = raster_train(10, 8, so_far);
+      ASSERT_EQ(buf.size(), want.size()) << "t=" << t;
+      EXPECT_TRUE(std::equal(buf.neurons(), buf.neurons() + buf.size(),
+                             want.neurons()))
           << "t=" << t;
-      EXPECT_EQ(bulk.finalized(), each.finalized());
+      EXPECT_EQ(finalized_events_of(buf), events_of(want)) << "t=" << t;
+      EXPECT_FALSE(buf.finalized()) << "t=" << t;
     }
   };
   append(in_order);
-  bulk.close_step();
-  each.close_step();
-  EXPECT_EQ(bulk.steps_closed(), each.steps_closed());
+  buf.close_step();
+  EXPECT_EQ(buf.steps_closed(), 1u);
   append(later);
-  EXPECT_THROW(bulk.close_step(), InvalidArgument);
-  EXPECT_THROW(each.close_step(), InvalidArgument);
-  EventSortScratch scratch;
-  bulk.finalize(scratch);
-  each.finalize(scratch);
-  EXPECT_EQ(events_of(bulk), events_of(each));
+  buf.finalize();
+  EXPECT_EQ(events_of(buf), events_of(raster_train(10, 8, so_far)));
 }
 
 /// what() of the InvalidArgument `f` throws ("" when it does not throw).
@@ -157,40 +146,40 @@ std::string invalid_argument_of(F&& f) {
   return "";
 }
 
-TEST(EventBuffer, PushStepThrowsLikePush) {
+TEST(EventBuffer, PushStepThrowsLikeOneIdPushStep) {
   // An out-of-range id, a closed step and a time outside the window raise
-  // the same InvalidArgument as per-id push(); push_step appends nothing.
+  // the message a one-id push_step of the offending event raises on a
+  // buffer in the same state; push_step appends nothing.
   const std::vector<std::uint32_t> ids = {1, 4, 2};
-  EventBuffer bulk;
-  EventBuffer each;
-  const auto expect_same_throw = [&](auto&& prepare, std::int32_t t) {
+  const auto expect_same_throw = [&](auto&& prepare, std::int32_t t,
+                                     std::uint32_t offending) {
+    EventBuffer bulk;
+    EventBuffer one;
     bulk.reset(4, 8);
-    each.reset(4, 8);
+    one.reset(4, 8);
     prepare(bulk);
-    prepare(each);
-    const std::size_t before = bulk.size();
-    const std::string want = invalid_argument_of([&] {
-      for (const std::uint32_t id : ids) {
-        each.push(t, id);
-      }
-    });
+    prepare(one);
+    const std::vector<SpikeEvent> before = finalized_events_of(bulk);
+    const std::string want =
+        invalid_argument_of([&] { one.push_step(t, &offending, 1); });
     EXPECT_FALSE(want.empty()) << "t=" << t;
     EXPECT_EQ(invalid_argument_of(
                   [&] { bulk.push_step(t, ids.data(), ids.size()); }),
               want);
-    EXPECT_EQ(bulk.size(), before) << "t=" << t;
+    EXPECT_EQ(finalized_events_of(bulk), before) << "t=" << t;
   };
   const auto nothing = [](EventBuffer&) {};
-  expect_same_throw(nothing, 3);  // neuron 4 of 4
+  expect_same_throw(nothing, 3, 4);  // neuron 4 of 4
   expect_same_throw(
       [](EventBuffer& b) {
-        b.push(0, 1);
+        const std::uint32_t id = 1;
+        b.push_step(0, &id, 1);
         b.close_step();
         b.close_step();
       },
-      1);
-  expect_same_throw(nothing, 8);
-  expect_same_throw(nothing, -1);
+      1, 1);
+  expect_same_throw(nothing, 8, 1);
+  expect_same_throw(nothing, -1, 1);
 }
 
 /// append_step() of `ids` at `t`, written the way a fire scan writes them:
@@ -204,27 +193,83 @@ void append_ids(EventBuffer& buf, std::int32_t t,
   });
 }
 
+TEST(EventBuffer, AppendsFollowStepOrder) {
+  // A non-empty push_step or append_step at a step before the open step
+  // (the step appends go to) throws, naming the time and the open step,
+  // and leaves the train as it was. After finalize() every step is before
+  // the open step. reset() reopens the train; an empty step is a no-op at
+  // any time.
+  const std::vector<std::uint32_t> ids = {0, 2};
+  EventBuffer buf;
+  const auto expect_rejected = [&](std::int32_t t, std::size_t open) {
+    const std::string where =
+        "t=" + std::to_string(t) + " open " + std::to_string(open);
+    const std::string want = "event time " + std::to_string(t) +
+                             " before open step " + std::to_string(open);
+    const std::vector<SpikeEvent> before = finalized_events_of(buf);
+    const std::size_t size = buf.size();
+    const bool finalized = buf.finalized();
+    const std::string by_push =
+        invalid_argument_of([&] { buf.push_step(t, ids.data(), ids.size()); });
+    EXPECT_NE(by_push.find(want), std::string::npos)
+        << where << ": " << by_push;
+    const std::string by_append =
+        invalid_argument_of([&] { append_ids(buf, t, ids, 4); });
+    EXPECT_NE(by_append.find(want), std::string::npos)
+        << where << ": " << by_append;
+    buf.push_step(t, ids.data(), 0);
+    append_ids(buf, t, {}, 4);
+    EXPECT_EQ(buf.size(), size) << where;
+    EXPECT_EQ(buf.finalized(), finalized) << where;
+    EXPECT_EQ(finalized_events_of(buf), before) << where;
+  };
+  buf.reset(4, 6);
+  buf.push_step(1, ids.data(), 1);
+  append_ids(buf, 3, {1, 3}, 4);  // step 3 is now the open step
+  for (const std::int32_t t : {0, 1, 2}) {
+    expect_rejected(t, 3);
+  }
+  // The open step itself and later steps still take appends.
+  buf.push_step(3, ids.data() + 1, 1);
+  append_ids(buf, 5, {0}, 4);
+  buf.finalize();
+  const std::vector<SpikeEvent> closed = {
+      {0, 1}, {1, 3}, {3, 3}, {2, 3}, {0, 5}};
+  EXPECT_EQ(events_of(buf), closed);
+  for (std::int32_t t = 0; t < 6; ++t) {
+    expect_rejected(t, 6);
+  }
+  // A time outside the window still reports the window.
+  EXPECT_NE(invalid_argument_of([&] { buf.push_step(6, ids.data(), 1); })
+                .find("outside window 6"),
+            std::string::npos);
+  EXPECT_EQ(events_of(buf), closed);
+  buf.reset(4, 6);
+  buf.push_step(0, ids.data(), ids.size());
+  append_ids(buf, 0, {3}, 4);
+  buf.finalize();
+  EXPECT_EQ(events_of(buf), (std::vector<SpikeEvent>{{0, 0}, {2, 0}, {3, 0}}));
+}
+
 TEST(EventBuffer, AppendStepMatchesPushStep) {
   // In-order steps -- an empty one, a full one (ids fill the whole room),
   // a repeated one -- a close, appends after the close, then an earlier
-  // step after a later one (staged): both buffers hold the same arrays,
-  // spans and flags throughout, and finalize to the same train.
+  // step after a later one (rejected by both alike): both buffers hold the
+  // same arrays, spans and flags throughout, and finalize to the same
+  // train.
   constexpr std::size_t kNeurons = 10;
-  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
-      in_order = {{0, {1, 3, 4}},
-                  {1, {}},
-                  {2, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
-                  {2, {9}},
-                  {4, {6}}};
-  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
-      after_close = {{4, {2, 7}}, {6, {}}, {6, {0, 5, 8}}};
-  const std::vector<std::pair<std::int32_t, std::vector<std::uint32_t>>>
-      earlier = {{5, {3, 4}}, {7, {1}}};
+  const Steps in_order = {{0, {1, 3, 4}},
+                          {1, {}},
+                          {2, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+                          {2, {9}},
+                          {4, {6}}};
+  const Steps after_close = {{4, {2, 7}}, {6, {}}, {6, {0, 5, 8}}};
+  const Steps later = {{7, {1}}};
   EventBuffer appended;
   EventBuffer pushed;
   appended.reset(kNeurons, 8);
   pushed.reset(kNeurons, 8);
-  const auto append = [&](const auto& steps) {
+  const auto append = [&](const Steps& steps) {
     for (const auto& [t, ids] : steps) {
       append_ids(appended, t, ids, kNeurons);
       pushed.push_step(t, ids.data(), ids.size());
@@ -235,7 +280,7 @@ TEST(EventBuffer, AppendStepMatchesPushStep) {
       EXPECT_EQ(appended.finalized(), pushed.finalized()) << "t=" << t;
       EXPECT_EQ(appended.steps_closed(), pushed.steps_closed()) << "t=" << t;
       for (std::size_t s = 0; s < pushed.steps_closed(); ++s) {
-        EXPECT_EQ(appended.step_count(s), pushed.step_count(s)) << "t=" << t;
+        EXPECT_EQ(appended.step(s).count, pushed.step(s).count) << "t=" << t;
       }
       EXPECT_EQ(finalized_events_of(appended), finalized_events_of(pushed))
           << "t=" << t;
@@ -247,14 +292,14 @@ TEST(EventBuffer, AppendStepMatchesPushStep) {
   appended.close_step();
   pushed.close_step();
   append(after_close);
-  appended.close_step();  // time-ordered so far: closing still works
+  appended.close_step();
   pushed.close_step();
-  append(earlier);
-  EXPECT_THROW(appended.close_step(), InvalidArgument);  // now staged
-  EXPECT_THROW(pushed.close_step(), InvalidArgument);
-  EventSortScratch scratch;
-  appended.finalize(scratch);
-  pushed.finalize(scratch);
+  const std::vector<std::uint32_t> early = {3, 4};
+  EXPECT_EQ(invalid_argument_of([&] { append_ids(appended, 5, early, 10); }),
+            invalid_argument_of([&] { pushed.push_step(5, early.data(), 2); }));
+  append(later);
+  appended.finalize();
+  pushed.finalize();
   EXPECT_TRUE(appended.finalized());
   EXPECT_EQ(events_of(appended), events_of(pushed));
   for (std::size_t t = 0; t < pushed.window(); ++t) {
@@ -265,24 +310,21 @@ TEST(EventBuffer, AppendStepMatchesPushStep) {
   }
 }
 
-TEST(EventBuffer, AppendStepThrowsLikePushAndKeepsTheBuffer) {
+TEST(EventBuffer, AppendStepThrowsLikePushStepAndKeepsTheBuffer) {
   // A time outside the window, a closed step and an id past the range
-  // raise push()'s message, and the train is left as it was; an empty
+  // raise push_step()'s message, and the train is left as it was; an empty
   // step is a no-op whatever its time, as for push_step.
   const std::vector<std::uint32_t> ids = {1, 2, 4};
   EventBuffer appended;
-  EventBuffer each;
+  EventBuffer pushed;
   const auto expect_same_throw = [&](auto&& prepare, std::int32_t t) {
     appended.reset(4, 8);
-    each.reset(4, 8);
+    pushed.reset(4, 8);
     prepare(appended);
-    prepare(each);
+    prepare(pushed);
     const std::vector<SpikeEvent> before = finalized_events_of(appended);
-    const std::string want = invalid_argument_of([&] {
-      for (const std::uint32_t id : ids) {
-        each.push(t, id);
-      }
-    });
+    const std::string want = invalid_argument_of(
+        [&] { pushed.push_step(t, ids.data(), ids.size()); });
     EXPECT_FALSE(want.empty()) << "t=" << t;
     EXPECT_EQ(invalid_argument_of([&] { append_ids(appended, t, ids, 4); }),
               want)
@@ -293,7 +335,8 @@ TEST(EventBuffer, AppendStepThrowsLikePushAndKeepsTheBuffer) {
   };
   const auto nothing = [](EventBuffer&) {};
   const auto closed_two = [](EventBuffer& b) {
-    b.push(0, 1);
+    const std::uint32_t id = 1;
+    b.push_step(0, &id, 1);
     b.close_step();
     b.close_step();
   };
@@ -304,29 +347,29 @@ TEST(EventBuffer, AppendStepThrowsLikePushAndKeepsTheBuffer) {
   expect_same_throw(nothing, -1);
 }
 
-/// The reference emission assign_bursts() must reproduce: reset, then every
-/// burst pushed neuron-major, then finalize.
-EventBuffer pushed_bursts(std::size_t num_neurons, std::size_t window,
+/// The reference emission assign_bursts() must reproduce: a SpikeRaster
+/// filled with every burst neuron-major (k ascending, then step), converted
+/// by assign_from().
+EventBuffer raster_bursts(std::size_t num_neurons, std::size_t window,
                           const std::vector<std::int32_t>& first,
                           const std::vector<std::uint32_t>& ids,
                           std::size_t duration) {
-  EventBuffer buf;
-  EventSortScratch scratch;
-  buf.reset(num_neurons, window);
+  SpikeRaster raster(num_neurons, window);
   for (std::size_t k = 0; k < ids.size(); ++k) {
     for (std::size_t b = 0; b < duration; ++b) {
-      buf.push(first[k] + static_cast<std::int32_t>(b), ids[k]);
+      raster.add(static_cast<std::size_t>(first[k]) + b, ids[k]);
     }
   }
-  buf.finalize(scratch);
+  EventBuffer buf;
+  buf.assign_from(raster);
   return buf;
 }
 
-TEST(EventBuffer, AssignBurstsMatchesNeuronMajorPush) {
+TEST(EventBuffer, AssignBurstsMatchesNeuronMajorRaster) {
   // Random bursts over ascending ids with gaps, TTFS's duration 1 and
   // TTAS's 5 and 10, some ending at window - 1; the empty emission too.
-  // The target buffer starts out holding another train, which the
-  // emission must replace.
+  // The target buffer starts out holding another, unfinalized train, which
+  // the emission must replace.
   const std::size_t num_neurons = 48;
   Rng rng(2024);
   for (const std::size_t duration : {1u, 5u, 10u}) {
@@ -347,13 +390,14 @@ TEST(EventBuffer, AssignBurstsMatchesNeuronMajorPush) {
                                 " trial " + std::to_string(trial) + " n " +
                                 std::to_string(ids.size());
       const EventBuffer want =
-          pushed_bursts(num_neurons, window, first, ids, duration);
+          raster_bursts(num_neurons, window, first, ids, duration);
       EventBuffer got;
       EventSortScratch scratch;
-      got.assign_from(golden_input(), scratch);
+      got.assign_from(golden_input());
       got.reset(num_neurons, window);
-      got.push(3, 7);
-      got.push(1, 2);  // out of order: staged times must not survive
+      const std::uint32_t held[] = {2, 7};
+      got.push_step(1, held, 1);
+      got.push_step(3, held + 1, 1);
       got.assign_bursts(first.data(), ids.data(), ids.size(), duration,
                         scratch);
       ASSERT_TRUE(got.finalized()) << where;
@@ -362,21 +406,23 @@ TEST(EventBuffer, AssignBurstsMatchesNeuronMajorPush) {
       EXPECT_EQ(got.size(), want.size()) << where;
       EXPECT_EQ(got.size(), ids.size() * duration) << where;
       EXPECT_EQ(events_of(got), events_of(want)) << where;
-      // The emitted train behaves like the pushed one downstream.
-      EventBuffer got_next = got;
+      // Like the converted train, the emitted one takes no further append.
+      const std::uint32_t late = 0;
+      const auto last = static_cast<std::int32_t>(window - 1);
       EventBuffer want_next = want;
-      got_next.push(static_cast<std::int32_t>(window - 1), 0);
-      want_next.push(static_cast<std::int32_t>(window - 1), 0);
-      got_next.finalize(scratch);
-      want_next.finalize(scratch);
-      EXPECT_EQ(events_of(got_next), events_of(want_next)) << where;
+      EXPECT_EQ(invalid_argument_of([&] { got.push_step(last, &late, 1); }),
+                invalid_argument_of(
+                    [&] { want_next.push_step(last, &late, 1); }))
+          << where;
+      EXPECT_EQ(events_of(got), events_of(want)) << where;
     }
   }
 }
 
-TEST(EventBuffer, AssignBurstsThrowsLikePushAndKeepsTheBuffer) {
-  // A bad id or first step throws the message the neuron-major push
-  // sequence throws first, and the buffer keeps the train it held.
+TEST(EventBuffer, AssignBurstsThrowsLikeOneIdPushStepAndKeepsTheBuffer) {
+  // A bad id or first step throws the message a freshly reset buffer's
+  // one-id push_step of the first bad burst event (neuron-major) throws,
+  // and the buffer keeps the train it held.
   const std::size_t num_neurons = 9;
   const std::size_t window = 8;
   struct Case {
@@ -395,23 +441,25 @@ TEST(EventBuffer, AssignBurstsThrowsLikePushAndKeepsTheBuffer) {
   };
   for (std::size_t c = 0; c < cases.size(); ++c) {
     const Case& bad = cases[c];
-    EventBuffer reference;
-    reference.reset(num_neurons, window);
-    const std::string want = invalid_argument_of([&] {
-      for (std::size_t k = 0; k < bad.ids.size(); ++k) {
-        for (std::size_t b = 0; b < bad.duration; ++b) {
-          reference.push(bad.first[k] + static_cast<std::int32_t>(b),
-                         bad.ids[k]);
-        }
+    std::string want;
+    for (std::size_t k = 0; k < bad.ids.size() && want.empty(); ++k) {
+      for (std::size_t b = 0; b < bad.duration && want.empty(); ++b) {
+        EventBuffer fresh;
+        fresh.reset(num_neurons, window);
+        want = invalid_argument_of([&] {
+          fresh.push_step(bad.first[k] + static_cast<std::int32_t>(b),
+                          &bad.ids[k], 1);
+        });
       }
-    });
+    }
     ASSERT_FALSE(want.empty()) << "case " << c;
     EventBuffer buf;
     EventSortScratch scratch;
     buf.reset(num_neurons, window);
-    buf.push(2, 3);
-    buf.push(5, 8);
-    buf.finalize(scratch);
+    const std::uint32_t held[] = {3, 8};
+    buf.push_step(2, held, 1);
+    buf.push_step(5, held + 1, 1);
+    buf.finalize();
     const std::vector<SpikeEvent> before = events_of(buf);
     EXPECT_EQ(invalid_argument_of([&] {
                 buf.assign_bursts(bad.first.data(), bad.ids.data(),
@@ -428,8 +476,7 @@ TEST(EventBuffer, AssignBurstsThrowsLikePushAndKeepsTheBuffer) {
 TEST(EventBuffer, RasterRoundTripPreservesEverything) {
   const SpikeRaster in = golden_input();
   EventBuffer buf;
-  EventSortScratch scratch;
-  buf.assign_from(in, scratch);
+  buf.assign_from(in);
   EXPECT_EQ(buf.size(), in.total_spikes());
   EXPECT_EQ(buf.num_neurons(), in.num_neurons());
   EXPECT_EQ(buf.window(), in.window());
@@ -439,48 +486,85 @@ TEST(EventBuffer, RasterRoundTripPreservesEverything) {
 
 TEST(EventBuffer, ResetRecyclesCapacityAcrossShapes) {
   EventBuffer buf;
-  EventSortScratch scratch;
-  buf.assign_from(golden_input(), scratch);
+  buf.assign_from(golden_input());
   buf.reset(3, 5);
   EXPECT_EQ(buf.size(), 0u);
-  buf.push(4, 2);
-  buf.finalize(scratch);
-  EXPECT_EQ(buf.step_count(4), 1u);
+  const std::uint32_t id = 2;
+  buf.push_step(4, &id, 1);
+  buf.finalize();
+  EXPECT_EQ(buf.step(4).count, 1u);
 }
 
-TEST(EventBuffer, RemoveIfNotCompactsAndRebuildsOffsets) {
-  EventBuffer buf;
-  EventSortScratch scratch;
-  buf.assign_from(golden_input(), scratch);
-  const std::size_t before = buf.size();
-  buf.remove_if_not([](std::int32_t t, std::uint32_t) { return t % 2 == 0; });
-  EXPECT_LT(buf.size(), before);
-  for (std::size_t t = 0; t < buf.window(); ++t) {
-    if (t % 2 == 1) {
-      EXPECT_EQ(buf.step_count(t), 0u) << "odd step " << t << " survived";
+TEST(EventBuffer, RemoveByMaskCompactsAndRebuildsOffsets) {
+  // Empty first and last steps, a step that loses every event, one that
+  // keeps every event, and steps long enough for every table's vector
+  // width and tail: each step keeps exactly its masked ids, in order.
+  constexpr std::size_t kNeurons = 16;
+  constexpr std::size_t kWindow = 8;
+  Steps steps = {{1, {3, 1, 5, 0}}, {2, {2, 7}}, {3, {4, 6, 1}}};
+  std::vector<std::vector<std::uint8_t>> keeps = {
+      {1, 0, 1, 0}, {0, 0}, {1, 1, 1}};
+  for (const std::int32_t t : {4, 5, 6}) {
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint8_t> keep;
+    for (std::size_t i = 0; i < 13 * static_cast<std::size_t>(t); ++i) {
+      ids.push_back(static_cast<std::uint32_t>((i * 7 + t) % kNeurons));
+      keep.push_back((i * 5 + static_cast<std::size_t>(t)) % 3 != 0 ? 1 : 0);
     }
+    steps.emplace_back(t, ids);
+    keeps.push_back(keep);
   }
-  // Flat arrays and CSR stay consistent after compaction.
-  const SpikeRaster back = buf.to_raster();
-  EXPECT_EQ(back.total_spikes(), buf.size());
+  std::vector<std::uint8_t> mask;
+  Steps kept;
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    std::vector<std::uint32_t> ids;
+    for (std::size_t i = 0; i < keeps[s].size(); ++i) {
+      if (keeps[s][i] != 0) {
+        ids.push_back(steps[s].second[i]);
+      }
+    }
+    mask.insert(mask.end(), keeps[s].begin(), keeps[s].end());
+    kept.emplace_back(steps[s].first, ids);
+  }
+  const SpikeRaster want = raster_train(kNeurons, kWindow, kept).to_raster();
+  for (const simd::KernelDispatch* table : simd::runnable_tables()) {
+    const simd::ScopedKernelOverride pin(*table);
+    EventBuffer buf = raster_train(kNeurons, kWindow, steps);
+    ASSERT_EQ(buf.size(), mask.size()) << table->isa;
+    buf.remove_by_mask(mask.data());
+    ASSERT_TRUE(buf.finalized()) << table->isa;
+    EXPECT_EQ(buf.size(), want.total_spikes()) << table->isa;
+    for (std::size_t t = 0; t < kWindow; ++t) {
+      const EventBuffer::StepSpan span = buf.step(t);
+      EXPECT_EQ(std::vector<std::uint32_t>(span.ids, span.ids + span.count),
+                want.at(t))
+          << table->isa << " step " << t;
+    }
+    EXPECT_EQ(buf.step(0).count, 0u) << table->isa;
+    EXPECT_EQ(buf.step(2).count, 0u) << table->isa;
+    EXPECT_EQ(buf.step(3).count, 3u) << table->isa;
+    EXPECT_EQ(buf.step(kWindow - 1).count, 0u) << table->isa;
+    EXPECT_EQ(buf.to_raster().to_events(), want.to_events()) << table->isa;
+  }
 }
 
 TEST(EventBuffer, ShiftTimesRebucketsStably) {
   EventBuffer buf;
   EventSortScratch scratch;
   buf.reset(4, 8);
-  buf.push(2, 0);
-  buf.push(2, 1);
-  buf.push(6, 2);
-  buf.finalize(scratch);
+  const std::uint32_t ids[] = {0, 1, 2};
+  buf.push_step(2, ids, 2);
+  buf.push_step(6, ids + 2, 1);
+  buf.finalize();
   // Shift everything onto step 3; stream order must be preserved within it.
   const std::int32_t shifts[] = {1, 1, -3};
   buf.shift_times(shifts, scratch);
   ASSERT_TRUE(buf.finalized());
-  ASSERT_EQ(buf.step_count(3), 3u);
-  EXPECT_EQ(buf.step_begin(3)[0], 0u);
-  EXPECT_EQ(buf.step_begin(3)[1], 1u);
-  EXPECT_EQ(buf.step_begin(3)[2], 2u);
+  const EventBuffer::StepSpan three = buf.step(3);
+  ASSERT_EQ(three.count, 3u);
+  EXPECT_EQ(three.ids[0], 0u);
+  EXPECT_EQ(three.ids[1], 1u);
+  EXPECT_EQ(three.ids[2], 2u);
   EXPECT_EQ(buf.size(), 3u);
 }
 
@@ -488,19 +572,19 @@ TEST(EventBuffer, ShiftTimesClampsIntoWindow) {
   EventBuffer buf;
   EventSortScratch scratch;
   buf.reset(3, 5);
-  buf.push(1, 0);
-  buf.push(2, 1);
-  buf.push(3, 2);
-  buf.finalize(scratch);
+  for (const std::uint32_t id : {0u, 1u, 2u}) {
+    buf.push_step(static_cast<std::int32_t>(id) + 1, &id, 1);
+  }
+  buf.finalize();
   // The extreme int32 shifts must clamp, not overflow.
   const std::int32_t shifts[] = {INT32_MIN, INT32_MAX, 0};
   buf.shift_times(shifts, scratch);
-  ASSERT_EQ(buf.step_count(0), 1u);
-  EXPECT_EQ(buf.step_begin(0)[0], 0u);
-  ASSERT_EQ(buf.step_count(3), 1u);
-  EXPECT_EQ(buf.step_begin(3)[0], 2u);
-  ASSERT_EQ(buf.step_count(4), 1u);
-  EXPECT_EQ(buf.step_begin(4)[0], 1u);
+  ASSERT_EQ(buf.step(0).count, 1u);
+  EXPECT_EQ(buf.step(0).ids[0], 0u);
+  ASSERT_EQ(buf.step(3).count, 1u);
+  EXPECT_EQ(buf.step(3).ids[0], 2u);
+  ASSERT_EQ(buf.step(4).count, 1u);
+  EXPECT_EQ(buf.step(4).ids[0], 1u);
   const std::vector<SpikeEvent> events = events_of(buf);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].time, 0);
@@ -518,7 +602,7 @@ void expect_paths_identical(const NoiseModel& noise, std::uint64_t seed) {
 
   EventBuffer buf;
   EventSortScratch scratch;
-  buf.assign_from(in, scratch);
+  buf.assign_from(in);
   Rng rng_events(seed);
   noise.apply_inplace(buf, scratch, rng_events);
   EXPECT_EQ(buf.to_raster().to_events(), via_raster.to_events())

@@ -232,10 +232,11 @@ TEST(Jitter, HugeSigmaSplitsBetweenBothEnds) {
     const simd::ScopedKernelOverride pin(*table);
     snn::EventBuffer buf;
     snn::EventSortScratch scratch;
-    buf.assign_from(in, scratch);
+    buf.assign_from(in);
     Rng rng(5);
     noise.apply_inplace(buf, scratch, rng);
-    EXPECT_EQ(buf.step_count(0) + buf.step_count(window - 1), 64u) << table->isa;
+    EXPECT_EQ(buf.step(0).count + buf.step(window - 1).count, 64u)
+        << table->isa;
     EXPECT_EQ(buf.to_raster().to_events(), via_raster.to_events())
         << table->isa;
   }
@@ -266,7 +267,7 @@ TEST(Jitter, InplaceRebucketMatchesRasterWithClampingAtBothEnds) {
       const simd::ScopedKernelOverride pin(*table);
       snn::EventBuffer buf;
       snn::EventSortScratch scratch;
-      buf.assign_from(in, scratch);
+      buf.assign_from(in);
       Rng rng(seed);
       noise.apply_inplace(buf, scratch, rng);
       for (std::size_t t = 0; t < window; ++t) {
@@ -338,7 +339,7 @@ TEST(JitterBatchedDraw, EmptyTrainWithCachedNormalDrawsNothing) {
   snn::EventBuffer buf;
   snn::EventSortScratch scratch;
   buf.reset(4, 10);
-  buf.finalize(scratch);
+  buf.finalize();
   Rng rng(61);
   Rng untouched(61);
   rng.normal();
@@ -409,7 +410,7 @@ void expect_inplace_matches_raster(const snn::NoiseModel& noise,
 
   snn::EventBuffer buf;
   snn::EventSortScratch scratch;
-  buf.assign_from(in, scratch);
+  buf.assign_from(in);
   Rng rng_events(seed);
   noise.apply_inplace(buf, scratch, rng_events);
   EXPECT_EQ(buf.to_raster().to_events(), via_raster.to_events())

@@ -491,8 +491,7 @@ RandomTrain random_train(const SynapseTopology& syn, std::size_t steps,
                            ids.size());
     train.mag.push_back(static_cast<float>(rng.uniform(0.01, 1.0)));
   }
-  EventSortScratch scratch;
-  train.events.finalize(scratch);
+  train.events.finalize();
   return train;
 }
 
@@ -547,8 +546,7 @@ TEST_P(PropagateIsa, TrainMatchesPerStepPropagateAccum) {
   // An empty train adds nothing.
   EventBuffer none;
   none.reset(dense.in_size(), 3);
-  EventSortScratch scratch;
-  none.finalize(scratch);
+  none.finalize();
   const float mags[3] = {1.0f, 2.0f, 3.0f};
   std::vector<float> u(dense.out_size(), 0.5f);
   dense.propagate_train(none, mags, u.data());
@@ -570,8 +568,7 @@ TEST(Propagate, TrainOutOfRangeThrowsBeforeAnyCharge) {
     train.reset(syn->in_size() + 1, 2);
     train.push_step(0, ids, 2);
     train.push_step(1, ids + 2, 1);
-    EventSortScratch scratch;
-    train.finalize(scratch);
+    train.finalize();
     const float mags[2] = {1.0f, 1.0f};
     std::vector<float> u(syn->out_size(), 0.0f);
     EXPECT_THROW(syn->propagate_train(train, mags, u.data()), InvalidArgument);

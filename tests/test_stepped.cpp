@@ -239,7 +239,6 @@ TEST(SteppedCore, EarlyExitDoesNotPerturbLaterImages) {
 
 TEST(EventBufferSteps, CloseStepMatchesBatchFinalize) {
   EventBuffer inc, batch;
-  EventSortScratch scratch;
   inc.reset(4, 6);
   batch.reset(4, 6);
   const std::vector<std::pair<std::int32_t, std::uint32_t>> events{
@@ -247,7 +246,7 @@ TEST(EventBufferSteps, CloseStepMatchesBatchFinalize) {
   std::size_t next = 0;
   for (std::int32_t t = 0; t < 6; ++t) {
     while (next < events.size() && events[next].first == t) {
-      inc.push(events[next].first, events[next].second);
+      inc.push_step(events[next].first, &events[next].second, 1);
       ++next;
     }
     inc.close_step();
@@ -256,15 +255,17 @@ TEST(EventBufferSteps, CloseStepMatchesBatchFinalize) {
     EXPECT_NO_THROW(inc.step(static_cast<std::size_t>(t)));
   }
   for (const auto& [t, n] : events) {
-    batch.push(t, n);
+    batch.push_step(t, &n, 1);
   }
-  batch.finalize(scratch);
+  batch.finalize();
   // finalize() subsumes the incremental offsets: identical spans either way.
-  inc.finalize(scratch);
+  inc.finalize();
   for (std::size_t t = 0; t < 6; ++t) {
-    ASSERT_EQ(inc.step_count(t), batch.step_count(t)) << "step " << t;
-    for (std::size_t i = 0; i < inc.step_count(t); ++i) {
-      EXPECT_EQ(inc.step_begin(t)[i], batch.step_begin(t)[i]);
+    const EventBuffer::StepSpan a = inc.step(t);
+    const EventBuffer::StepSpan b = batch.step(t);
+    ASSERT_EQ(a.count, b.count) << "step " << t;
+    for (std::size_t i = 0; i < a.count; ++i) {
+      EXPECT_EQ(a.ids[i], b.ids[i]);
     }
   }
 }
@@ -272,33 +273,36 @@ TEST(EventBufferSteps, CloseStepMatchesBatchFinalize) {
 TEST(EventBufferSteps, ClosedStepRejectsLatePushes) {
   EventBuffer buf;
   buf.reset(4, 4);
-  buf.push(0, 1);
+  const std::uint32_t ids[] = {1, 2};
+  buf.push_step(0, ids, 1);
   buf.close_step();
-  EXPECT_THROW(buf.push(0, 2), InvalidArgument);  // step 0 already closed
-  buf.push(1, 2);                                 // later steps still open
+  EXPECT_THROW(buf.push_step(0, ids + 1, 1), InvalidArgument);  // closed
+  buf.push_step(1, ids + 1, 1);  // later steps still open
   EXPECT_EQ(buf.steps_closed(), 1u);
+  EXPECT_EQ(buf.size(), 2u);
 }
 
 TEST(EventBufferSteps, UnclosedStepsUnreadableUntilFinalize) {
   EventBuffer buf;
-  EventSortScratch scratch;
   buf.reset(2, 3);
-  buf.push(0, 0);
+  const std::uint32_t id = 0;
+  buf.push_step(0, &id, 1);
   buf.close_step();
-  EXPECT_NO_THROW(buf.step_count(0));
-  EXPECT_THROW(buf.step_count(1), InvalidArgument);
-  buf.finalize(scratch);
-  EXPECT_NO_THROW(buf.step_count(2));
+  EXPECT_NO_THROW(buf.step(0));
+  EXPECT_THROW(buf.step(1), InvalidArgument);
+  buf.finalize();
+  EXPECT_NO_THROW(buf.step(2));
 }
 
 TEST(EventBufferSteps, ResetClearsClosedSteps) {
   EventBuffer buf;
   buf.reset(2, 2);
-  buf.push(0, 0);
+  const std::uint32_t ids[] = {0, 1};
+  buf.push_step(0, ids, 1);
   buf.close_step();
   buf.reset(2, 2);
   EXPECT_EQ(buf.steps_closed(), 0u);
-  buf.push(0, 1);  // would throw if the old closed_ survived the reset
+  buf.push_step(0, ids + 1, 1);  // would throw if the old closed step survived
   EXPECT_EQ(buf.steps_closed(), 0u);
 }
 
